@@ -34,30 +34,13 @@
 
 #include "bench_env.h"
 #include "core/fs.h"
+#include "harness/runner.h"
 
 using namespace simurgh;
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-bool smoke_mode() {
-  const char* s = std::getenv("SIMURGH_BENCH_SMOKE");
-  return s != nullptr && std::string_view(s) != "0";
-}
-
-double ns_per_op(Clock::time_point a, Clock::time_point b, std::uint64_t n) {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count() /
-         static_cast<double>(n);
-}
-
-// Median across reps — the gating statistic every BENCH_*.json uses (a
-// best-of-reps min rewards one lucky scheduling window; the median is what
-// a re-run actually reproduces).
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
 
 struct PersistDelta {
   double lines_per_op = 0;
@@ -107,7 +90,7 @@ double run_append(core::Process& p, const std::string& path,
   const auto t1 = Clock::now();
   SIMURGH_CHECK(p.close(*fd).is_ok());
   SIMURGH_CHECK(p.unlink(path).is_ok());
-  return ns_per_op(t0, t1, ops);
+  return bench::ns_per_op(t0, t1, ops);
 }
 
 // One rep of sequential 4 KB overwrites of a preallocated file.
@@ -117,7 +100,7 @@ double run_overwrite(core::Process& p, int fd, const char* block,
   for (std::uint64_t i = 0; i < ops; ++i)
     SIMURGH_CHECK(
         p.pwrite(fd, block, 4096, (i % file_blocks) * 4096).is_ok());
-  return ns_per_op(t0, Clock::now(), ops);
+  return bench::ns_per_op(t0, Clock::now(), ops);
 }
 
 // One rep of sequential 4 KB reads.
@@ -126,7 +109,7 @@ double run_read(core::Process& p, int fd, char* buf,
   const auto t0 = Clock::now();
   for (std::uint64_t i = 0; i < ops; ++i)
     SIMURGH_CHECK(p.pread(fd, buf, 4096, (i % file_blocks) * 4096).is_ok());
-  return ns_per_op(t0, Clock::now(), ops);
+  return bench::ns_per_op(t0, Clock::now(), ops);
 }
 
 // Multi-thread append: T threads, private files, `ops` appends each.
@@ -165,18 +148,7 @@ double run_append_mt(core::FileSystem& fs, int threads, std::uint64_t ops,
     SIMURGH_CHECK(procs[t]->close(fds[t]).is_ok());
     SIMURGH_CHECK(procs[t]->unlink("/mt" + std::to_string(t)).is_ok());
   }
-  return ns_per_op(t0, t1, ops * static_cast<std::uint64_t>(threads));
-}
-
-// Minimal flat-JSON number scraper for the baseline file: finds
-// "key": <number> and returns the number, or nan.
-double json_number(const std::string& text, const std::string& key) {
-  const std::string needle = "\"" + key + "\"";
-  const std::size_t k = text.find(needle);
-  if (k == std::string::npos) return std::nan("");
-  const std::size_t colon = text.find(':', k);
-  if (colon == std::string::npos) return std::nan("");
-  return std::strtod(text.c_str() + colon + 1, nullptr);
+  return bench::ns_per_op(t0, t1, ops * static_cast<std::uint64_t>(threads));
 }
 
 }  // namespace
@@ -187,7 +159,7 @@ int main() {
   // DAX mapping.  Keeps this bench's strict numbers comparable with the
   // write-behind bench's strict arm.  SIMURGH_NVMM_OPTANE=0 overrides.
   setenv("SIMURGH_NVMM_OPTANE", "1", 0);
-  const bool smoke = smoke_mode();
+  const bool smoke = bench::bench_smoke();
   const std::uint64_t ops = smoke ? 64 : 8192;
   const std::uint64_t mt_ops = smoke ? 64 : 2048;
   const int reps = smoke ? 1 : 5;
@@ -204,7 +176,7 @@ int main() {
   std::vector<double> append_reps;
   for (int r = 0; r < reps; ++r)
     append_reps.push_back(run_append(p, "/app", block.data(), ops));
-  const double append_ns = median(append_reps);
+  const double append_ns = bench::median(append_reps);
   const PersistDelta append_pd = count_persists(
       ops, [&] { run_append(p, "/app", block.data(), ops); });
 
@@ -218,7 +190,7 @@ int main() {
   std::vector<double> ovw_reps;
   for (int r = 0; r < reps; ++r)
     ovw_reps.push_back(run_overwrite(p, *ofd, block.data(), file_blocks, ops));
-  const double ovw_ns = median(ovw_reps);
+  const double ovw_ns = bench::median(ovw_reps);
   const PersistDelta ovw_pd = count_persists(ops, [&] {
     run_overwrite(p, *ofd, block.data(), file_blocks, ops);
   });
@@ -227,7 +199,7 @@ int main() {
   std::vector<double> read_seq_reps;
   for (int r = 0; r < reps; ++r)
     read_seq_reps.push_back(run_read(p, *ofd, rbuf.data(), file_blocks, ops));
-  const double read_seq_ns = median(read_seq_reps);
+  const double read_seq_ns = bench::median(read_seq_reps);
 
   // --- fragmented-file read: interleave 1-block appends to two files so
   // their extents alternate and the extent map degenerates to one extent
@@ -246,7 +218,7 @@ int main() {
   std::vector<double> read_frag_reps;
   for (int r = 0; r < reps; ++r)
     read_frag_reps.push_back(run_read(p, *fa, rbuf.data(), frag_blocks, ops));
-  const double read_frag_ns = median(read_frag_reps);
+  const double read_frag_ns = bench::median(read_frag_reps);
 
   // --- multi-thread append sweep ---
   std::vector<double> mt_ns;
@@ -254,7 +226,7 @@ int main() {
     std::vector<double> mt_reps;
     for (int r = 0; r < std::max(1, reps - 2); ++r)
       mt_reps.push_back(run_append_mt(*w.fs, t, mt_ops, block.data()));
-    mt_ns.push_back(median(mt_reps));
+    mt_ns.push_back(bench::median(mt_reps));
   }
 
   std::printf("4KB append  (1 thread):  %8.0f ns/op  (%.1f lines, %.1f "
@@ -283,11 +255,11 @@ int main() {
       while ((got = std::fread(chunk, 1, sizeof chunk, f)) > 0)
         baseline_json.append(chunk, got);
       std::fclose(f);
-      base_append = json_number(baseline_json, "append1_ns_per_op");
-      base_lines = json_number(baseline_json, "append1_lines_per_op");
+      base_append = bench::json_number(baseline_json, "append1_ns_per_op");
+      base_lines = bench::json_number(baseline_json, "append1_lines_per_op");
       const std::string mt_key =
           "append_mt_" + std::to_string(mt_threads.back()) + "_ns_per_op";
-      base_mt_last = json_number(baseline_json, mt_key);
+      base_mt_last = bench::json_number(baseline_json, mt_key);
       have_baseline = base_append == base_append;  // not nan
     }
   }

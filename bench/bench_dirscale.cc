@@ -24,7 +24,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <random>
 #include <string>
@@ -34,6 +33,7 @@
 #include "bench_env.h"
 #include "core/dir_block.h"
 #include "core/fs.h"
+#include "harness/runner.h"
 
 using namespace simurgh;
 
@@ -140,11 +140,6 @@ double run_threads(unsigned n_threads, std::uint64_t base, int iters) {
   return static_cast<double>(total) / secs;
 }
 
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
-
 struct EntryPoint {
   std::uint64_t entries = 0;
   ArmSample split, presplit;       // median rep (by combined rate)
@@ -156,7 +151,7 @@ struct EntryPoint {
 ArmSample median_sample(const std::vector<ArmSample>& reps) {
   std::vector<double> rates;
   for (const ArmSample& s : reps) rates.push_back(s.combined_ops_per_sec);
-  const double med = median(rates);
+  const double med = bench::median(rates);
   for (const ArmSample& s : reps)
     if (s.combined_ops_per_sec == med) return s;
   return reps.front();
@@ -165,9 +160,7 @@ ArmSample median_sample(const std::vector<ArmSample>& reps) {
 }  // namespace
 
 int main() {
-  const char* smoke_env = std::getenv("SIMURGH_BENCH_SMOKE");
-  const bool smoke =
-      smoke_env != nullptr && smoke_env[0] != '\0' && smoke_env[0] != '0';
+  const bool smoke = bench::bench_smoke();
   const int reps = smoke ? 1 : 3;
   const std::vector<std::uint64_t> entry_sweep =
       smoke ? std::vector<std::uint64_t>{1'000}
@@ -196,9 +189,9 @@ int main() {
     pt.entries = n;
     pt.split = median_sample(sp);
     pt.presplit = median_sample(pre);
-    pt.speedup_insert = median(r_ins);
-    pt.speedup_lookup = median(r_lk);
-    pt.speedup_combined = median(r_comb);
+    pt.speedup_insert = bench::median(r_ins);
+    pt.speedup_lookup = bench::median(r_lk);
+    pt.speedup_combined = bench::median(r_comb);
     points.push_back(pt);
     std::printf(
         "%8llu entries: split %8.0f ins/s %8.0f lk/s (depth %llu, %llu "
@@ -222,7 +215,7 @@ int main() {
           run_threads(thread_sweep[i], churn_base, churn_iters));
   std::vector<double> thread_medians;
   for (std::size_t i = 0; i < thread_sweep.size(); ++i) {
-    thread_medians.push_back(median(thread_samples[i]));
+    thread_medians.push_back(bench::median(thread_samples[i]));
     std::printf("%u thread%s: %8.0f ops/s aggregate median in one shared "
                 "%llu-entry dir\n",
                 thread_sweep[i], thread_sweep[i] == 1 ? " " : "s",
@@ -232,7 +225,7 @@ int main() {
   for (int r = 0; r < reps; ++r)
     collapse_ratios.push_back(thread_samples.back()[r] /
                               thread_samples.front()[r]);
-  const double no_collapse = median(collapse_ratios);
+  const double no_collapse = bench::median(collapse_ratios);
 
   // ---- per-bucket epoch selectivity ----
   std::uint64_t scoped_delta = 0, full_delta = 0;

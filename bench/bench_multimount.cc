@@ -23,7 +23,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
@@ -32,6 +31,7 @@
 
 #include "bench_env.h"
 #include "core/fs.h"
+#include "harness/runner.h"
 
 using namespace simurgh;
 
@@ -114,11 +114,6 @@ Sample run_scale(unsigned n_mounts, int iters) {
   return s;
 }
 
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
-
 struct Point {
   unsigned mounts;
   double ops_per_sec;      // median rep
@@ -129,9 +124,7 @@ struct Point {
 }  // namespace
 
 int main() {
-  const char* smoke_env = std::getenv("SIMURGH_BENCH_SMOKE");
-  const bool smoke =
-      smoke_env != nullptr && smoke_env[0] != '\0' && smoke_env[0] != '0';
+  const bool smoke = bench::bench_smoke();
   const int iters = smoke ? 50 : 20000;
   const int reps = smoke ? 1 : 5;
   const std::vector<unsigned> mount_counts = {1u, 2u, 4u, 8u, 16u};
@@ -147,7 +140,7 @@ int main() {
   for (std::size_t i = 0; i < mount_counts.size(); ++i) {
     std::vector<double> rates;
     for (const Sample& s : samples[i]) rates.push_back(s.ops_per_sec);
-    const double med = median(rates);
+    const double med = bench::median(rates);
     Point pt{mount_counts[i], med, *std::max_element(rates.begin(),
                                                      rates.end()), {}};
     // Telemetry from the rep whose rate is the median (ties: first).
@@ -161,7 +154,7 @@ int main() {
   for (int r = 0; r < reps; ++r)
     ratios_1_to_4.push_back(samples[2][r].ops_per_sec /
                             samples[0][r].ops_per_sec);
-  const double scaling_1_to_4 = median(ratios_1_to_4);
+  const double scaling_1_to_4 = bench::median(ratios_1_to_4);
   const double scaling_1_to_16 =
       points.back().ops_per_sec / points.front().ops_per_sec;
 

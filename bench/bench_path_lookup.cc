@@ -8,24 +8,19 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_env.h"
 #include "core/fs.h"
+#include "harness/runner.h"
 
 using namespace simurgh;
 
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-double ns_per_op(Clock::time_point a, Clock::time_point b, std::uint64_t n) {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count() /
-         static_cast<double>(n);
-}
 
 // Times `iters` stats of every path in `paths` (cache pre-warmed by one
 // untimed pass when `warm` is set).
@@ -40,7 +35,7 @@ double time_stats(core::Process& p, const std::vector<std::string>& paths,
       SIMURGH_CHECK(p.stat(s).is_ok());
       ++n;
     }
-  return ns_per_op(t0, Clock::now(), n);
+  return bench::ns_per_op(t0, Clock::now(), n);
 }
 
 }  // namespace
@@ -67,9 +62,7 @@ int main() {
   }
 
   // Smoke mode (CI's bench-smoke label) only proves the binary runs.
-  const char* smoke_env = std::getenv("SIMURGH_BENCH_SMOKE");
-  const bool smoke =
-      smoke_env != nullptr && smoke_env[0] != '\0' && smoke_env[0] != '0';
+  const bool smoke = bench::bench_smoke();
   const int iters = smoke ? 50 : 2000;  // x64 paths = 128k stats per arm
   // Best-of-N, interleaved to defeat drift.  Smoke keeps the full rep count:
   // each rep is well under a millisecond there, and a single sample is noisy

@@ -18,18 +18,17 @@
 // Run FROM THE REPO ROOT; writes BENCH_service.json to the cwd.
 // SIMURGH_BENCH_SMOKE=1 shrinks the loops and skips the gate (CI liveness
 // only); the full run exits non-zero when a ratio exceeds 1.15.
-#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "bench_env.h"
 #include "core/fs.h"
+#include "harness/runner.h"
 
 using namespace simurgh;
 
@@ -38,23 +37,6 @@ namespace {
 using Clock = std::chrono::steady_clock;
 
 constexpr std::size_t kBlock = 4096;
-
-bool smoke_mode() {
-  const char* s = std::getenv("SIMURGH_BENCH_SMOKE");
-  return s != nullptr && std::string_view(s) != "0";
-}
-
-double ns_per_op(Clock::time_point a, Clock::time_point b, std::uint64_t n) {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count() /
-         static_cast<double>(n);
-}
-
-// Median across reps — same gating statistic as every other BENCH_*.json (a
-// best-of-reps min rewards one lucky scheduling window).
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
 
 struct World {
   std::unique_ptr<nvmm::Device> dev, shm;
@@ -113,7 +95,7 @@ ArmResult run_arm(bool service, std::uint64_t ops, int reps,
         std::abort();
     }
     auto t1 = Clock::now();
-    wns.push_back(ns_per_op(t0, t1, ops));
+    wns.push_back(bench::ns_per_op(t0, t1, ops));
 
     t0 = Clock::now();
     for (std::uint64_t i = 0; i < ops; ++i) {
@@ -123,11 +105,11 @@ ArmResult run_arm(bool service, std::uint64_t ops, int reps,
         std::abort();
     }
     t1 = Clock::now();
-    rns.push_back(ns_per_op(t0, t1, ops));
+    rns.push_back(bench::ns_per_op(t0, t1, ops));
   }
   ArmResult res;
-  res.write_ns = median(wns);
-  res.read_ns = median(rns);
+  res.write_ns = bench::median(wns);
+  res.read_ns = bench::median(rns);
   res.svc_requests_during_io =
       w.measured_fs().fsstat().svc_requests - req_before;
   return res;
@@ -136,7 +118,7 @@ ArmResult run_arm(bool service, std::uint64_t ops, int reps,
 }  // namespace
 
 int main() {
-  const bool smoke = smoke_mode();
+  const bool smoke = bench::bench_smoke();
   const std::uint64_t ops = smoke ? 64 : 20'000;
   const int reps = smoke ? 2 : 5;
   const std::uint64_t file_blocks = smoke ? 16 : 1024;  // 64 KB / 4 MB file

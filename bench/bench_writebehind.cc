@@ -26,7 +26,6 @@
 // throughput is >= 3x strict (the tier's headline acceptance bar).
 //
 // SIMURGH_BENCH_SMOKE=1 shrinks the loops and always exits 0.
-#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cmath>
@@ -39,6 +38,7 @@
 
 #include "bench_env.h"
 #include "core/fs.h"
+#include "harness/runner.h"
 #include "core/write_behind.h"
 
 using namespace simurgh;
@@ -46,22 +46,6 @@ using namespace simurgh;
 namespace {
 
 using Clock = std::chrono::steady_clock;
-
-bool smoke_mode() {
-  const char* s = std::getenv("SIMURGH_BENCH_SMOKE");
-  return s != nullptr && std::string_view(s) != "0";
-}
-
-double ns_per_op(Clock::time_point a, Clock::time_point b, std::uint64_t n) {
-  return std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count() /
-         static_cast<double>(n);
-}
-
-// Median across reps — the gating statistic every BENCH_*.json uses.
-double median(std::vector<double> v) {
-  std::sort(v.begin(), v.end());
-  return v[v.size() / 2];
-}
 
 struct World {
   std::unique_ptr<nvmm::Device> dev, shm;
@@ -133,7 +117,7 @@ Sample run_rep(core::FileSystem& fs, core::Durability cls, int threads,
   const auto t1 = Clock::now();
   const std::uint64_t total = ops * static_cast<std::uint64_t>(threads);
   Sample s;
-  s.ns_per_op = ns_per_op(t0, t1, total);
+  s.ns_per_op = bench::ns_per_op(t0, t1, total);
   s.mops = 1000.0 / s.ns_per_op;
   s.absorbed_per_op =
       static_cast<double>(fs.fsstat().fsyncs_absorbed - absorbed0) /
@@ -149,7 +133,7 @@ Sample run_rep(core::FileSystem& fs, core::Durability cls, int threads,
 Sample median_sample(std::vector<Sample> reps) {
   std::vector<double> ns;
   for (const Sample& s : reps) ns.push_back(s.ns_per_op);
-  const double med = median(ns);
+  const double med = bench::median(ns);
   for (const Sample& s : reps)
     if (s.ns_per_op == med) return s;
   return reps.front();
@@ -164,23 +148,13 @@ const char* cls_name(core::Durability d) {
   return "?";
 }
 
-// Flat-JSON number scraper (same shape as bench_data_path's).
-double json_number(const std::string& text, const std::string& key) {
-  const std::string needle = "\"" + key + "\"";
-  const std::size_t k = text.find(needle);
-  if (k == std::string::npos) return std::nan("");
-  const std::size_t colon = text.find(':', k);
-  if (colon == std::string::npos) return std::nan("");
-  return std::strtod(text.c_str() + colon + 1, nullptr);
-}
-
 }  // namespace
 
 int main() {
   // Before any persist-primitive call: the model config is latched at first
   // use.  setenv with overwrite=0 keeps an explicit user override in force.
   setenv("SIMURGH_NVMM_OPTANE", "1", 0);
-  const bool smoke = smoke_mode();
+  const bool smoke = bench::bench_smoke();
   const std::uint64_t ops = smoke ? 48 : 4096;
   const int reps = smoke ? 1 : 5;
   const std::vector<core::Durability> classes = {
@@ -241,7 +215,7 @@ int main() {
     while ((got = std::fread(chunk, 1, sizeof chunk, f)) > 0)
       text.append(chunk, got);
     std::fclose(f);
-    datapath_append = json_number(text, "append1_ns_per_op");
+    datapath_append = bench::json_number(text, "append1_ns_per_op");
     if (datapath_append == datapath_append)
       std::printf("strict 4KB x1 vs datapath append: %.0f vs %.0f ns/op "
                   "(%.2fx)\n",

@@ -40,13 +40,20 @@ Result<bool> FileSystem::ensure_allocated(ExtentResolver& res, Inode& ino,
       b += run.n_blocks;
       continue;
     }
-    // Allocate the whole missing run contiguously.
-    SIMURGH_ASSIGN_OR_RETURN(const std::uint64_t dev_off,
-                             blocks().alloc(run.n_blocks, ino_off));
+    // Allocate the whole missing run contiguously.  No segment holds a run
+    // longer than itself, so on no_space halve the request and fill the
+    // hole piecewise; the loop re-probes the remainder.
+    std::uint64_t take = run.n_blocks;
+    Result<std::uint64_t> got = blocks().alloc(take, ino_off);
+    while (!got.is_ok() && got.code() == Errc::no_space && take > 1) {
+      take /= 2;
+      got = blocks().alloc(take, ino_off);
+    }
+    SIMURGH_ASSIGN_OR_RETURN(const std::uint64_t dev_off, got);
     // Reset the run's checksum entries: a recycled block's stale entry must
     // not indict its new owner's bytes, and fallocate'd blocks stay
     // "no checksum recorded" until actually written.
-    crc_.clear(dev_off, run.n_blocks);
+    crc_.clear(dev_off, take);
     // A fresh block the write only partially covers must read back zeros
     // in its unwritten bytes; interior blocks are fully overwritten.  The
     // zeros must be *durable* before the size stamp can commit: the block
@@ -54,7 +61,7 @@ Result<bool> FileSystem::ensure_allocated(ExtentResolver& res, Inode& ino,
     // below covers only [off, off+n) — so flush the zeroed lines here (the
     // data fence preceding the size stamp orders them with the commit).
     for (const std::uint64_t zb : {zero_a, zero_b}) {
-      if (zb >= b && zb < b + run.n_blocks) {
+      if (zb >= b && zb < b + take) {
         std::memset(dev().at(dev_off + (zb - b) * kBS), 0, kBS);
         nvmm::persist(dev().at(dev_off + (zb - b) * kBS), kBS);
       }
@@ -65,9 +72,9 @@ Result<bool> FileSystem::ensure_allocated(ExtentResolver& res, Inode& ino,
       guard.emplace(ino);
       res.invalidate_snapshot();
     }
-    if (Status st = res.map().append(b, dev_off, run.n_blocks); !st.is_ok())
+    if (Status st = res.map().append(b, dev_off, take); !st.is_ok())
       return st.code();
-    b += run.n_blocks;
+    b += take;
   }
   return guard.has_value();
 }

@@ -165,21 +165,23 @@ void DirOps::retire_dir_epoch(Inode& dir) noexcept {
   advance_epoch_gen(dev_, e);
 }
 
+bool DirOps::entry_dead(std::uint64_t off) const {
+  // Interrupted delete: entry invalidated (dirty-only) or already zeroed
+  // while a slot still points at it (Fig. 5b crash between steps 2-5).
+  const std::uint32_t flags = pools_.fentry->flags_of(off);
+  return flags == alloc::kObjDirty ||
+         (entry_at(off)->name_len.load(std::memory_order_acquire) == 0 &&
+          flags == 0);
+}
+
 bool DirOps::scrub_slot(DirSlot& slot) const {
   const std::uint64_t v = slot.v.load(std::memory_order_acquire);
   const std::uint64_t off = DirSlot::off_of(v);
-  if (off == 0) return false;
-  FileEntry* fe = entry_at(off);
-  const std::uint32_t flags = pools_.fentry->flags_of(off);
-  // Interrupted delete: entry invalidated (dirty-only) or already zeroed
-  // while the slot still points at it (Fig. 5b crash between steps 2-5).
-  if (flags == alloc::kObjDirty ||
-      (fe->name_len.load(std::memory_order_acquire) == 0 && flags == 0)) {
-    if (clear_slot(slot, v) && flags == alloc::kObjDirty)
-      pools_.fentry->finish_pending_free(off);
-    return true;
-  }
-  return false;
+  if (off == 0 || !entry_dead(off)) return false;
+  const bool pending_free = pools_.fentry->flags_of(off) == alloc::kObjDirty;
+  if (clear_slot(slot, v) && pending_free)
+    pools_.fentry->finish_pending_free(off);
+  return true;
 }
 
 DirOps::Route DirOps::route_of(Inode& dir,
@@ -291,8 +293,8 @@ void DirOps::steal_repair(Inode& dir, const Route& rt, DirBlock* target,
 }
 
 DirOps::SlotRef DirOps::find_slot_in(DirBlock* head, unsigned ln,
-                                     std::string_view name,
-                                     std::uint16_t tag) const {
+                                     std::string_view name, std::uint16_t tag,
+                                     bool scrub) const {
   for (DirBlock* blk = head; blk != nullptr;
        blk = blk->next.load().in(dev_)) {
     for (unsigned s = 0; s < kSlotsPerLine; ++s) {
@@ -302,8 +304,8 @@ DirOps::SlotRef DirOps::find_slot_in(DirBlock* head, unsigned ln,
       if (off == 0 || DirSlot::tag_of(v) != tag) continue;
       FileEntry* fe = entry_at(off);
       if (fe->name_equals(name)) {
-        if (scrub_slot(slot)) continue;  // was a dead entry
-        return {blk, &slot};
+        if (scrub ? scrub_slot(slot) : entry_dead(off)) continue;
+        return {blk, &slot, v};
       }
     }
   }
@@ -311,18 +313,18 @@ DirOps::SlotRef DirOps::find_slot_in(DirBlock* head, unsigned ln,
 }
 
 DirOps::SlotRef DirOps::find_slot(Inode& dir, unsigned ln,
-                                  std::string_view name,
-                                  std::uint16_t tag) const {
+                                  std::string_view name, std::uint16_t tag,
+                                  bool scrub) const {
   const Route rt = route_of(dir, name);
   if (rt.anchor == nullptr) return {};
   if (rt.head != rt.anchor && rt.splitting) {
     // Mid-split: an entry lives in the legacy chain until its bucket copy
     // is published, and the copy is published before the legacy slot
     // clears — so scanning source before destination can never miss it.
-    SlotRef ref = find_slot_in(rt.anchor, ln, name, tag);
+    SlotRef ref = find_slot_in(rt.anchor, ln, name, tag, scrub);
     if (ref.slot != nullptr) return ref;
   }
-  return find_slot_in(rt.head, ln, name, tag);
+  return find_slot_in(rt.head, ln, name, tag, scrub);
 }
 
 Result<DirOps::SlotRef> DirOps::free_slot_in(DirBlock* head, unsigned ln) {
@@ -367,9 +369,9 @@ Result<std::uint64_t> DirOps::lookup(Inode& dir, std::string_view name) const {
   const std::uint16_t tag = tag_of_name(name);
   // Lock-free: readers never take the busy bit (paper: concurrent lookups
   // scale; consistency comes from the publication order of slots).
-  SlotRef ref = const_cast<DirOps*>(this)->find_slot(dir, ln, name, tag);
+  SlotRef ref = find_slot(dir, ln, name, tag, /*scrub=*/false);
   if (ref.slot == nullptr) return Errc::not_found;
-  return DirSlot::off_of(ref.slot->v.load(std::memory_order_acquire));
+  return DirSlot::off_of(ref.v);
 }
 
 Status DirOps::insert(Inode& dir, std::string_view name,

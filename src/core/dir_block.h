@@ -15,8 +15,8 @@
 //  * A slot is published (store + persist) only after its file entry and
 //    inode are fully persisted — Fig. 5a order.
 //  * Deletion zeroes the entry before the slot, so a slot that points to a
-//    zeroed/invalid entry marks an interrupted delete; the next accessor of
-//    the line completes it — Fig. 5b.
+//    zeroed/invalid entry marks an interrupted delete; the next mutator of
+//    the line (lock-free readers only skip it) completes it — Fig. 5b.
 //  * An intra-directory rename deliberately leaves the line "inconsistent"
 //    (the entry's name hashes to a different line) between its steps 5-8;
 //    that inconsistency plus the rename marker is the redo record — Fig. 5c.
@@ -281,7 +281,8 @@ class DirOps {
 
   // Split policy: split once the anchor chain exceeds `threshold_blocks`
   // blocks, into 2^bucket_bits buckets.  bucket_bits == 0 disables
-  // splitting (the benches' unsplit A/B arm; also SIMURGH_DIR_SPLIT=0).
+  // splitting (the benches' unsplit A/B arm).  Default: 4 blocks, full
+  // fan-out (kMaxBucketBits).
   void set_split_params(std::uint64_t threshold_blocks,
                         unsigned bucket_bits) noexcept {
     split_threshold_ = threshold_blocks == 0 ? 1 : threshold_blocks;
@@ -428,23 +429,33 @@ class DirOps {
 
   // Probes line `ln` for `name` in every chain that may hold it (the
   // governing bucket chain; plus the legacy chain first while a split is
-  // migrating); returns {block, slot} or nulls.  Scrubs slots whose
-  // entries are zeroed (interrupted delete).
+  // migrating); returns {block, slot, value} or nulls.  `v` is the slot
+  // value whose entry name was matched: a lock-free reader must use it
+  // rather than reload the slot, which a racing rename or unlink may have
+  // cleared since.  Dead entries (interrupted delete) never match; with
+  // `scrub` — only for a caller holding the line lock — their slots are
+  // also cleared.  A lock-free reader must not clear: renames recycle a
+  // slot back to the very value it loaded, and its clear would then
+  // unlink a live entry.
   struct SlotRef {
     DirBlock* block = nullptr;
     DirSlot* slot = nullptr;
+    std::uint64_t v = 0;
   };
   SlotRef find_slot(Inode& dir, unsigned ln, std::string_view name,
-                    std::uint16_t tag) const;
+                    std::uint16_t tag, bool scrub = true) const;
   SlotRef find_slot_in(DirBlock* head, unsigned ln, std::string_view name,
-                       std::uint16_t tag) const;
+                       std::uint16_t tag, bool scrub = true) const;
   // First free slot in line `ln` of `head`'s chain, appending a block if
   // needed.  New entries always go to the governing head, never legacy.
   Result<SlotRef> free_slot_in(DirBlock* head, unsigned ln);
 
   // Interrupted-delete scrubber: if the slot's entry is zeroed or being
   // freed, finish the delete and clear the slot.  Returns true if scrubbed.
+  // Caller holds the slot's line lock.
   bool scrub_slot(DirSlot& slot) const;
+  // True when the entry at `off` is zeroed or being freed.
+  bool entry_dead(std::uint64_t off) const;
 
   // Fixes rename/migration inconsistencies in line `ln` of one chain
   // (entry hashing to a different line or bucket).  Caller holds the

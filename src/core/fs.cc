@@ -5,7 +5,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <optional>
 #include <string_view>
@@ -62,7 +61,7 @@ void FileSystem::start_heartbeat_thread() {
       // Dead-peer reap, wall-clock-paced (~once per lease) so the data
       // path never walks the registry or the lock table.  Deferred until
       // the mount is fully constructed: recovery may still be running
-      // between attach and make_walker().
+      // between attach and the walker's construction.
       if (++round % 4 == 0 && coord_ready_.load(std::memory_order_acquire)) {
         lk.unlock();
         reap_dead_mounts();
@@ -83,78 +82,17 @@ void FileSystem::stop_heartbeat_thread() {
 }
 
 namespace {
+// Segments = 2 x cores (§4.2), sized for the paper's 10-core testbed.
+constexpr unsigned kFormatCores = 10;
+// A fresh root is world-writable (tmpfs-style) so unprivileged client
+// processes can populate it; tighten via chmod/chown after format.
+constexpr std::uint32_t kRootMode = 0777;
+
 std::uint64_t pool_header_off(unsigned i) {
   return kSuperblockOff + offsetof(Superblock, pools) +
          i * sizeof(alloc::PoolHeader);
 }
 }  // namespace
-
-// Builds the lookup cache + walker pair, honouring the env switches
-// (SIMURGH_LOOKUP_CACHE=0|off disables, SIMURGH_LOOKUP_CACHE_SLOTS sizes).
-void FileSystem::make_walker() {
-  bool enabled = true;
-  if (const char* s = std::getenv("SIMURGH_LOOKUP_CACHE")) {
-    const std::string_view v(s);
-    if (v == "0" || v == "off" || v == "false") enabled = false;
-  }
-  std::size_t slots = LookupCache::kDefaultSlots;
-  if (const char* s = std::getenv("SIMURGH_LOOKUP_CACHE_SLOTS")) {
-    const long n = std::strtol(s, nullptr, 10);
-    if (n > 0) slots = static_cast<std::size_t>(n);
-  }
-  lookup_cache_ = std::make_unique<LookupCache>(slots);
-  // The whole-path table holds one entry per hot path, not per component;
-  // a quarter of the component-slot count keeps it proportionate when
-  // SIMURGH_LOOKUP_CACHE_SLOTS resizes both.
-  path_cache_ = std::make_unique<PathCache>(
-      slots == LookupCache::kDefaultSlots ? PathCache::kDefaultSlots
-                                          : slots / 4);
-  walker_ = std::make_unique<PathWalker>(
-      *dev_, *dirops_, root_off_, enabled ? lookup_cache_.get() : nullptr,
-      enabled ? path_cache_.get() : nullptr);
-
-  // Data-path fast lane: the DRAM extent cache (SIMURGH_EXTENT_CACHE=0|off
-  // disables, SIMURGH_EXTENT_CACHE_SLOTS sizes) ...
-  extent_cache_on_ = true;
-  if (const char* s = std::getenv("SIMURGH_EXTENT_CACHE")) {
-    const std::string_view v(s);
-    if (v == "0" || v == "off" || v == "false") extent_cache_on_ = false;
-  }
-  std::size_t ext_slots = ExtentCache::kDefaultSlots;
-  if (const char* s = std::getenv("SIMURGH_EXTENT_CACHE_SLOTS")) {
-    const long n = std::strtol(s, nullptr, 10);
-    if (n > 0) ext_slots = static_cast<std::size_t>(n);
-  }
-  extent_cache_ = std::make_unique<ExtentCache>(ext_slots);
-
-  // Giant-directory fan-out A/B switch: SIMURGH_DIR_SPLIT=0|off pins every
-  // directory to a single chain (the pre-split layout); the benches use it
-  // to measure the fan-out win.  SIMURGH_DIR_SPLIT_THRESHOLD=<blocks>
-  // tunes when a chain fans out (tests shrink it to split tiny dirs).
-  {
-    unsigned bits = dirops_->split_bits();
-    if (const char* s = std::getenv("SIMURGH_DIR_SPLIT")) {
-      const std::string_view v(s);
-      if (v == "0" || v == "off" || v == "false") bits = 0;
-    }
-    std::uint64_t threshold = 4;
-    if (const char* s = std::getenv("SIMURGH_DIR_SPLIT_THRESHOLD")) {
-      const long n = std::strtol(s, nullptr, 10);
-      if (n > 0) threshold = static_cast<std::uint64_t>(n);
-    }
-    dirops_->set_split_params(threshold, bits);
-  }
-
-  // ... and thread-local block reservations (SIMURGH_BLOCK_RESERVE=<blocks>,
-  // 0 disables).  Raw BlockAllocator users keep the direct path; only a
-  // mounted file system opts in.
-  std::uint64_t reserve = alloc::BlockAllocator::kDefaultReserveChunk;
-  if (const char* s = std::getenv("SIMURGH_BLOCK_RESERVE")) {
-    const long n = std::strtol(s, nullptr, 10);
-    reserve = n <= 0 ? 0 : static_cast<std::uint64_t>(n);
-  }
-  blocks_->set_reserve_chunk(reserve);
-}
 
 std::unique_ptr<FileSystem> FileSystem::format(nvmm::Device& nvmm,
                                                nvmm::Device& shm,
@@ -170,7 +108,7 @@ std::unique_ptr<FileSystem> FileSystem::format(nvmm::Device& nvmm,
   sb.version = kLayoutVersion;
   sb.device_size = nvmm.size();
   sb.data_off = kDataAreaOff;
-  sb.n_cores = opts.n_cores;
+  sb.n_cores = kFormatCores;
   sb.clean_shutdown.store(0, std::memory_order_relaxed);  // mounted
   nvmm::persist(&sb, sizeof(sb));
   nvmm::fence();
@@ -178,7 +116,7 @@ std::unique_ptr<FileSystem> FileSystem::format(nvmm::Device& nvmm,
   fs->blocks_ = std::make_unique<alloc::BlockAllocator>(
       alloc::BlockAllocator::format(nvmm, kBlockAllocOff, kDataAreaOff,
                                     nvmm.size() - kDataAreaOff,
-                                    2 * opts.n_cores));
+                                    2 * kFormatCores));
   // Integrity table (layout v2): one CRC32C word per data-area block,
   // carved from the data area itself right at format so it lands first.
   {
@@ -202,59 +140,8 @@ std::unique_ptr<FileSystem> FileSystem::format(nvmm::Device& nvmm,
         alloc::ObjectAllocator::format(nvmm, *fs->blocks_, pool_header_off(i),
                                        payloads[i], per_segment[i]));
   }
-  fs->dirops_ = std::make_unique<DirOps>(
-      nvmm, DirOps::Pools{fs->pools_[kPoolFileEntry].get(),
-                          fs->pools_[kPoolDirBlock].get()});
-  fs->locks_ = std::make_unique<FileLockTable>(
-      FileLockTable::format(shm, 0, opts.lock_table_slots));
-  fs->registry_ = std::make_unique<MountRegistry>(shm, 0);
-  fs->attachment_ = fs->registry_->attach_mount();
-  fs->registry_->finish_recovery(fs->attachment_);  // fresh image
-  fs->start_heartbeat_thread();
-  auto& shared = reinterpret_cast<ShmHeader*>(shm.base())->alloc_shared;
-  fs->blocks_->attach_shared_state(&shared, fs->attachment_.token);
-  for (unsigned i = 0; i < kNumPools; ++i)
-    fs->pools_[i]->attach_shared_cache(&shared.obj_stacks[i],
-                                       fs->attachment_.token);
-
-  // Root directory.
-  auto ino_off = fs->pools_[kPoolInode]->alloc();
-  SIMURGH_CHECK(ino_off.is_ok());
-  Inode* root = fs->inode_at(*ino_off);
-  new (root) Inode();
-  root->mode.store(kModeDir | (opts.root_mode & kPermMask),
-                   std::memory_order_relaxed);
-  root->nlink.store(1, std::memory_order_relaxed);
-  const std::uint64_t now = wall_ns();
-  root->atime_ns = now;
-  root->mtime_ns = now;
-  root->ctime_ns = now;
-  auto db = fs->dirops_->create_dir_block();
-  SIMURGH_CHECK(db.is_ok());
-  root->dir.store(nvmm::pptr<DirBlock>(*db));
-  nvmm::persist(root, sizeof(Inode));
-  nvmm::fence();
-  fs->pools_[kPoolInode]->commit(*ino_off);
-  sb.root.store(nvmm::pptr<Inode>(*ino_off));
-  nvmm::persist_now(sb.root);
-  fs->root_off_ = *ino_off;
-
-  fs->make_walker();
-  fs->make_write_behind();
-  fs->register_protected_functions();
-  fs->make_integrity();
-  fs->coord_ready_.store(true, std::memory_order_release);
+  fs->attach_components(/*formatted=*/true, opts);
   return fs;
-}
-
-// Scrubber construction + SIMURGH_VERIFY_READS honoring, shared by
-// format() and mount().  crc_ must already be attached.
-void FileSystem::make_integrity() {
-  scrub_ = std::make_unique<Scrubber>(*this);
-  if (const char* s = std::getenv("SIMURGH_VERIFY_READS")) {
-    const std::string_view v(s);
-    verify_reads_ = v == "1" || v == "on" || v == "true";
-  }
 }
 
 std::unique_ptr<FileSystem> FileSystem::mount(nvmm::Device& nvmm,
@@ -275,58 +162,99 @@ std::unique_ptr<FileSystem> FileSystem::mount(nvmm::Device& nvmm,
     fs->pools_[i] = std::make_unique<alloc::ObjectAllocator>(
         alloc::ObjectAllocator::attach(nvmm, *fs->blocks_,
                                        pool_header_off(i)));
-  fs->dirops_ = std::make_unique<DirOps>(
-      nvmm, DirOps::Pools{fs->pools_[kPoolFileEntry].get(),
-                          fs->pools_[kPoolDirBlock].get()});
-  // The lock table is volatile shared DRAM: a fresh boot formats it anew, a
-  // same-boot re-attach keeps live locks of other processes.
-  if (reinterpret_cast<ShmHeader*>(shm.base())->magic != kShmMagic)
-    fs->locks_ = std::make_unique<FileLockTable>(
-        FileLockTable::format(shm, 0, 1 << 16));
+  // A shm device this boot has not seen yet gets the default lock table.
+  fs->attach_components(/*formatted=*/false, FormatOptions{});
+  return fs;
+}
+
+void FileSystem::attach_components(bool formatted, const FormatOptions& opts) {
+  dirops_ = std::make_unique<DirOps>(
+      *dev_, DirOps::Pools{pools_[kPoolFileEntry].get(),
+                           pools_[kPoolDirBlock].get()});
+  // The lock table is volatile shared DRAM: format() and a fresh boot lay
+  // it out anew, a same-boot re-attach keeps live locks of other processes.
+  auto* shm_hdr = reinterpret_cast<ShmHeader*>(shm_->base());
+  if (formatted || shm_hdr->magic != kShmMagic)
+    locks_ = std::make_unique<FileLockTable>(
+        FileLockTable::format(*shm_, 0, opts.lock_table_slots));
   else
-    fs->locks_ =
-        std::make_unique<FileLockTable>(FileLockTable::attach(shm, 0));
-  fs->registry_ = std::make_unique<MountRegistry>(shm, 0);
-  fs->attachment_ = fs->registry_->attach_mount();
+    locks_ = std::make_unique<FileLockTable>(FileLockTable::attach(*shm_, 0));
+  registry_ = std::make_unique<MountRegistry>(*shm_, 0);
+  attachment_ = registry_->attach_mount();
   // Heartbeats start before the recovery decision: a long recover() below
   // (or a long wait on a peer's) must not read as a dead mount.
-  fs->start_heartbeat_thread();
-  auto& shared = reinterpret_cast<ShmHeader*>(shm.base())->alloc_shared;
-  fs->blocks_->attach_shared_state(&shared, fs->attachment_.token);
+  start_heartbeat_thread();
+  blocks_->attach_shared_state(&shm_hdr->alloc_shared, attachment_.token);
   for (unsigned i = 0; i < kNumPools; ++i)
-    fs->pools_[i]->attach_shared_cache(&shared.obj_stacks[i],
-                                       fs->attachment_.token);
-  fs->root_off_ = sb.root.load().raw();
-  fs->make_walker();
-  fs->register_protected_functions();
+    pools_[i]->attach_shared_cache(&shm_hdr->alloc_shared.obj_stacks[i],
+                                   attachment_.token);
+
+  Superblock& s = sb();
+  if (formatted) {
+    // Root directory.
+    auto ino_off = pools_[kPoolInode]->alloc();
+    SIMURGH_CHECK(ino_off.is_ok());
+    Inode* root = inode_at(*ino_off);
+    new (root) Inode();
+    root->mode.store(kModeDir | kRootMode, std::memory_order_relaxed);
+    root->nlink.store(1, std::memory_order_relaxed);
+    const std::uint64_t now = wall_ns();
+    root->atime_ns = now;
+    root->mtime_ns = now;
+    root->ctime_ns = now;
+    auto db = dirops_->create_dir_block();
+    SIMURGH_CHECK(db.is_ok());
+    root->dir.store(nvmm::pptr<DirBlock>(*db));
+    nvmm::persist(root, sizeof(Inode));
+    nvmm::fence();
+    pools_[kPoolInode]->commit(*ino_off);
+    s.root.store(nvmm::pptr<Inode>(*ino_off));
+    nvmm::persist_now(s.root);
+  }
+  root_off_ = s.root.load().raw();
+
+  // DRAM caches: the per-component lookup cache and the whole-path table
+  // behind the walker, and the extent cache of the data path.
+  lookup_cache_ = std::make_unique<LookupCache>();
+  path_cache_ = std::make_unique<PathCache>();
+  walker_ = std::make_unique<PathWalker>(*dev_, *dirops_, root_off_,
+                                         lookup_cache_.get(),
+                                         path_cache_.get());
+  extent_cache_ = std::make_unique<ExtentCache>();
+  // Thread-local block reservations: raw BlockAllocator users keep the
+  // direct path; only a mounted file system opts in.
+  blocks_->set_reserve_chunk(alloc::BlockAllocator::kDefaultReserveChunk);
+  register_protected_functions();
+
   // Recovery decision (registry protocol): the era's first attacher owns
   // it — it holds the recovering token from attach_mount() until the
   // decision lands, so later attachers cannot race a half-recovered image.
   // Everyone else waits; a waiter inherits the job if the first-in dies
-  // mid-recovery.
-  if (fs->attachment_.first_in) {
+  // mid-recovery.  A freshly formatted image has nothing to recover.
+  if (formatted) {
+    registry_->finish_recovery(attachment_);
+  } else if (attachment_.first_in) {
     const bool clean =
-        sb.clean_shutdown.exchange(0, std::memory_order_acq_rel) == 1;
-    nvmm::persist_now(sb.clean_shutdown);
-    if (!clean) fs->recover();
-    fs->registry_->finish_recovery(fs->attachment_);
-  } else if (fs->registry_->wait_recovery_done(fs->attachment_)) {
-    fs->recover();
-    fs->registry_->finish_recovery(fs->attachment_);
+        s.clean_shutdown.exchange(0, std::memory_order_acq_rel) == 1;
+    nvmm::persist_now(s.clean_shutdown);
+    if (!clean) recover();
+    registry_->finish_recovery(attachment_);
+  } else if (registry_->wait_recovery_done(attachment_)) {
+    recover();
+    registry_->finish_recovery(attachment_);
   }
   // After the recovery decision: mount-time recover() runs with wb_ null
   // (there is no staged state yet; the journal roll-forward inside recover()
   // does not need the tier).
-  fs->make_write_behind();
-  fs->make_integrity();
+  wb_ = std::make_unique<WriteBehind>(*this);
+  scrub_ = std::make_unique<Scrubber>(*this);  // crc_ is attached
   for (unsigned i = 0; i < kCacheGenShards; ++i)
-    fs->shard_gen_seen_[i].store(
-        sb.cache_shards[i].gen.load(std::memory_order_acquire),
+    shard_gen_seen_[i].store(
+        s.cache_shards[i].gen.load(std::memory_order_acquire),
         std::memory_order_relaxed);
-  fs->cache_gen_seen_.store(sb.cache_gen.load(std::memory_order_acquire),
-                            std::memory_order_relaxed);
-  fs->coord_ready_.store(true, std::memory_order_release);
-  return fs;
+  cache_gen_seen_.store(s.cache_gen.load(std::memory_order_acquire),
+                        std::memory_order_relaxed);
+  coord_ready_.store(true, std::memory_order_release);
 }
 
 void FileSystem::unmount() {
@@ -560,42 +488,11 @@ Status FileSystem::enable_service_mode() {
 
 bool FileSystem::service_mode() const noexcept { return meta_ != nullptr; }
 
-// Honours SIMURGH_WRITEBEHIND=0|off (tier disabled: every file strict) plus
-// the cadence/cap knobs; called once the data-path components exist.
-void FileSystem::make_write_behind() {
-  bool enabled = true;
-  if (const char* s = std::getenv("SIMURGH_WRITEBEHIND")) {
-    const std::string_view v(s);
-    if (v == "0" || v == "off" || v == "false") enabled = false;
-  }
-  if (!enabled) {
-    wb_.reset();
-    return;
-  }
-  WriteBehind::Config cfg;
-  if (const char* s = std::getenv("SIMURGH_WRITEBEHIND_INTERVAL_US")) {
-    const long n = std::strtol(s, nullptr, 10);
-    if (n > 0) cfg.interval_us = static_cast<std::uint64_t>(n);
-  }
-  if (const char* s = std::getenv("SIMURGH_WRITEBEHIND_EPOCH_BYTES")) {
-    const long long n = std::strtoll(s, nullptr, 10);
-    if (n > 0) cfg.epoch_bytes = static_cast<std::uint64_t>(n);
-  }
-  if (const char* s = std::getenv("SIMURGH_WRITEBEHIND_STAGE_BYTES")) {
-    const long long n = std::strtoll(s, nullptr, 10);
-    if (n > 0) cfg.max_staged_bytes = static_cast<std::uint64_t>(n);
-  }
-  if (const char* s = std::getenv("SIMURGH_WRITEBEHIND_SYNC_DRAIN")) {
-    const std::string_view v(s);
-    cfg.sync_drain = v == "1" || v == "on" || v == "true";
-  }
-  wb_ = std::make_unique<WriteBehind>(*this, cfg);
-}
-
 Status FileSystem::apply_durability(std::uint64_t ino_off, Durability d) {
-  // Tier disabled: every file is strict; asking for strict is a no-op
-  // success, asking for a relaxed class silently keeps strict semantics
-  // (strictly stronger durability than requested).
+  // No tier (unmount() drained and dropped it): every file is strict;
+  // asking for strict is a no-op success, asking for a relaxed class
+  // silently keeps strict semantics (strictly stronger durability than
+  // requested).
   if (wb_ == nullptr) return Status::ok();
   if (d == Durability::strict) {
     // Downgrade: staged acked writes must become durable under the old

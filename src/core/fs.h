@@ -41,12 +41,13 @@
 
 namespace simurgh::core {
 
+// File-lock table slots laid out in a fresh shm device.
+inline constexpr std::uint64_t kLockTableSlots = 1 << 16;
+
 struct FormatOptions {
-  unsigned n_cores = 10;      // paper testbed; segments = 2 * n_cores
-  std::uint64_t lock_table_slots = 1 << 16;
-  // A fresh root is world-writable (tmpfs-style) so unprivileged client
-  // processes can populate it; tighten via chmod/chown after format.
-  std::uint32_t root_mode = 0777;
+  // Tests on small shm devices shrink the table; mount() lays out the
+  // default one when the shm device is fresh.
+  std::uint64_t lock_table_slots = kLockTableSlots;
 };
 
 struct Stat {
@@ -256,10 +257,11 @@ class FileSystem {
   void set_lease_ns(std::uint64_t ns);
 
   // ---- write-behind tier (write_behind.h) ----
-  // nullptr when disabled (SIMURGH_WRITEBEHIND=0): every file is strict.
+  // nullptr during mount-time recovery and after unmount(): every file is
+  // strict then.
   [[nodiscard]] WriteBehind* write_behind() noexcept { return wb_.get(); }
   // Binds a durability class to an inode; a downgrade to strict flushes the
-  // inode's staged ranges first.  No-op success when the tier is disabled.
+  // inode's staged ranges first.  No-op success when there is no tier.
   Status apply_durability(std::uint64_t ino_off, Durability d);
 
   // ---- metadata-service mode (core/svc_ring.h) ----
@@ -275,10 +277,10 @@ class FileSystem {
 
   // ---- integrity layer (core/integrity.h, core/scrub.h) ----
   [[nodiscard]] CrcTable& crc() noexcept { return crc_; }
-  // verify_reads mode: do_read recomputes each touched block's CRC32C and
-  // fails with Errc::io on a mismatch.  Also honours SIMURGH_VERIFY_READS=1
-  // at format/mount.  Incompatible with relaxed writes (unlocked writers
-  // legitimately leave entry and bytes out of step mid-write).
+  // verify_reads mode (off at format/mount): do_read recomputes each
+  // touched block's CRC32C and fails with Errc::io on a mismatch.
+  // Incompatible with relaxed writes (unlocked writers legitimately leave
+  // entry and bytes out of step mid-write).
   void set_verify_reads(bool on) noexcept { verify_reads_ = on; }
   [[nodiscard]] bool verify_reads() const noexcept { return verify_reads_; }
   void note_crc_failure() noexcept {
@@ -307,8 +309,7 @@ class FileSystem {
                           std::size_t n, std::uint64_t off);
 
   // Path-lookup cache A/B switch (benches, tests); toggles both the
-  // per-component cache and the whole-path fast layer.  Construction
-  // honours SIMURGH_LOOKUP_CACHE=0|off and SIMURGH_LOOKUP_CACHE_SLOTS=<n>.
+  // per-component cache and the whole-path fast layer.  On at format/mount.
   void set_lookup_cache_enabled(bool enabled) noexcept {
     walker_->set_cache(enabled ? lookup_cache_.get() : nullptr);
     walker_->set_path_cache(enabled ? path_cache_.get() : nullptr);
@@ -321,8 +322,7 @@ class FileSystem {
   }
   [[nodiscard]] PathCache& path_cache() noexcept { return *path_cache_; }
 
-  // Extent-cache A/B switch (benches, tests).  Construction honours
-  // SIMURGH_EXTENT_CACHE=0|off and SIMURGH_EXTENT_CACHE_SLOTS=<n>.
+  // Extent-cache A/B switch (benches, tests).  On at format/mount.
   void set_extent_cache_enabled(bool enabled) noexcept {
     extent_cache_on_ = enabled;
   }
@@ -370,6 +370,12 @@ class FileSystem {
   friend class MetaService;
   friend class Scrubber;
   FileSystem(nvmm::Device& nvmm, nvmm::Device& shm);
+  // The one wiring path of format() and mount(), run once the allocators
+  // and the integrity table are formatted or attached: DirOps, the lock
+  // table, the registry attach and heartbeat, the shared allocator state,
+  // the root (formatted) or the recovery decision (mounted), the caches
+  // and walker, the protected functions, the write-behind tier and the
+  // scrubber.
   void attach_components(bool formatted, const FormatOptions& opts);
   void register_protected_functions();
   void poll_coordination_slow(std::uint64_t gen);
@@ -422,7 +428,8 @@ class FileSystem {
   // time every stamp the victim left has aged out).
   std::atomic<std::uint64_t> lock_sweep_due_ns_{0};
   // The heartbeat thread starts before the DRAM caches exist (recovery may
-  // run between attach and make_walker); it only reaps once this flips.
+  // run between attach and the walker's construction); it only reaps once
+  // this flips.
   std::atomic<bool> coord_ready_{false};
 
   std::unique_ptr<alloc::BlockAllocator> blocks_;
@@ -434,7 +441,6 @@ class FileSystem {
   std::unique_ptr<ExtentCache> extent_cache_;
   bool extent_cache_on_ = true;
   std::unique_ptr<PathWalker> walker_;
-  void make_walker();
 
   std::unique_ptr<protsec::PageTable> pagetable_;
   std::unique_ptr<protsec::Gateway> gateway_;
@@ -448,8 +454,6 @@ class FileSystem {
   bool verify_reads_ = false;
   std::atomic<std::uint64_t> crc_verify_failures_{0};
   std::unique_ptr<Scrubber> scrub_;  // created by format()/mount()
-  // Scrubber construction + SIMURGH_VERIFY_READS; called by format()/mount().
-  void make_integrity();
 
   // ---- metadata-service mode ----
   // Null until enable_service_mode().  Declared BEFORE wb_ deliberately:
@@ -461,9 +465,6 @@ class FileSystem {
   std::atomic<std::uint64_t> svc_requests_{0};
   std::atomic<std::uint64_t> svc_local_fastpath_{0};
 
-  // Honours SIMURGH_WRITEBEHIND[_INTERVAL_US|_EPOCH_BYTES|_STAGE_BYTES|
-  // _SYNC_DRAIN]; called by format()/mount().
-  void make_write_behind();
   // Declared LAST: destroyed first, so the persister thread is joined while
   // every component it drains through (locks_, blocks_, pools_) is alive.
   std::unique_ptr<WriteBehind> wb_;

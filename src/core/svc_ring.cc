@@ -3,7 +3,6 @@
 
 #include <time.h>
 
-#include <cstdlib>
 #include <cstring>
 #include <new>
 
@@ -60,11 +59,7 @@ Status MetaService::enable() {
   std::uint32_t expect = 0;
   if (hdr->init.compare_exchange_strong(expect, 1,
                                         std::memory_order_acq_rel)) {
-    unsigned n = kSvcDefaultSlots;
-    if (const char* s = std::getenv("SIMURGH_SVC_SLOTS")) {
-      const long v = std::strtol(s, nullptr, 10);
-      if (v > 0) n = static_cast<unsigned>(v);
-    }
+    unsigned n = kSvcSlots;
     // Shrink to what the device can hold (the ring is DRAM convenience
     // state; a tiny ring just means more backpressure).
     while (n > 1 &&

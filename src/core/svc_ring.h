@@ -95,7 +95,7 @@ constexpr std::uint32_t kSvcExecuting = 3;
 constexpr std::uint32_t kSvcDone = 4;
 
 constexpr std::size_t kSvcMaxPath = 480;
-constexpr unsigned kSvcDefaultSlots = 16;  // SIMURGH_SVC_SLOTS overrides
+constexpr unsigned kSvcSlots = 16;  // shrunk to fit a small shm device
 constexpr std::uint64_t kSvcMagic = 0x53494d5f53564331ull;  // "SIM_SVC1"
 
 struct alignas(64) SvcSlot {

@@ -18,6 +18,9 @@ namespace simurgh::core {
 
 namespace {
 
+// Commit-deadline multiple of the interval for async-only epochs.
+constexpr std::uint64_t kAsyncLazyFactor = 8;
+
 WbJournal& journal_at(nvmm::Device& dev) {
   return *reinterpret_cast<WbJournal*>(dev.at(kWbJournalOff));
 }
@@ -55,13 +58,7 @@ bool wb_journal_roll_forward(nvmm::Device& dev) {
   return applied;
 }
 
-WriteBehind::WriteBehind(FileSystem& fs, const Config& cfg)
-    : fs_(fs), cfg_(cfg) {
-  cfg_.epoch_max_inodes =
-      std::clamp(cfg_.epoch_max_inodes, 1u, kWbJournalCap);
-  if (cfg_.async_lazy_factor == 0) cfg_.async_lazy_factor = 1;
-  if (!cfg_.sync_drain) start_persister();
-}
+WriteBehind::WriteBehind(FileSystem& fs) : fs_(fs) { start_persister(); }
 
 WriteBehind::~WriteBehind() { stop_persister(); }
 
@@ -145,7 +142,7 @@ std::vector<std::byte> WriteBehind::take_chunk_locked() {
 
 void WriteBehind::recycle_chunk_locked(std::vector<std::byte>&& v) {
   if (v.capacity() < kStageChunkBytes ||
-      staged_bytes_ + pool_bytes_ + v.capacity() > cfg_.max_staged_bytes)
+      staged_bytes_ + pool_bytes_ + v.capacity() > max_staged_bytes_)
     return;  // small one-offs (and a full arena) go back to the allocator
   pool_bytes_ += v.capacity();
   chunk_pool_.push_back(std::move(v));
@@ -159,7 +156,7 @@ void WriteBehind::harvest_chunks_locked(Epoch& e) {
 void WriteBehind::prewarm_chunks(std::uint64_t bytes) {
   common::MutexLock lk(mu_);
   while (staged_bytes_ + pool_bytes_ + kStageChunkBytes <=
-             cfg_.max_staged_bytes &&
+             max_staged_bytes_ &&
          bytes >= kStageChunkBytes) {
     std::vector<std::byte> v(kStageChunkBytes);  // value-init touches pages
     v.clear();
@@ -196,12 +193,12 @@ bool WriteBehind::stage_write(std::uint64_t ino_off, const void* buf,
     // just idle — see the header): shed idle pooled chunks back to the
     // allocator before declaring backpressure, so resident memory stays
     // bounded by max_staged_bytes instead of staged + a full pool.
-    while (staged_bytes_ + pool_bytes_ + n > cfg_.max_staged_bytes &&
+    while (staged_bytes_ + pool_bytes_ + n > max_staged_bytes_ &&
            !chunk_pool_.empty()) {
       pool_bytes_ -= chunk_pool_.front().capacity();
       chunk_pool_.pop_front();
     }
-    if (staged_bytes_ + n > cfg_.max_staged_bytes) {
+    if (staged_bytes_ + n > max_staged_bytes_) {
       lk.unlock();
       // Bounded memory: flush this inode's own staged ranges first (a
       // strict write must not land before earlier acked staged writes to
@@ -254,28 +251,14 @@ bool WriteBehind::stage_write(std::uint64_t ino_off, const void* buf,
     st.mtime_ns = sf.mtime_ns;  // stat overlays this until the drain stamps it
     staged_bytes_ += n;
     ++staged_writes_;
-    if (e.bytes >= cfg_.epoch_bytes ||
-        e.files.size() >= cfg_.epoch_max_inodes) {
+    if (e.bytes >= epoch_bytes_ || e.files.size() >= kWbJournalCap) {
       seal_open_locked();
       sealed = true;
     }
   }
   if (pos_out != nullptr) *pos_out = off;
-  if (sealed && cfg_.sync_drain) {
-    // No persister in sync_drain mode: the byte-cap seal drains inline so
-    // residency stays bounded (the file lock is released above — the drain
-    // re-takes it per inode).
-    common::MutexLock lk(mu_);
-    while (!epochs_.empty() && epochs_.front()->sealed) {
-      if (draining_) {
-        cv_.wait(lk);
-        continue;
-      }
-      drain_front_locked(lk);
-    }
-  } else if (sealed || created) {
+  if (sealed || created)
     cv_.notify_all();  // drain the sealed epoch / arm the T-deadline
-  }
   return true;
 }
 
@@ -588,10 +571,9 @@ void WriteBehind::persister_main() {
       Epoch& e = *epochs_.back();
       // Async-only epochs are in no hurry: stretch the deadline so pure
       // background traffic batches larger.
-      const std::uint64_t mult =
-          e.has_group ? 1 : cfg_.async_lazy_factor;
+      const std::uint64_t mult = e.has_group ? 1 : kAsyncLazyFactor;
       const auto deadline =
-          e.opened_at + std::chrono::microseconds(cfg_.interval_us * mult);
+          e.opened_at + std::chrono::microseconds(interval_us_ * mult);
       if (std::chrono::steady_clock::now() >= deadline) {
         seal_open_locked();
         continue;
@@ -655,9 +637,7 @@ std::uint64_t WriteBehind::discard_staged() {
   return bytes;
 }
 
-void WriteBehind::resume() {
-  if (!cfg_.sync_drain) start_persister();
-}
+void WriteBehind::resume() { start_persister(); }
 
 WriteBehind::Counters WriteBehind::counters() {
   Counters c;

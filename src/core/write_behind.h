@@ -84,17 +84,6 @@ inline constexpr std::size_t kStageChunkBytes = 64 * 1024;
 
 class WriteBehind {
  public:
-  struct Config {
-    std::uint64_t interval_us = 100;           // T: group-commit deadline
-    std::uint64_t epoch_bytes = 1ull << 20;    // B: seal on staged bytes
-    std::uint64_t max_staged_bytes = 8ull << 20;  // backpressure threshold
-    unsigned epoch_max_inodes = kWbJournalCap;    // journal entry capacity
-    unsigned async_lazy_factor = 8;  // async-only epochs wait T * this
-    // Drain inline on the sealing thread instead of on the persister
-    // (deterministic persist ordering for the crash-image harness).
-    bool sync_drain = false;
-  };
-
   // Mirrored into FsStat by FileSystem::fsstat().
   struct Counters {
     std::uint64_t fsyncs_absorbed = 0;
@@ -107,7 +96,7 @@ class WriteBehind {
     std::uint64_t discarded_bytes = 0;  // recover() accounting
   };
 
-  WriteBehind(FileSystem& fs, const Config& cfg);
+  explicit WriteBehind(FileSystem& fs);
   // Destruction without drain_all() models a crash: the persister stops,
   // staged DRAM state is simply lost.
   ~WriteBehind();
@@ -179,21 +168,20 @@ class WriteBehind {
   [[nodiscard]] std::uint64_t lease_ns() const noexcept {
     return lease_ns_.load(std::memory_order_relaxed);
   }
-  [[nodiscard]] const Config& config() const noexcept { return cfg_; }
   // Test/bench knobs; take effect for subsequently staged epochs.  Guarded
   // by mu_ so a live persister never races a knob change.
   void set_interval_us(std::uint64_t us) {
     common::MutexLock lk(mu_);
-    cfg_.interval_us = us;
+    interval_us_ = us;
     cv_.notify_all();
   }
   void set_epoch_bytes(std::uint64_t b) {
     common::MutexLock lk(mu_);
-    cfg_.epoch_bytes = b;
+    epoch_bytes_ = b;
   }
   void set_max_staged_bytes(std::uint64_t b) {
     common::MutexLock lk(mu_);
-    cfg_.max_staged_bytes = b;
+    max_staged_bytes_ = b;
   }
   // Pre-faults `bytes` of staging chunks into the recycle pool (bounded by
   // max_staged_bytes).  A page's first touch costs a kernel fault — on the
@@ -244,10 +232,9 @@ class WriteBehind {
   [[nodiscard]] std::vector<std::byte> take_chunk_locked() REQUIRES(mu_);
   void recycle_chunk_locked(std::vector<std::byte>&& v) REQUIRES(mu_);
   void harvest_chunks_locked(Epoch& e) REQUIRES(mu_);
-  // Seals (if needed) and commits epochs until committed_seq_ >= want;
-  // inline in sync_drain mode, persister-driven otherwise.  `lk` is the
-  // caller's scoped lock on mu_ — drain_front_locked drops it around the
-  // NVMM drain.
+  // Seals (if needed) and commits epochs until committed_seq_ >= want,
+  // draining inline on the calling thread.  `lk` is the caller's scoped
+  // lock on mu_ — drain_front_locked drops it around the NVMM drain.
   void drain_until_locked(common::MutexLock& lk, std::uint64_t want)
       REQUIRES(mu_);
   void drain_front_locked(common::MutexLock& lk) REQUIRES(mu_);
@@ -260,12 +247,17 @@ class WriteBehind {
   void unlock_journal(WbJournal& j) RELEASE(j);
 
   FileSystem& fs_;
-  Config cfg_;
   std::atomic<std::uint64_t> lease_ns_{kWbLeaseNs};
   std::atomic<std::uint64_t> nonstrict_files_{0};
 
   common::Mutex mu_;
   std::condition_variable_any cv_;  // waits on common::MutexLock
+  // An epoch seals at whichever comes first: T µs after it opened, B
+  // staged bytes, or a full journal (kWbJournalCap inodes).
+  std::uint64_t interval_us_ GUARDED_BY(mu_) = 100;         // T
+  std::uint64_t epoch_bytes_ GUARDED_BY(mu_) = 1ull << 20;  // B
+  // Backpressure threshold: staging residency cap.
+  std::uint64_t max_staged_bytes_ GUARDED_BY(mu_) = 8ull << 20;
   // front oldest; back may be open
   std::deque<std::unique_ptr<Epoch>> epochs_ GUARDED_BY(mu_);
   std::unordered_map<std::uint64_t, FileState> files_ GUARDED_BY(mu_);

@@ -1,15 +1,19 @@
 #include "harness/runner.h"
 
+#include <algorithm>
+#include <cmath>
 #include <cstdlib>
 
 namespace simurgh::bench {
 
 bool bench_smoke() {
+  // pmlint: allow(env-read) bench sizing only; the file system never reads it
   const char* s = std::getenv("SIMURGH_BENCH_SMOKE");
   return s != nullptr && s[0] != '\0' && s[0] != '0';
 }
 
 double bench_scale() {
+  // pmlint: allow(env-read) bench sizing only; the file system never reads it
   if (const char* s = std::getenv("SIMURGH_BENCH_SCALE")) {
     const double v = std::atof(s);
     if (v > 0) return v;
@@ -18,6 +22,26 @@ double bench_scale() {
   // shrink every workload to a sliver.
   if (bench_smoke()) return 0.02;
   return 1.0;
+}
+
+double median(std::vector<double> v) {
+  std::sort(v.begin(), v.end());
+  return v[v.size() / 2];
+}
+
+double ns_per_op(std::chrono::steady_clock::time_point a,
+                 std::chrono::steady_clock::time_point b, std::uint64_t n) {
+  return std::chrono::duration_cast<std::chrono::nanoseconds>(b - a).count() /
+         static_cast<double>(n);
+}
+
+double json_number(const std::string& text, const std::string& key) {
+  const std::string needle = "\"" + key + "\"";
+  const std::size_t k = text.find(needle);
+  if (k == std::string::npos) return std::nan("");
+  const std::size_t colon = text.find(':', k);
+  if (colon == std::string::npos) return std::nan("");
+  return std::strtod(text.c_str() + colon + 1, nullptr);
 }
 
 std::vector<int> sweep_threads() {

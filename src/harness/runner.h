@@ -3,6 +3,8 @@
 // and backend so no virtual-time reservations leak between points.
 #pragma once
 
+#include <chrono>
+#include <cstdint>
 #include <functional>
 #include <string>
 #include <vector>
@@ -30,6 +32,19 @@ bool bench_smoke();
 // Scale knob: SIMURGH_BENCH_SCALE (default 1.0) multiplies op counts and
 // file-set sizes; use >1 for longer, more stable runs.
 double bench_scale();
+
+// Median across reps — the gating statistic every BENCH_*.json uses (a
+// best-of-reps min rewards one lucky scheduling window; the median is what
+// a re-run actually reproduces).
+double median(std::vector<double> v);
+
+// Wall-clock nanoseconds per op over [a, b).
+double ns_per_op(std::chrono::steady_clock::time_point a,
+                 std::chrono::steady_clock::time_point b, std::uint64_t n);
+
+// Minimal flat-JSON number scraper (committed BENCH_*.json baselines):
+// finds "key": <number> and returns the number, or nan.
+double json_number(const std::string& text, const std::string& key);
 
 // Thread counts of the paper's sweeps (1..10 on the 10-core Xeon);
 // {1, 2} in smoke mode.

@@ -14,30 +14,9 @@ PersistStats& persist_stats() noexcept {
 namespace {
 std::atomic<StoreTracer*> g_tracer{nullptr};
 
-// Opt-in Optane wall-clock model (persist.h header comment).  Read from the
-// environment once; `enabled` stays false unless SIMURGH_NVMM_OPTANE is set
-// to something other than "0", so the default-path cost is one predictable
-// branch per primitive.
-struct TimingModel {
-  bool enabled = false;
-  double fence_base_ns = 200.0;    // costs.h nvmm_write_lat: 500 cyc @2.5GHz
-  double ns_per_byte = 1.0 / 12.0; // costs.h nvmm_write_bpc: ~12 GB/s
-};
-
-const TimingModel& timing_model() noexcept {
-  static const TimingModel m = [] {
-    TimingModel t;
-    const char* on = std::getenv("SIMURGH_NVMM_OPTANE");
-    t.enabled = on != nullptr && std::string_view(on) != "0";
-    if (const char* s = std::getenv("SIMURGH_NVMM_FENCE_NS"))
-      t.fence_base_ns = std::strtod(s, nullptr);
-    if (const char* s = std::getenv("SIMURGH_NVMM_BW_GBPS"))
-      if (const double g = std::strtod(s, nullptr); g > 0)
-        t.ns_per_byte = 1.0 / g;
-    return t;
-  }();
-  return m;
-}
+// Opt-in Optane wall-clock model (persist.h header comment).
+constexpr double kFenceBaseNs = 200.0;     // costs.h nvmm_write_lat @ 2.5 GHz
+constexpr double kNsPerByte = 1.0 / 12.0;  // costs.h nvmm_write_bpc: ~12 GB/s
 
 // Bytes this thread has flushed or streamed since its last fence — the
 // modeled write-pending-queue contents the next sfence must drain.
@@ -55,7 +34,17 @@ void spin_ns(double ns) noexcept {
 }
 }  // namespace
 
-bool timing_model_enabled() noexcept { return timing_model().enabled; }
+// Read from the environment once; stays false unless SIMURGH_NVMM_OPTANE is
+// set to something other than "0", so the default-path cost is one
+// predictable branch per primitive.
+bool timing_model_enabled() noexcept {
+  static const bool on = [] {
+    // pmlint: allow(env-read) benches set the model before the first persist
+    const char* s = std::getenv("SIMURGH_NVMM_OPTANE");
+    return s != nullptr && std::string_view(s) != "0";
+  }();
+  return on;
+}
 
 StoreTracer* set_store_tracer(StoreTracer* t) noexcept {
   return g_tracer.exchange(t, std::memory_order_acq_rel);
@@ -71,7 +60,7 @@ std::uint64_t persist(const void* p, std::size_t len) noexcept {
   const std::uintptr_t first = addr / kCacheLine;
   const std::uintptr_t last = (addr + (len == 0 ? 0 : len - 1)) / kCacheLine;
   s.flushed_lines.fetch_add(last - first + 1, std::memory_order_relaxed);
-  if (timing_model().enabled) [[unlikely]]
+  if (timing_model_enabled()) [[unlikely]]
     t_pending_bytes += (last - first + 1) * kCacheLine;
 #ifdef SIMURGH_REAL_PERSIST
   for (std::uintptr_t line = first; line <= last; ++line)
@@ -88,9 +77,8 @@ std::uint64_t persist(const void* p, std::size_t len) noexcept {
 std::uint64_t fence() noexcept {
   auto& s = persist_stats();
   s.fences.fetch_add(1, std::memory_order_relaxed);
-  if (const TimingModel& m = timing_model(); m.enabled) [[unlikely]] {
-    spin_ns(m.fence_base_ns +
-            static_cast<double>(t_pending_bytes) * m.ns_per_byte);
+  if (timing_model_enabled()) [[unlikely]] {
+    spin_ns(kFenceBaseNs + static_cast<double>(t_pending_bytes) * kNsPerByte);
     t_pending_bytes = 0;
   }
 #ifdef SIMURGH_REAL_PERSIST
@@ -106,7 +94,7 @@ std::uint64_t fence() noexcept {
 void nt_copy(void* dst, const void* src, std::size_t len) noexcept {
   std::memcpy(dst, src, len);
   persist_stats().nt_bytes.fetch_add(len, std::memory_order_relaxed);
-  if (timing_model().enabled) [[unlikely]]
+  if (timing_model_enabled()) [[unlikely]]
     t_pending_bytes += len;
   std::atomic_signal_fence(std::memory_order_seq_cst);
   if (StoreTracer* t = g_tracer.load(std::memory_order_relaxed)) [[unlikely]]

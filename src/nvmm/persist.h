@@ -25,10 +25,10 @@
 // plus the bytes flushed/streamed by this thread since its last fence, at
 // media write bandwidth.  The anchors are the same ones the virtual-time
 // cost model uses (baselines/costs.h): 500 cycles @ 2.5 GHz = 200 ns write
-// latency, 4.8 B/cycle = 12 GB/s random-4KB write bandwidth.  Override with
-// SIMURGH_NVMM_FENCE_NS / SIMURGH_NVMM_BW_GBPS.  The model charges at the
-// fence (where an sfence actually stalls); the emulated store itself still
-// runs at DRAM speed, so small-transfer costs are approximated from above.
+// latency, 4.8 B/cycle = 12 GB/s random-4KB write bandwidth.  The model
+// charges at the fence (where an sfence actually stalls); the emulated
+// store itself still runs at DRAM speed, so small-transfer costs are
+// approximated from above.
 // Pending bytes are tracked per thread: an sfence orders the issuing
 // thread's stores, and per-thread accounting keeps the primitives free of
 // shared-state contention.  The environment is read once, at the first

@@ -21,6 +21,7 @@ EXPECTED = {
     "bad_rmw_no_persist.cc": {"rmw-persist": 2},
     "waived_ok.cc": {},
     "bad_waiver.cc": {"bad-waiver": 2, "raw-mutex": 1},
+    "bad_env_read.cc": {"env-read": 2},
 }
 
 

@@ -2,6 +2,7 @@
 // the file must lint clean — this pins the waiver machinery itself (both
 // trailing and preceding-line placement).  Expected findings: none.
 #include <atomic>
+#include <cstdlib>
 #include <cstring>
 #include <mutex>
 
@@ -21,6 +22,11 @@ std::mutex g_fixture_mu;
 void scrub(Device& dev) {
   // DRAM-backed scratch device in this fixture, nothing to persist.
   std::memset(dev.at(0), 0, 64);  // pmlint: allow(raw-device-store) volatile scratch device
+}
+
+bool model_on() {
+  // pmlint: allow(env-read) fixture exercises the waiver for the env rule
+  return std::getenv("FIXTURE_MODEL") != nullptr;
 }
 
 bool claim(ObjectHeader& hdr) {

@@ -318,16 +318,17 @@ TEST_F(FsTest, ConcurrentAppendersToSharedFileNeverOverlap) {
 // mutators run; a stale hit would surface as a wrong inode, a resolved
 // deleted name, or an inode that was never bound to the name.
 
-TEST_F(FsTest, RenameChurnServesOnlyTheLiveBinding) {
-  ASSERT_TRUE(p().mkdir("/cc").is_ok());
-  ASSERT_TRUE(p().open("/cc/a", kOpenCreate | kOpenWrite).is_ok());
-  const std::uint64_t ino = p().stat("/cc/a")->inode;
+void rename_churn_serves_only_the_live_binding(core::FileSystem& fs,
+                                               core::Process& p) {
+  ASSERT_TRUE(p.mkdir("/cc").is_ok());
+  ASSERT_TRUE(p.open("/cc/a", kOpenCreate | kOpenWrite).is_ok());
+  const std::uint64_t ino = p.stat("/cc/a")->inode;
   std::atomic<bool> stop{false};
   std::atomic<int> wrong_inode{0};
   // Slot churn in the same directory so a stale fentry binding would get
   // recycled under the cache's feet.
   std::thread churn([&] {
-    auto proc = fs_->open_process(1000, 1000);
+    auto proc = fs.open_process(1000, 1000);
     for (int i = 0; !stop && i < 400; ++i) {
       const std::string name = "/cc/fill" + std::to_string(i % 5);
       (void)proc->open(name, kOpenCreate | kOpenWrite);
@@ -335,17 +336,22 @@ TEST_F(FsTest, RenameChurnServesOnlyTheLiveBinding) {
     }
   });
   std::thread renamer([&] {
-    auto proc = fs_->open_process(1000, 1000);
-    for (int i = 0; i < 300; ++i) {
-      ASSERT_TRUE(proc->rename("/cc/a", "/cc/b").is_ok());
-      ASSERT_TRUE(proc->rename("/cc/b", "/cc/a").is_ok());
+    auto proc = fs.open_process(1000, 1000);
+    for (int i = 0; i < 20'000; ++i) {
+      // No ASSERT here: an early return would skip `stop` and leave the
+      // statters spinning forever.
+      if (!proc->rename("/cc/a", "/cc/b").is_ok() ||
+          !proc->rename("/cc/b", "/cc/a").is_ok()) {
+        ADD_FAILURE() << "rename round " << i << " failed";
+        break;
+      }
     }
     stop = true;
   });
   std::vector<std::thread> statters;
   for (int t = 0; t < 4; ++t) {
     statters.emplace_back([&] {
-      auto proc = fs_->open_process(1000, 1000);
+      auto proc = fs.open_process(1000, 1000);
       while (!stop.load(std::memory_order_relaxed)) {
         for (const char* path : {"/cc/a", "/cc/b"}) {
           auto st = proc->stat(path);
@@ -359,8 +365,22 @@ TEST_F(FsTest, RenameChurnServesOnlyTheLiveBinding) {
   for (auto& th : statters) th.join();
   EXPECT_EQ(wrong_inode.load(), 0);
   // Quiesced: the final binding is warm and exact.
-  EXPECT_EQ(p().stat("/cc/a")->inode, ino);
-  EXPECT_FALSE(p().stat("/cc/b").is_ok());
+  EXPECT_EQ(p.stat("/cc/a")->inode, ino);
+  EXPECT_FALSE(p.stat("/cc/b").is_ok());
+}
+
+TEST_F(FsTest, RenameChurnServesOnlyTheLiveBinding) {
+  rename_churn_serves_only_the_live_binding(*fs_, p());
+}
+
+// Uncached, every stat probes the directory block itself: a rename that
+// clears the slot between the name match and the lookup's result must not
+// hand the walker a null entry, and a probe must never clear a slot that
+// an a->b->a rename pair returned to the value it loaded (that unlinked
+// the live file, failing the next rename).
+TEST_F(FsTest, RenameChurnServesOnlyTheLiveBindingUncached) {
+  fs_->set_lookup_cache_enabled(false);
+  rename_churn_serves_only_the_live_binding(*fs_, p());
 }
 
 TEST_F(FsTest, UnlinkCreateChurnNeverResolvesAForeignInode) {

@@ -199,5 +199,36 @@ TEST_F(FsDataTest, OverwriteDoesNotGrowFile) {
   EXPECT_EQ(std::string(buf, 8), "ABxyEFGH");
 }
 
+// No allocator segment holds a run longer than itself (~12.8 MiB on this
+// 256 MiB device), so a hole larger than that must be filled piecewise,
+// not refused with no_space.
+TEST_F(FsDataTest, WriteAndFallocateLargerThanASegment) {
+  constexpr std::size_t kWrite = 40u << 20;
+  constexpr std::uint64_t kPrealloc = 32u << 20;
+  const int fd = make_file("/huge");
+  std::vector<char> data(kWrite);
+  Rng rng(7);
+  for (std::size_t i = 0; i < data.size(); i += 8) {
+    const std::uint64_t w = rng.next();
+    std::memcpy(&data[i], &w, 8);
+  }
+  auto wrote = p().pwrite(fd, data.data(), data.size(), 123);
+  ASSERT_TRUE(wrote.is_ok());
+  ASSERT_EQ(*wrote, data.size());
+  const int pre = make_file("/prealloc");
+  ASSERT_TRUE(p().fallocate(pre, 0, kPrealloc).is_ok());
+
+  remount_after_crash();
+  EXPECT_EQ(p().stat("/huge")->size, 123 + kWrite);
+  EXPECT_EQ(p().stat("/prealloc")->size, kPrealloc);
+  auto rfd = p().open("/huge", kOpenRead);
+  ASSERT_TRUE(rfd.is_ok());
+  std::vector<char> back(kWrite);
+  ASSERT_EQ(*p().pread(*rfd, back.data(), back.size(), 123), back.size());
+  EXPECT_EQ(std::memcmp(data.data(), back.data(), kWrite), 0);
+  const core::CheckReport cr = core::check_fs(*fs_);
+  EXPECT_TRUE(cr.ok()) << cr.summary();
+}
+
 }  // namespace
 }  // namespace simurgh::testing

@@ -3,7 +3,6 @@
 // epoch alone (no broadcasts).
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <string>
 
 #include "core/lookup_cache.h"
@@ -483,26 +482,6 @@ TEST_F(LookupCacheFsTest, CacheIsVolatileAcrossRemount) {
   EXPECT_EQ(s.hits + s.fills, 0u);  // fresh mount starts cold
   ASSERT_TRUE(p().stat("/d").is_ok());  // and refills lazily
   EXPECT_EQ(fs_->lookup_cache().stats().fills, 1u);
-}
-
-TEST(LookupCacheEnv, EnvVariablesGateAndSizeTheCache) {
-  {
-    ::setenv("SIMURGH_LOOKUP_CACHE", "0", 1);
-    nvmm::Device dev(64ull << 20), shm(8ull << 20);
-    auto fs = core::FileSystem::format(dev, shm);
-    EXPECT_FALSE(fs->lookup_cache_enabled());
-    ::unsetenv("SIMURGH_LOOKUP_CACHE");
-  }
-  {
-    ::setenv("SIMURGH_LOOKUP_CACHE_SLOTS", "100", 1);
-    nvmm::Device dev(64ull << 20), shm(8ull << 20);
-    auto fs = core::FileSystem::format(dev, shm);
-    EXPECT_TRUE(fs->lookup_cache_enabled());
-    EXPECT_EQ(fs->lookup_cache().capacity(), 128u);  // rounded to pow2
-    // The whole-path table scales with the same knob (a quarter, floored).
-    EXPECT_EQ(fs->path_cache().capacity(), 64u);
-    ::unsetenv("SIMURGH_LOOKUP_CACHE_SLOTS");
-  }
 }
 
 }  // namespace

@@ -8,21 +8,20 @@
 // accounting, O_SYNC strictness, and the fsck armed-journal check.
 //
 // The crash half runs the epoch drain protocol under the store-tracing
-// harness with SIMURGH_WRITEBEHIND_SYNC_DRAIN=1 (every persist happens
-// inline on the traced thread, deterministically) and proves the paper-shape
-// guarantee: every crash image recovers to an exact PREFIX of the
-// group-committed epochs — epoch k visible implies every epoch < k visible,
-// and no image shows a torn range.  The suite stages appends/extends (the
-// pattern the size-stamp gate makes atomic); in-place overwrites of already
-// durable bytes carry the same torn-write caveat as POSIX strict writes and
-// are exercised by the overlay unit tests instead.
+// harness with the commit timer frozen and the seal caps lifted, so every
+// drain happens inline on the traced thread (commit_epoch_now / fsync),
+// deterministically, and proves the paper-shape guarantee: every crash
+// image recovers to an exact PREFIX of the group-committed epochs — epoch
+// k visible implies every epoch < k visible, and no image shows a torn
+// range.  The suite stages appends/extends (the pattern the size-stamp gate
+// makes atomic); in-place overwrites of already durable bytes carry the
+// same torn-write caveat as POSIX strict writes and are exercised by the
+// overlay unit tests instead.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
-#include <cstdlib>
 #include <iostream>
-#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -46,36 +45,6 @@ using core::kOpenSync;
 using core::kOpenWrite;
 
 std::string pattern(char c, std::size_t n) { return std::string(n, c); }
-
-// Scoped environment overrides (restored on destruction) for the knobs
-// make_write_behind() reads at format/mount time.
-class EnvGuard {
- public:
-  explicit EnvGuard(
-      std::initializer_list<std::pair<const char*, const char*>> kv) {
-    for (const auto& [k, v] : kv) {
-      const char* old = std::getenv(k);
-      saved_.emplace_back(k, old == nullptr
-                                 ? std::optional<std::string>{}
-                                 : std::optional<std::string>{old});
-      ::setenv(k, v, 1);
-    }
-  }
-  ~EnvGuard() {
-    for (const auto& [k, v] : saved_) {
-      if (v.has_value()) {
-        ::setenv(k.c_str(), v->c_str(), 1);
-      } else {
-        ::unsetenv(k.c_str());
-      }
-    }
-  }
-  EnvGuard(const EnvGuard&) = delete;
-  EnvGuard& operator=(const EnvGuard&) = delete;
-
- private:
-  std::vector<std::pair<std::string, std::optional<std::string>>> saved_;
-};
 
 class WriteBehindTest : public FsTest {
  protected:
@@ -574,14 +543,22 @@ TEST_F(WriteBehindTest, ConcurrentStagedWritersStayCoherent) {
 
 // ---- crash images: the epoch drain protocol under store tracing ----
 
+// Freezes the commit timer and lifts the byte caps on the traced mount: the
+// persister never seals or drains on its own, so every drain runs inline on
+// the traced thread when the op calls commit_epoch_now() or fsync.
+void drain_only_on_demand(CrashHarness& h) {
+  core::WriteBehind* wb = h.fs().write_behind();
+  wb->set_interval_us(60'000'000);
+  wb->set_epoch_bytes(1ull << 30);
+  wb->set_max_staged_bytes(1ull << 30);
+}
+
 // A single staged epoch's commit is all-or-nothing: every crash image at
 // every fence boundary of the drain (data stores, journal arm, size stamps,
 // commit, disarm) recovers to exactly the pre- or post-epoch namespace.
 TEST(WriteBehindCrash, SingleEpochCommitIsAtomic) {
-  EnvGuard env{{"SIMURGH_WRITEBEHIND_SYNC_DRAIN", "1"},
-               {"SIMURGH_WRITEBEHIND_EPOCH_BYTES", "1073741824"},
-               {"SIMURGH_WRITEBEHIND_STAGE_BYTES", "1073741824"}};
   CrashHarness h;
+  drain_only_on_demand(h);
   h.setup([](core::Process& p) {
     ASSERT_TRUE(p.mkdir("/d").is_ok());
     auto fd = p.open("/d/f", kOpenCreate | kOpenWrite);
@@ -613,10 +590,8 @@ TEST(WriteBehindCrash, SingleEpochCommitIsAtomic) {
 // durable), never a torn or reordered state.  One commit is driven by the
 // async-class fsync (the force-the-epoch path) rather than the timer proxy.
 TEST(WriteBehindCrash, MultiEpochRecoversToAckedPrefix) {
-  EnvGuard env{{"SIMURGH_WRITEBEHIND_SYNC_DRAIN", "1"},
-               {"SIMURGH_WRITEBEHIND_EPOCH_BYTES", "1073741824"},
-               {"SIMURGH_WRITEBEHIND_STAGE_BYTES", "1073741824"}};
   CrashHarness h;
+  drain_only_on_demand(h);
   h.setup([](core::Process& p) {
     ASSERT_TRUE(p.mkdir("/d").is_ok());
     for (const char* f : {"/d/g1", "/d/g2", "/d/a1", "/d/s"}) {

@@ -43,6 +43,13 @@ Rules (each can be waived inline, see below):
                        if every transition is flushed before it is relied
                        on.
 
+  env-read             getenv( in src/.  Every process mounting an image
+                       must run it with the same policy, so the library
+                       takes no configuration from its environment: a
+                       setting is a constant or a runtime setter.  The few
+                       deliberate reads (the opt-in timing model, bench
+                       sizing) carry waivers.
+
 Waivers: append `// pmlint: allow(<rule>) <justification>` to the flagged
 line, or put it on the line directly above.  The justification is
 mandatory; a bare allow() is itself reported.
@@ -69,6 +76,7 @@ RULES = {
     "raw-device-store": "unflushed memset/memcpy/memmove into device memory",
     "fence-before-commit": "commit-word store with no earlier fence in function",
     "rmw-persist": "atomic flags RMW with no nearby persist",
+    "env-read": "getenv( — configuration read from the environment",
 }
 
 # Lookahead windows (lines) for the proximity rules.  Generous enough for a
@@ -96,6 +104,8 @@ FENCE_RE = re.compile(r"\bfence\s*\(\s*\)|\bpersist_now\s*\(")
 RMW_RE = re.compile(r"\bflags\.(compare_exchange_\w+|fetch_\w+)\s*\(")
 
 PERSIST_RE = re.compile(r"\bpersist(_now|_obj)?\s*\(|\bnt_copy\s*\(")
+
+ENV_READ_RE = re.compile(r"\b(?:secure_)?getenv\s*\(")
 
 # Column-0 lines that start a new function body region in a .cc file — a
 # cheap but reliable proxy for function boundaries in this codebase, whose
@@ -283,6 +293,12 @@ def check_file(path: str, raw: str, findings: list[Finding]) -> None:
                        f"atomic flags RMW with no persist within "
                        f"{RMW_WINDOW} lines — the flag transition is not "
                        "crash-durable")
+
+        if ENV_READ_RE.search(line):
+            report(idx, "env-read",
+                   "configuration read from the environment — use a "
+                   "constant or a runtime setter so every mount of an "
+                   "image runs the same policy")
 
 
 def clang_recheck_raw_mutex(paths: list[str], compdb_dir: str,
