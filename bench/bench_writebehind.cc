@@ -1,17 +1,12 @@
 // Write-behind tier benchmark (core/write_behind.h): wall-clock latency and
-// throughput of the write+fsync hot loop across the three durability
-// classes, at 256 B and 4 KB blocks, 1 and 4 threads, with the group-commit
-// interval pinned to the paper-shaped T = 100 µs.
+// throughput of the write+fsync hot loop for both durability classes, at
+// 256 B and 4 KB blocks, 1 and 4 threads, with the group-commit interval
+// pinned to the paper-shaped T = 100 µs.
 //
 //   strict  every op pays nt-copy + fence + size stamp before returning
 //   group   ops ack from the DRAM staging tier; fsync is absorbed into the
 //           epoch cadence (fsyncs_absorbed per op is reported — it should
 //           be ~1.0: every fsync folded into the 100 µs group commit)
-//   async   staged writes, but fsync FORCES the epoch — a write+fsync loop
-//           is this class's worst case by design: every op pays the full
-//           epoch commit protocol (journal arm + stamps + its fences), so
-//           it lands at or below strict.  async wins on plain writes with
-//           occasional fsync, not on this loop.
 //
 // The bench enables the nvmm Optane wall-clock timing model (persist.h):
 // with the counter-only emulation a fence is free, so strict-vs-staged
@@ -143,7 +138,6 @@ const char* cls_name(core::Durability d) {
   switch (d) {
     case core::Durability::strict: return "strict";
     case core::Durability::group: return "group";
-    case core::Durability::async: return "async";
   }
   return "?";
 }
@@ -157,9 +151,8 @@ int main() {
   const bool smoke = bench::bench_smoke();
   const std::uint64_t ops = smoke ? 48 : 4096;
   const int reps = smoke ? 1 : 5;
-  const std::vector<core::Durability> classes = {
-      core::Durability::strict, core::Durability::group,
-      core::Durability::async};
+  const std::vector<core::Durability> classes = {core::Durability::strict,
+                                                 core::Durability::group};
   const std::vector<std::size_t> blocks = {256, 4096};
   const std::vector<int> threads = smoke ? std::vector<int>{1}
                                          : std::vector<int>{1, 4};

@@ -154,7 +154,6 @@ class ObjectAllocator {
     home_stripe_ = static_cast<unsigned>(
         (mount_token * 0x9e3779b97f4a7c15ull >> 56) % kObjCacheStripes);
   }
-  [[nodiscard]] unsigned home_stripe() const noexcept { return home_stripe_; }
 
   ObjAllocStats& stats() noexcept { return *stats_; }
 

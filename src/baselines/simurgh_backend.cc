@@ -418,8 +418,6 @@ Status SimurghBackend::fsync(sim::SimThread& t, const std::string& path) {
     t.cpu(kCosts.sim_fsync_absorbed);
   } else {
     // strict: sfence + bookkeeping (everything is already persistent).
-    // async: fsync seals + awaits the epoch — at the modeled single-epoch
-    // depth that is the same fence-and-bookkeeping span.
     t.cpu(100);
   }
   auto it = fds_.find(path);

@@ -333,8 +333,7 @@ Status Process::fsync(int fd) {
       wb != nullptr && wb->active() && (f->flags & kOpenSync) == 0) {
     const std::uint64_t ino_off =
         f->inode_off.load(std::memory_order_acquire);
-    // group: absorbed into the epoch cadence; async: seals + awaits the
-    // epochs holding this inode's ranges; strict: falls through to the
+    // group: absorbed into the epoch cadence; strict: falls through to the
     // fence (see WriteBehind::fsync_inode).
     if (wb->fsync_inode(ino_off)) return Status::ok();
   }

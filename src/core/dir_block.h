@@ -240,21 +240,19 @@ class DirOps {
                                      Inode& dst_dir,
                                      std::string_view new_name);
 
-  // Iterates entries: fn(name, fentry_off, inode_off).
-  template <typename Fn>
-  void list(Inode& dir, Fn&& fn) const;
-
-  // Streaming enumeration: emits up to `cap` entries starting at `cursor`
-  // (0 = beginning) and returns the cursor of the next unexamined slot, or
-  // kReaddirEnd when the directory is exhausted.  The cursor is an opaque
-  // position (chain unit / block ordinal / line / slot), valid only for
-  // the directory it came from.  Semantics under concurrent churn: an
-  // entry that is neither renamed nor migrated by a concurrent split for
-  // the whole scan appears exactly once; a renamed entry and an entry a
-  // concurrent split migrates may appear twice (legacy position first,
-  // bucket position later) but is never skipped — the split publishes the
-  // bucket copy before clearing the legacy one, and buckets are scanned
-  // after the legacy chain.
+  // Streaming enumeration: emits up to `cap` entries as fn(name,
+  // fentry_off, inode_off), starting at `cursor` (0 = beginning), and
+  // returns the cursor of the first live slot it did not emit, or
+  // kReaddirEnd when the directory is exhausted (cap SIZE_MAX lists it in
+  // one call).  The cursor is an opaque position (chain unit / block
+  // ordinal / line / slot), valid only for the directory it came from.
+  // Semantics under concurrent churn: an entry that is neither renamed nor
+  // migrated by a concurrent split for the whole scan appears exactly once;
+  // a renamed entry and an entry a concurrent split migrates may appear
+  // twice (legacy position first, bucket position later) but is never
+  // skipped — the split publishes the bucket copy before clearing the
+  // legacy one, buckets are scanned after the legacy chain, and the bucket
+  // count is read after it too.
   template <typename Fn>
   std::uint64_t list_at(Inode& dir, std::uint64_t cursor, std::size_t cap,
                         Fn&& fn) const;
@@ -288,7 +286,6 @@ class DirOps {
     split_threshold_ = threshold_blocks == 0 ? 1 : threshold_blocks;
     split_bits_ = bucket_bits > kMaxBucketBits ? kMaxBucketBits : bucket_bits;
   }
-  [[nodiscard]] unsigned split_bits() const noexcept { return split_bits_; }
 
   // Current fan-out depth of `dir` (0 = unsplit).
   [[nodiscard]] std::uint64_t dir_depth(Inode& dir) const noexcept {
@@ -620,25 +617,6 @@ void DirOps::for_each_block(Inode& dir, Fn&& fn) const {
 }
 
 template <typename Fn>
-void DirOps::list(Inode& dir, Fn&& fn) const {
-  for_each_block(dir, [&](DirBlock* blk, std::uint64_t) {
-    for (unsigned ln = 0; ln < kLines; ++ln) {
-      for (unsigned s = 0; s < kSlotsPerLine; ++s) {
-        const std::uint64_t v =
-            blk->lines[ln].slots[s].v.load(std::memory_order_acquire);
-        const std::uint64_t off = DirSlot::off_of(v);
-        if (off == 0) continue;
-        const FileEntry* fe = entry_at(off);
-        char namebuf[kMaxName + 1];
-        const std::uint16_t len = fe->load_name(namebuf);
-        if (len == 0) continue;  // being deleted
-        fn(std::string_view{namebuf, len}, off, fe->inode.load().raw());
-      }
-    }
-  });
-}
-
-template <typename Fn>
 std::uint64_t DirOps::list_at(Inode& dir, std::uint64_t cursor,
                               std::size_t cap, Fn&& fn) const {
   // Cursor encoding: [unit:16][block ordinal:32][line:8][slot:8], where
@@ -649,15 +627,17 @@ std::uint64_t DirOps::list_at(Inode& dir, std::uint64_t cursor,
   const nvmm::pptr<DirBlock> first = dir.dir.load();
   if (!first) return kReaddirEnd;
   DirBlock* anchor = first.in(dev_);
-  const std::uint64_t d = anchor->depth.load(std::memory_order_acquire);
-  const unsigned n_units =
-      1u + (d != 0 ? (1u << (d > kMaxBucketBits ? kMaxBucketBits : d)) : 0u);
+  const auto units = [anchor] {
+    const std::uint64_t d = anchor->depth.load(std::memory_order_acquire);
+    return 1u + (d != 0 ? (1u << (d > kMaxBucketBits ? kMaxBucketBits : d))
+                        : 0u);
+  };
+  unsigned n_units = units();
   std::uint64_t unit = cursor >> 48;
   std::uint64_t blk_idx = (cursor >> 16) & 0xffffffffull;
   unsigned ln = static_cast<unsigned>((cursor >> 8) & 0xff);
   unsigned sl = static_cast<unsigned>(cursor & 0xff);
   if (ln >= kLines || sl >= kSlotsPerLine) return kReaddirEnd;  // corrupt
-  std::size_t emitted = 0;
   for (; unit < n_units; ++unit, blk_idx = 0, ln = 0, sl = 0) {
     nvmm::pptr<DirBlock> b =
         unit == 0 ? first : anchor->bucket_heads[unit - 1].load();
@@ -670,19 +650,19 @@ std::uint64_t DirOps::list_at(Inode& dir, std::uint64_t cursor,
       DirBlock* blk = b.in(dev_);
       for (; ln < kLines; ++ln, sl = 0) {
         for (; sl < kSlotsPerLine; ++sl) {
-          if (emitted == cap)
-            return (unit << 48) | (idx << 16) |
-                   (static_cast<std::uint64_t>(ln) << 8) | sl;
           const std::uint64_t v =
               blk->lines[ln].slots[sl].v.load(std::memory_order_acquire);
           const std::uint64_t off = DirSlot::off_of(v);
           if (off == 0) continue;
+          if (cap == 0)
+            return (unit << 48) | (idx << 16) |
+                   (static_cast<std::uint64_t>(ln) << 8) | sl;
           const FileEntry* fe = entry_at(off);
           char namebuf[kMaxName + 1];
           const std::uint16_t len = fe->load_name(namebuf);
           if (len == 0) continue;  // being deleted
           fn(std::string_view{namebuf, len}, off, fe->inode.load().raw());
-          ++emitted;
+          --cap;
         }
       }
       b = blk->next.load();
@@ -690,6 +670,10 @@ std::uint64_t DirOps::list_at(Inode& dir, std::uint64_t cursor,
       ln = 0;
       sl = 0;
     }
+    // Re-read the bucket count once the anchor chain is done, as
+    // for_each_block does: a split that started mid-scan published its
+    // depth before clearing the anchor slots it moved into the buckets.
+    if (unit == 0) n_units = units();
   }
   return kReaddirEnd;
 }

@@ -72,7 +72,6 @@ class ExtentCache {
 
   [[nodiscard]] ExtentCacheStats stats() const noexcept;
   void reset_stats() noexcept;
-  [[nodiscard]] std::size_t slot_count() const noexcept { return n_slots_; }
 
  private:
   using Slot = std::atomic<ViewPtr>;

@@ -259,8 +259,8 @@ void FileSystem::attach_components(bool formatted, const FormatOptions& opts) {
 
 void FileSystem::unmount() {
   if (unmounted_) return;
-  // Everything staged becomes durable before detach — group AND async — and
-  // the persister stops while every component it drains through is alive.
+  // Everything staged becomes durable before detach, and the persister
+  // stops while every component it drains through is alive.
   if (wb_) {
     wb_->drain_all();
     wb_.reset();
@@ -829,7 +829,7 @@ Result<int> Process::open(std::string_view path, int flags,
     Status st = truncate_inode(ino_off, 0);
     if (!st.is_ok()) return st.code();
   }
-  const int fd = fds_.alloc(ino_off, flags, std::string(path));
+  const int fd = fds_.alloc(ino_off, flags);
   if (fd < 0) return Errc::bad_fd;
   return fd;
 }
@@ -1059,16 +1059,8 @@ Status Process::utimes(std::string_view path, std::uint64_t atime_ns,
 }
 
 Result<std::vector<DirEntry>> Process::readdir(std::string_view path) {
-  fs_.poll_coordination();
-  SIMURGH_ASSIGN_OR_RETURN(ResolveResult rr, fs_.walker().resolve(cred_, path));
-  Inode* ino = fs_.inode_at(rr.inode_off);
-  if (!ino->is_dir()) return Errc::not_dir;
-  if (!may_access(*ino, cred_, kMayRead)) return Errc::permission;
   std::vector<DirEntry> out;
-  fs_.dirops().list(*ino, [&](std::string_view name, std::uint64_t,
-                              std::uint64_t inode_off) {
-    out.push_back(DirEntry{std::string(name), inode_off});
-  });
+  SIMURGH_RETURN_IF_ERROR(readdir_at(path, 0, out, SIZE_MAX));
   return out;
 }
 

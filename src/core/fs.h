@@ -326,9 +326,6 @@ class FileSystem {
   void set_extent_cache_enabled(bool enabled) noexcept {
     extent_cache_on_ = enabled;
   }
-  [[nodiscard]] bool extent_cache_enabled() const noexcept {
-    return extent_cache_on_;
-  }
   [[nodiscard]] ExtentCache& extent_cache() noexcept {
     return *extent_cache_;
   }
@@ -511,6 +508,7 @@ class Process {
   Status chown(std::string_view path, std::uint32_t uid, std::uint32_t gid);
   Status utimes(std::string_view path, std::uint64_t atime_ns,
                 std::uint64_t mtime_ns);
+  // The whole directory in one call: readdir_at from cursor 0, uncapped.
   Result<std::vector<DirEntry>> readdir(std::string_view path);
   // Streaming readdir for giant directories: appends up to `cap` entries to
   // `out` starting at `cursor` (0 = begin) and returns the cursor to resume

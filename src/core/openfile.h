@@ -13,7 +13,7 @@
 
 #include <atomic>
 #include <cstdint>
-#include <string>
+#include <type_traits>
 
 #include "common/status.h"
 
@@ -33,17 +33,18 @@ constexpr int kOpenSync = 0x40;
 // Per-file durability class (write_behind.h).  `strict` is the default and
 // today's behavior: data + size stamp are durable before the write returns.
 // `group` stages writes in DRAM and group-commits a mount-wide epoch every
-// T µs / B bytes; `async` stages and writes back opportunistically, with
-// fsync forcing the epoch.
-enum class Durability : std::uint8_t { strict = 0, group = 1, async = 2 };
+// T µs / B bytes.
+enum class Durability : std::uint8_t { strict = 0, group = 1 };
 
 struct OpenFile {
   // 0 = free slot; 1 = being initialized; otherwise the inode offset.
   std::atomic<std::uint64_t> inode_off{0};
   std::atomic<std::uint64_t> pos{0};
   int flags = 0;
-  std::string path;
 };
+// No per-slot heap members: a Process (and its 4096-slot table) is built
+// per service-ring request, so a slot must cost nothing to destroy.
+static_assert(std::is_trivially_destructible_v<OpenFile>);
 
 class OpenFileMap {
  public:
@@ -51,14 +52,13 @@ class OpenFileMap {
   static constexpr std::uint64_t kClaimed = 1;  // initialization sentinel
 
   // Claims a descriptor; returns -1 when the table is exhausted.
-  int alloc(std::uint64_t inode_off, int flags, std::string path) {
+  int alloc(std::uint64_t inode_off, int flags) {
     for (int fd = 0; fd < kMaxFds; ++fd) {
       std::uint64_t expected = 0;
       if (files_[fd].inode_off.compare_exchange_strong(
               expected, kClaimed, std::memory_order_acq_rel)) {
         files_[fd].pos.store(0, std::memory_order_relaxed);
         files_[fd].flags = flags;
-        files_[fd].path = std::move(path);
         files_[fd].inode_off.store(inode_off, std::memory_order_release);
         return fd;
       }
@@ -77,7 +77,6 @@ class OpenFileMap {
   Status close(int fd) {
     OpenFile* f = get(fd);
     if (f == nullptr) return Status(Errc::bad_fd);
-    f->path.clear();
     f->inode_off.store(0, std::memory_order_release);
     return Status::ok();
   }

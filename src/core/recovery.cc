@@ -122,8 +122,9 @@ RecoveryReport FileSystem::recover() {
     // bucket blocks as unreachable and lose every migrated entry).
     dirops_->for_each_block(
         *dir, [&](DirBlock*, std::uint64_t off) { live_dirblocks.insert(off); });
-    dirops_->list(*dir, [&](std::string_view, std::uint64_t fe_off,
-                            std::uint64_t ino_off) {
+    (void)dirops_->list_at(*dir, 0, SIZE_MAX, [&](std::string_view,
+                                                  std::uint64_t fe_off,
+                                                  std::uint64_t ino_off) {
       beat(4096);  // per directory entry
       live_fentries.insert(fe_off);
       if (ino_off == 0) return;

@@ -18,10 +18,6 @@ namespace simurgh::core {
 Scrubber::PassReport Scrubber::run_pass() {
   PassReport rep;
   if (!fs_.crc().attached()) return rep;
-  const std::uint64_t batch =
-      blocks_per_batch_.load(std::memory_order_relaxed);
-  const std::uint64_t sleep_us =
-      batch_sleep_us_.load(std::memory_order_relaxed);
   std::uint64_t since_sleep = 0;
 
   // Snapshot the candidate files first: the pool scan itself is cheap, and
@@ -55,13 +51,14 @@ Scrubber::PassReport Scrubber::run_pass() {
           common::MutexLock g(mu_);
           error_log_.emplace_back(msg);
         }
-        if (batch != 0 && ++since_sleep >= batch) {
+        if (++since_sleep >= kBlocksPerBatch) {
           since_sleep = 0;
           // Bandwidth bound.  The pause can land while this file's shared
           // lock is held — a writer to the same giant file then waits out
-          // one batch sleep; keep batch_sleep_us small relative to the
+          // one batch sleep; kBatchSleepUs stays small relative to the
           // file-lock lease so a sleeping scrubber never reads as dead.
-          std::this_thread::sleep_for(std::chrono::microseconds(sleep_us));
+          std::this_thread::sleep_for(
+              std::chrono::microseconds(kBatchSleepUs));
         }
       }
     });

@@ -51,15 +51,6 @@ class Scrubber {
     return thread_.joinable();
   }
 
-  // Bandwidth bound: verify at most `blocks_per_batch` blocks, then sleep
-  // `batch_sleep_us` — the scrubber's NVMM read rate is capped at roughly
-  // batch/sleep regardless of scheduler class.
-  void set_bandwidth(std::uint64_t blocks_per_batch,
-                     std::uint64_t batch_sleep_us) noexcept {
-    blocks_per_batch_.store(blocks_per_batch, std::memory_order_relaxed);
-    batch_sleep_us_.store(batch_sleep_us, std::memory_order_relaxed);
-  }
-
   [[nodiscard]] std::uint64_t passes() const noexcept {
     return passes_.load(std::memory_order_relaxed);
   }
@@ -75,6 +66,12 @@ class Scrubber {
  private:
   void loop(std::uint64_t pass_interval_ms);
 
+  // Bandwidth bound: verify at most kBlocksPerBatch blocks, then sleep
+  // kBatchSleepUs — the scrubber's NVMM read rate is capped at roughly
+  // batch/sleep regardless of scheduler class.
+  static constexpr std::uint64_t kBlocksPerBatch = 256;
+  static constexpr std::uint64_t kBatchSleepUs = 1000;
+
   FileSystem& fs_;
   std::thread thread_;
   common::Mutex mu_;
@@ -82,8 +79,6 @@ class Scrubber {
   bool stop_requested_ GUARDED_BY(mu_) = false;
   std::vector<std::string> error_log_ GUARDED_BY(mu_);
 
-  std::atomic<std::uint64_t> blocks_per_batch_{256};
-  std::atomic<std::uint64_t> batch_sleep_us_{1000};
   std::atomic<std::uint64_t> passes_{0};
   std::atomic<std::uint64_t> blocks_{0};
   std::atomic<std::uint64_t> errors_{0};

@@ -18,9 +18,6 @@ namespace simurgh::core {
 
 namespace {
 
-// Commit-deadline multiple of the interval for async-only epochs.
-constexpr std::uint64_t kAsyncLazyFactor = 8;
-
 WbJournal& journal_at(nvmm::Device& dev) {
   return *reinterpret_cast<WbJournal*>(dev.at(kWbJournalOff));
 }
@@ -80,12 +77,6 @@ void WriteBehind::set_durability(std::uint64_t ino_off, Durability d) {
   it->second.cls = d;
   // A strict file with nothing in flight needs no tracking at all.
   if (!now && it->second.last_epoch <= committed_seq_) files_.erase(it);
-}
-
-Durability WriteBehind::durability_of(std::uint64_t ino_off) {
-  common::MutexLock lk(mu_);
-  auto it = files_.find(ino_off);
-  return it == files_.end() ? Durability::strict : it->second.cls;
 }
 
 void WriteBehind::forget(std::uint64_t ino_off) {
@@ -208,7 +199,6 @@ bool WriteBehind::stage_write(std::uint64_t ino_off, const void* buf,
       return false;
     }
     FileState& st = it->second;
-    const Durability cls = st.cls;
     // While anything is staged, staged_size >= the persisted size and can
     // only be overtaken by paths that flush first (truncate, backpressure,
     // class downgrade), which reset it to 0 — so the NVMM inode line (a
@@ -245,7 +235,6 @@ bool WriteBehind::stage_write(std::uint64_t ino_off, const void* buf,
     sf.new_size = std::max({sf.new_size, off + n, psize});
     sf.mtime_ns = wall_ns();
     e.bytes += n;
-    e.has_group = e.has_group || cls == Durability::group;
     st.last_epoch = e.seq;
     st.staged_size = std::max(base, off + n);
     st.mtime_ns = sf.mtime_ns;  // stat overlays this until the drain stamps it
@@ -309,15 +298,9 @@ bool WriteBehind::fsync_inode(std::uint64_t ino_off) {
   auto it = files_.find(ino_off);
   if (it == files_.end() || it->second.cls == Durability::strict)
     return false;  // strict/untracked: the caller fences
-  const bool pending = it->second.last_epoch > committed_seq_;
-  if (it->second.cls != Durability::async || !pending) {
-    // group class (and anything with nothing in flight): the fsync is
-    // absorbed into the epoch cadence — counted, never waited on.
-    ++fsyncs_absorbed_;
-    return true;
-  }
-  const std::uint64_t want = it->second.last_epoch;
-  drain_until_locked(lk, want);
+  // group: the fsync is absorbed into the epoch cadence — counted, never
+  // waited on.
+  ++fsyncs_absorbed_;
   return true;
 }
 
@@ -347,7 +330,7 @@ void WriteBehind::drain_until_locked(common::MutexLock& lk,
     if (!back.sealed && back.seq <= want) seal_open_locked();
   }
   // The waiting thread drains inline rather than handing the work to the
-  // persister: an async fsync (or unmount/backpressure flush) would
+  // persister: a flush (unmount, backpressure, commit_epoch_now) would
   // otherwise pay two context switches per epoch just to watch the
   // persister do the same calls.  `draining_` keeps epoch commits serial
   // in arrival order; if the persister (or another waiter) is mid-drain we
@@ -552,7 +535,7 @@ void WriteBehind::unlock_journal(WbJournal& j) NO_THREAD_SAFETY_ANALYSIS {
 void WriteBehind::persister_main() {
   // Background-priority writeback, like the kernel's flusher threads: the
   // persister soaks otherwise-idle cycles and never competes with
-  // foreground writers for the CPU.  Durability stays bounded — fsync,
+  // foreground writers for the CPU.  Durability stays bounded — flush,
   // backpressure, unmount and drain_all all drain INLINE on the calling
   // thread (drain_until_locked), so a saturated CPU defers background
   // commits without deferring anything a caller is waiting on.  Lowering
@@ -568,12 +551,8 @@ void WriteBehind::persister_main() {
       continue;
     }
     if (!draining_ && !epochs_.empty() && !epochs_.back()->sealed) {
-      Epoch& e = *epochs_.back();
-      // Async-only epochs are in no hurry: stretch the deadline so pure
-      // background traffic batches larger.
-      const std::uint64_t mult = e.has_group ? 1 : kAsyncLazyFactor;
-      const auto deadline =
-          e.opened_at + std::chrono::microseconds(interval_us_ * mult);
+      const auto deadline = epochs_.back()->opened_at +
+                            std::chrono::microseconds(interval_us_);
       if (std::chrono::steady_clock::now() >= deadline) {
         seal_open_locked();
         continue;
@@ -612,8 +591,8 @@ void WriteBehind::stop_persister() {
 std::uint64_t WriteBehind::discard_staged() {
   stop_persister();
   common::MutexLock lk(mu_);
-  // The persister is gone, but an inline drainer (async fsync / flush /
-  // unmount) may still be inside drain_epoch with mu_ released, holding a
+  // The persister is gone, but an inline drainer (flush / commit_epoch_now
+  // / unmount) may still be inside drain_epoch with mu_ released, holding a
   // raw pointer into epochs_ — clearing the deque under it would free the
   // epoch it is about to finish committing.  Wait for it to retire first.
   // (Explicit loop, not a wait-predicate lambda: the thread-safety analysis

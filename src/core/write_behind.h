@@ -1,6 +1,6 @@
 // Relaxed-durability write-behind tier (ROADMAP "write-behind tier").
 //
-// Per-file durability classes over the strict data path:
+// Two per-file durability classes over the strict data path:
 //
 //   strict  today's behavior (default): data + size stamp durable before
 //           the write returns; fsync is a fence.
@@ -9,9 +9,6 @@
 //           staged bytes, whichever first.  fsync is ABSORBED into the
 //           epoch cadence (counted, not flushed): the class contract is
 //           durability within one commit interval, not at fsync return.
-//   async   staged, written back opportunistically (a lazy multiple of T);
-//           fsync FORCES the epoch — it seals and awaits exactly the epochs
-//           containing that inode's ranges, so it returns durable.
 //
 // Staging is per-EPOCH per-inode: an epoch owns the dirty ranges staged
 // while it was open, epochs seal in order and a background persister drains
@@ -34,7 +31,7 @@
 //   epoch journal    NVMM page at kWbJournalOff, shared by all mounts and
 //                    serialized by a lease-stamped lock; an armed journal
 //                    left by a dead peer is rolled forward by the stealer
-//   unmount          drains everything (group AND async) before detach
+//   unmount          drains everything staged before detach
 #pragma once
 
 #include <atomic>
@@ -105,7 +102,6 @@ class WriteBehind {
 
   // ---- class management ----
   void set_durability(std::uint64_t ino_off, Durability d);
-  [[nodiscard]] Durability durability_of(std::uint64_t ino_off);
   // unlink/last-drop: forgets the class binding (the inode offset may be
   // recycled).  The caller flushes first; any still-staged ranges for the
   // offset are discarded.
@@ -140,8 +136,7 @@ class WriteBehind {
                     std::uint64_t off);
 
   // ---- sync / lifecycle ----
-  // Class-aware fsync: group absorbs (counts), async seals + awaits the
-  // epochs containing the inode, relaxed-class-with-nothing-staged absorbs.
+  // Class-aware fsync: a group inode's fsync is absorbed (counted).
   // Returns false — without counting anything — when the inode is strict
   // (or untracked): the caller owes the file a plain fence.  Folding the
   // class check in here keeps the write+fsync hot loop at one mu_
@@ -205,7 +200,6 @@ class WriteBehind {
     std::uint64_t seq = 0;  // mount-local, monotonically increasing
     std::uint64_t bytes = 0;
     bool sealed = false;
-    bool has_group = false;
     std::chrono::steady_clock::time_point opened_at{};
     std::map<std::uint64_t, StagedFile> files;  // ino_off -> staged
   };

@@ -300,7 +300,6 @@ bool durability_of_int(int cls, core::Durability* out) {
   switch (cls) {
     case SFS_DURABILITY_STRICT: *out = core::Durability::strict; return true;
     case SFS_DURABILITY_GROUP: *out = core::Durability::group; return true;
-    case SFS_DURABILITY_ASYNC: *out = core::Durability::async; return true;
     default: return false;
   }
 }

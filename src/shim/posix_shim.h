@@ -76,12 +76,11 @@ int sfs_fstat(int fd, SfsStat* out);
 
 // ---- durability classes (Simurgh extension; write_behind.h) ----
 // Values for sfs_set_durability.  `strict` is the default: every write is
-// durable before it returns.  `group`/`async` ack from a DRAM staging tier;
-// see core/write_behind.h for the exact contracts.  O_SYNC/O_DSYNC
+// durable before it returns.  `group` acks from a DRAM staging tier; see
+// core/write_behind.h for the exact contract.  O_SYNC/O_DSYNC
 // descriptors always write strictly regardless of the file's class.
 constexpr int SFS_DURABILITY_STRICT = 0;
 constexpr int SFS_DURABILITY_GROUP = 1;
-constexpr int SFS_DURABILITY_ASYNC = 2;
 int sfs_set_durability(const char* path, int durability_class);
 int sfs_fset_durability(int fd, int durability_class);
 

@@ -131,8 +131,8 @@ TEST_F(CoreUnitTest, MayAccessMatrix) {
 
 TEST(OpenFileMap, LocklessAllocAndClose) {
   OpenFileMap map;
-  const int a = map.alloc(100, kOpenRead, "/a");
-  const int b = map.alloc(200, kOpenWrite, "/b");
+  const int a = map.alloc(100, kOpenRead);
+  const int b = map.alloc(200, kOpenWrite);
   ASSERT_GE(a, 0);
   ASSERT_GE(b, 0);
   EXPECT_NE(a, b);
@@ -142,7 +142,7 @@ TEST(OpenFileMap, LocklessAllocAndClose) {
   EXPECT_EQ(map.get(a), nullptr);
   EXPECT_FALSE(map.close(a).is_ok());
   // Slot is reusable.
-  EXPECT_EQ(map.alloc(300, kOpenRead, "/c"), a);
+  EXPECT_EQ(map.alloc(300, kOpenRead), a);
 }
 
 TEST(OpenFileMap, ConcurrentAllocUniqueDescriptors) {
@@ -153,7 +153,7 @@ TEST(OpenFileMap, ConcurrentAllocUniqueDescriptors) {
   for (int t = 0; t < kThreads; ++t)
     ts.emplace_back([&, t] {
       for (int i = 0; i < kPer; ++i)
-        got[t].push_back(map.alloc(1000 + t, kOpenRead, "p"));
+        got[t].push_back(map.alloc(1000 + t, kOpenRead));
     });
   for (auto& th : ts) th.join();
   std::vector<bool> seen(OpenFileMap::kMaxFds, false);

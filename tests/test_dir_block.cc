@@ -123,9 +123,11 @@ TEST_F(DirBlockTest, ListEnumeratesAll) {
     names.insert(name);
   }
   std::set<std::string> listed;
-  ops_.list(*dir_, [&](std::string_view n, std::uint64_t, std::uint64_t) {
-    listed.insert(std::string(n));
-  });
+  EXPECT_EQ(ops_.list_at(*dir_, 0, SIZE_MAX,
+                         [&](std::string_view n, std::uint64_t, std::uint64_t) {
+                           listed.insert(std::string(n));
+                         }),
+            kReaddirEnd);
   EXPECT_EQ(listed, names);
 }
 

@@ -429,6 +429,35 @@ TEST_F(DirScaleTest, ReaddirUnderChurnStableEntriesExactlyOnce) {
   EXPECT_EQ(churn_failures.load(), 0u);
 }
 
+TEST_F(DirScaleTest, ListAtSeesEntriesASplitMovesMidScan) {
+  // A split publishes the bucket depth before it clears the anchor slots
+  // it moved, so a scan that read the depth before the anchor chain (and
+  // saw 0) would never visit the buckets: one call must re-read it after
+  // the anchor chain.  The split fires from inside the scan's callback.
+  fs_->dirops().set_split_params(1000, 2);  // no auto-split
+  ASSERT_TRUE(p().mkdir("/d").is_ok());
+  std::set<std::string> expect;
+  for (unsigned i = 0; i < 300; ++i) {
+    create_file("/d/" + nm(0, i));
+    expect.insert(nm(0, i));
+  }
+  core::Inode* d = dir_inode("/d");
+  ASSERT_EQ(fs_->dirops().dir_depth(*d), 0u);
+  std::set<std::string> seen;
+  bool split = false;
+  const std::uint64_t end = fs_->dirops().list_at(
+      *d, 0, SIZE_MAX,
+      [&](std::string_view name, std::uint64_t, std::uint64_t) {
+        seen.insert(std::string(name));
+        if (split) return;
+        split = true;
+        EXPECT_TRUE(fs_->dirops().split_directory(*d).is_ok());
+      });
+  EXPECT_EQ(end, core::kReaddirEnd);
+  EXPECT_GT(fs_->dirops().dir_depth(*d), 0u);
+  EXPECT_EQ(seen, expect);  // every name at least once
+}
+
 // ---- per-bucket epochs ----
 
 TEST_F(DirScaleTest, PerBucketEpochInvalidatesOnlyMutatedBucket) {

@@ -213,9 +213,11 @@ TEST_F(ShimTest, SetDurabilityErrnos) {
   EXPECT_EQ(sfs_set_durability("/nope", SFS_DURABILITY_GROUP), -1);
   EXPECT_EQ(last_errno(), ENOENT);
   ASSERT_GE(sfs_open("/plain", O_CREAT | O_WRONLY, 0644), 0);
-  EXPECT_EQ(sfs_set_durability("/plain", 42), -1);
-  EXPECT_EQ(last_errno(), EINVAL);
-  EXPECT_EQ(sfs_fset_durability(999, SFS_DURABILITY_ASYNC), -1);
+  for (const int bad : {2, 42}) {  // 2: just past the last class
+    EXPECT_EQ(sfs_set_durability("/plain", bad), -1);
+    EXPECT_EQ(last_errno(), EINVAL);
+  }
+  EXPECT_EQ(sfs_fset_durability(999, SFS_DURABILITY_GROUP), -1);
   EXPECT_EQ(last_errno(), EBADF);
   ASSERT_EQ(sfs_mkdir("/adir", 0755), 0);
   EXPECT_EQ(sfs_set_durability("/adir", SFS_DURABILITY_GROUP), -1);

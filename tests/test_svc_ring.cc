@@ -312,7 +312,7 @@ TEST_F(SvcRingTest, SetDurabilityIsArbitratedButAppliedLocally) {
   EXPECT_GT(fs_b_->fsstat().svc_requests, before.svc_requests);
   // And the fd form routes through the ring as well.
   const int fd2 = *b().open("/wb", kOpenWrite);
-  ASSERT_TRUE(b().set_durability(fd2, core::Durability::async).is_ok());
+  ASSERT_TRUE(b().set_durability(fd2, core::Durability::strict).is_ok());
   ASSERT_TRUE(b().close(fd2).is_ok());
 }
 

@@ -9,7 +9,7 @@
 //
 // The crash half runs the epoch drain protocol under the store-tracing
 // harness with the commit timer frozen and the seal caps lifted, so every
-// drain happens inline on the traced thread (commit_epoch_now / fsync),
+// drain happens inline on the traced thread (commit_epoch_now),
 // deterministically, and proves the paper-shape guarantee: every crash
 // image recovers to an exact PREFIX of the group-committed epochs — epoch
 // k visible implies every epoch < k visible, and no image shows a torn
@@ -53,7 +53,7 @@ class WriteBehindTest : public FsTest {
     wb_ = fs_->write_behind();
     ASSERT_NE(wb_, nullptr);
     // Freeze the T-timer: epochs commit only when a test asks
-    // (commit_epoch_now / fsync / flush), so every counter is exact.
+    // (commit_epoch_now / flush), so every counter is exact.
     wb_->set_interval_us(60'000'000);
   }
 
@@ -157,27 +157,6 @@ TEST_F(WriteBehindTest, GroupSequencePinsCounters) {
   EXPECT_EQ(st.staged_bytes, 0u);
   EXPECT_EQ(read_all("/f"), a + b + c3);  // now from NVMM
   EXPECT_EQ(wb_->counters().drained_bytes, 1024u);
-  ASSERT_TRUE(p().close(fd).is_ok());
-}
-
-TEST_F(WriteBehindTest, AsyncFsyncForcesTheEpoch) {
-  const int fd = open_rw("/f");
-  ASSERT_TRUE(p().set_durability("/f", Durability::async).is_ok());
-  const std::string d = pattern('z', 640);
-  ASSERT_TRUE(p().write(fd, d.data(), d.size()).is_ok());
-  EXPECT_EQ(wb_->counters().staged_bytes, 640u);
-
-  // Pending ranges: async fsync seals and awaits — it is NOT absorbed.
-  ASSERT_TRUE(p().fsync(fd).is_ok());
-  auto c = wb_->counters();
-  EXPECT_EQ(c.fsyncs_absorbed, 0u);
-  EXPECT_EQ(c.group_commits, 1u);
-  EXPECT_EQ(c.staged_bytes, 0u);
-
-  // Nothing in flight: the second fsync absorbs.
-  ASSERT_TRUE(p().fsync(fd).is_ok());
-  EXPECT_EQ(wb_->counters().fsyncs_absorbed, 1u);
-  EXPECT_EQ(read_all("/f"), d);
   ASSERT_TRUE(p().close(fd).is_ok());
 }
 
@@ -387,7 +366,7 @@ TEST_F(WriteBehindTest, UnmountDrainsEverythingStaged) {
   const int fd = open_rw("/g");
   const int fd2 = open_rw("/a");
   ASSERT_TRUE(p().set_durability("/g", Durability::group).is_ok());
-  ASSERT_TRUE(p().set_durability("/a", Durability::async).is_ok());
+  ASSERT_TRUE(p().set_durability("/a", Durability::group).is_ok());
   const std::string g = pattern('G', 700), a = pattern('A', 450);
   ASSERT_TRUE(p().write(fd, g.data(), g.size()).is_ok());
   ASSERT_TRUE(p().write(fd2, a.data(), a.size()).is_ok());
@@ -433,13 +412,13 @@ TEST_F(WriteBehindTest, RecoverDiscardsStagedWithAccounting) {
   ASSERT_TRUE(p().close(fd).is_ok());
 }
 
-// discard_staged() vs an inline drainer: an async fsync drains on the
+// discard_staged() vs an inline drainer: commit_epoch_now drains on the
 // calling thread with mu_ released and a raw pointer into epochs_, so the
 // discard must wait for it to retire before destroying the deque (the
 // regression was a use-after-free asan catches here).
 TEST_F(WriteBehindTest, DiscardWaitsForInlineDrainer) {
   const int fd = open_rw("/f");
-  ASSERT_TRUE(p().set_durability("/f", Durability::async).is_ok());
+  ASSERT_TRUE(p().set_durability("/f", Durability::group).is_ok());
   std::atomic<bool> stop{false};
   std::thread writer([&] {
     auto proc = fs_->open_process(1000, 1000);
@@ -448,7 +427,7 @@ TEST_F(WriteBehindTest, DiscardWaitsForInlineDrainer) {
     const std::string chunk = pattern('w', 256);
     while (!stop.load(std::memory_order_relaxed)) {
       if (!proc->write(*wfd, chunk.data(), chunk.size()).is_ok()) break;
-      if (!proc->fsync(*wfd).is_ok()) break;  // pending async: inline drain
+      wb_->commit_epoch_now();  // inline drain
     }
     (void)proc->close(*wfd);
   });
@@ -513,15 +492,17 @@ TEST_F(WriteBehindTest, ConcurrentStagedWritersStayCoherent) {
       const std::string path = "/t" + std::to_string(t);
       auto fd = proc->open(path, kOpenCreate | kOpenWrite | kOpenAppend);
       ASSERT_TRUE(fd.is_ok());
-      ASSERT_TRUE(
-          proc->set_durability(path, t % 2 == 0 ? Durability::group
-                                                : Durability::async)
-              .is_ok());
+      ASSERT_TRUE(proc->set_durability(path, Durability::group).is_ok());
       const std::string chunk = pattern(static_cast<char>('0' + t), kChunk);
       for (int i = 0; i < kWrites; ++i) {
         ASSERT_TRUE(proc->write(*fd, chunk.data(), chunk.size()).is_ok());
-        if (i % 16 == 0) {
+        if (i % 16 != 0) continue;
+        // Even threads fsync (absorbed); odd ones drain inline, racing
+        // the persister and each other.
+        if (t % 2 == 0) {
           ASSERT_TRUE(proc->fsync(*fd).is_ok());
+        } else {
+          wb_->commit_epoch_now();
         }
       }
       ASSERT_TRUE(proc->close(*fd).is_ok());
@@ -545,7 +526,7 @@ TEST_F(WriteBehindTest, ConcurrentStagedWritersStayCoherent) {
 
 // Freezes the commit timer and lifts the byte caps on the traced mount: the
 // persister never seals or drains on its own, so every drain runs inline on
-// the traced thread when the op calls commit_epoch_now() or fsync.
+// the traced thread when the op calls commit_epoch_now().
 void drain_only_on_demand(CrashHarness& h) {
   core::WriteBehind* wb = h.fs().write_behind();
   wb->set_interval_us(60'000'000);
@@ -583,12 +564,11 @@ TEST(WriteBehindCrash, SingleEpochCommitIsAtomic) {
       << "no crash image recovered to the committed-epoch state";
 }
 
-// Multi-epoch prefix consistency: three group commits over mixed
-// group/async inodes with a strict append interleaved.  Every sampled
-// crash image must recover to one of the acked points, in order — i.e. an
-// exact prefix of the committed epochs (epoch k durable => all epochs < k
-// durable), never a torn or reordered state.  One commit is driven by the
-// async-class fsync (the force-the-epoch path) rather than the timer proxy.
+// Multi-epoch prefix consistency: three group commits over three group
+// inodes with a strict append interleaved.  Every sampled crash image must
+// recover to one of the acked points, in order — i.e. an exact prefix of
+// the committed epochs (epoch k durable => all epochs < k durable), never
+// a torn or reordered state.
 TEST(WriteBehindCrash, MultiEpochRecoversToAckedPrefix) {
   CrashHarness h;
   drain_only_on_demand(h);
@@ -601,7 +581,7 @@ TEST(WriteBehindCrash, MultiEpochRecoversToAckedPrefix) {
     }
     ASSERT_TRUE(p.set_durability("/d/g1", Durability::group).is_ok());
     ASSERT_TRUE(p.set_durability("/d/g2", Durability::group).is_ok());
-    ASSERT_TRUE(p.set_durability("/d/a1", Durability::async).is_ok());
+    ASSERT_TRUE(p.set_durability("/d/a1", Durability::group).is_ok());
   });
 
   std::vector<NsSnapshot> mids;
@@ -615,7 +595,7 @@ TEST(WriteBehindCrash, MultiEpochRecoversToAckedPrefix) {
     };
     core::WriteBehind* wb = h.fs().write_behind();
 
-    // Epoch 1: two group inodes and the async inode in one epoch.
+    // Epoch 1: all three group inodes in one epoch.
     append("/d/g1", 'A', 160);
     append("/d/g2", 'B', 96);
     append("/d/a1", 'C', 128);
@@ -626,15 +606,10 @@ TEST(WriteBehindCrash, MultiEpochRecoversToAckedPrefix) {
     append("/d/s", 'S', 64);
     mids.push_back(snapshot_namespace(h.fs()));
 
-    // Epoch 2, committed by the async fsync-forces-the-epoch path.
+    // Epoch 2: two of them.
     append("/d/g1", 'D', 200);
     append("/d/a1", 'E', 64);
-    {
-      auto fd = p.open("/d/a1", kOpenWrite);
-      ASSERT_TRUE(fd.is_ok());
-      ASSERT_TRUE(p.fsync(*fd).is_ok());  // pending async -> seal + await
-      ASSERT_TRUE(p.close(*fd).is_ok());
-    }
+    wb->commit_epoch_now();
     mids.push_back(snapshot_namespace(h.fs()));
 
     // Epoch 3: all three relaxed inodes again.
