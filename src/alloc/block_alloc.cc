@@ -1,7 +1,5 @@
 #include "alloc/block_alloc.h"
 
-#include <time.h>
-
 #include <algorithm>
 #include <unordered_map>
 #include <vector>
@@ -71,20 +69,6 @@ std::shared_ptr<ThreadReservation> tls_reservation(
   return slot.res;
 }
 
-std::uint64_t monotonic_ns() noexcept {
-  timespec ts{};
-  ::clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ull +
-         static_cast<std::uint64_t>(ts.tv_nsec);
-}
-
-// Owner tokens: any nonzero value unique per thread.
-std::uint64_t self_token() noexcept {
-  thread_local const std::uint64_t token =
-      monotonic_ns() | 1;  // nonzero, distinct enough per thread start
-  return token;
-}
-
 }  // namespace
 
 BlockAllocator BlockAllocator::format(nvmm::Device& dev,
@@ -141,58 +125,25 @@ unsigned BlockAllocator::segment_of(std::uint64_t block_off) const noexcept {
 }
 
 // NO_THREAD_SAFETY_ANALYSIS on the three lock-word bodies: acquisition is a
-// raw CAS on seg.lock.owner (an atomic word is not a capability the
-// analysis can track), so the function-level ACQUIRE/RELEASE/TRY_ACQUIRE
-// attributes in block_alloc.h are the ground truth callers are checked
-// against; the bodies themselves cannot be proven by the analysis.
+// CAS on the segment's LeaseLock words (an atomic word is not a capability
+// the analysis can track), so the function-level ACQUIRE/RELEASE/
+// TRY_ACQUIRE attributes in block_alloc.h are the ground truth callers are
+// checked against; the bodies themselves cannot be proven by the analysis.
 bool BlockAllocator::try_lock_segment(SegmentHeader& seg)
     NO_THREAD_SAFETY_ANALYSIS {
-  std::uint64_t expected = 0;
-  if (seg.lock.owner.compare_exchange_strong(expected, self_token(),
-                                             std::memory_order_acquire)) {
-    seg.lock.last_accessed_ns.store(monotonic_ns(),
-                                    std::memory_order_relaxed);
-    return true;
-  }
-  return false;
+  return seg.lock.try_lock(common::thread_token());
 }
 
 bool BlockAllocator::lock_segment(SegmentHeader& seg)
     NO_THREAD_SAFETY_ANALYSIS {  // see try_lock_segment
-  unsigned spins = 0;
-  for (;;) {
-    if (try_lock_segment(seg)) return false;
-    // Lease check: a holder that has not refreshed last_accessed within the
-    // lease is considered crashed; steal the lock (paper §4.2).
-    const std::uint64_t stamp =
-        seg.lock.last_accessed_ns.load(std::memory_order_relaxed);
-    const std::uint64_t owner =
-        seg.lock.owner.load(std::memory_order_relaxed);
-    if (owner != 0 && monotonic_ns() - stamp > lease_ns_) {
-      std::uint64_t expected = owner;
-      if (seg.lock.owner.compare_exchange_strong(
-              expected, self_token(), std::memory_order_acquire)) {
-        seg.lock.last_accessed_ns.store(monotonic_ns(),
-                                        std::memory_order_relaxed);
-        stats_->lock_steals.fetch_add(1, std::memory_order_relaxed);
-        return true;
-      }
-    }
-    // The holder may be a descheduled peer process; after a short pause
-    // burst, give it the CPU instead of burning the rest of the quantum.
-    if (++spins < 64) {
-#if defined(__x86_64__)
-      __builtin_ia32_pause();
-#endif
-    } else {
-      ::sched_yield();
-    }
-  }
+  const bool stolen = seg.lock.lock(common::thread_token(), lease_ns_);
+  if (stolen) stats_->lock_steals.fetch_add(1, std::memory_order_relaxed);
+  return stolen;
 }
 
 void BlockAllocator::unlock_segment(SegmentHeader& seg) noexcept
     NO_THREAD_SAFETY_ANALYSIS {  // see try_lock_segment
-  seg.lock.owner.store(0, std::memory_order_release);
+  seg.lock.unlock(common::thread_token());
 }
 
 Result<std::uint64_t> BlockAllocator::alloc(std::uint64_t n_blocks,
@@ -357,7 +308,7 @@ ShmReservation* BlockAllocator::shm_thread_slot() {
     unsigned idx;
   };
   thread_local std::vector<Binding> bindings;
-  const std::uint64_t self = self_token();
+  const std::uint64_t self = common::thread_token();
   for (auto it = bindings.begin(); it != bindings.end(); ++it) {
     if (it->shared != shared_) continue;
     ShmReservation& slot = shared_->reservations[it->idx];
@@ -414,7 +365,7 @@ ShmReservation* BlockAllocator::shm_thread_slot() {
 
 Result<std::uint64_t> BlockAllocator::alloc_reserved_shm(std::uint64_t n,
                                                          std::uint64_t hint) {
-  const std::uint64_t self = self_token();
+  const std::uint64_t self = common::thread_token();
   ShmReservation* res = shm_thread_slot();
   if (res == nullptr) return alloc_direct(n, hint);
   lock_reservation(*res, self, lease_ns_);
@@ -474,7 +425,7 @@ Result<std::uint64_t> BlockAllocator::alloc_reserved_shm(std::uint64_t n,
 std::uint64_t BlockAllocator::reclaim_shm_slots(std::uint64_t tok,
                                                 bool match_all) {
   std::uint64_t blocks = 0;
-  const std::uint64_t self = self_token();
+  const std::uint64_t self = common::thread_token();
   for (unsigned i = 0; i < kShmReserveSlots; ++i) {
     ShmReservation& slot = shared_->reservations[i];
     const std::uint64_t owner = slot.mount.load(std::memory_order_acquire);
@@ -511,14 +462,10 @@ unsigned BlockAllocator::reap_expired_segment_locks() {
   BlockAllocHeader& h = header();
   SegmentHeader* segs = segments();
   unsigned cleared = 0;
-  const std::uint64_t now = monotonic_ns();
   for (unsigned s = 0; s < h.n_segments; ++s) {
-    SegmentLock& l = segs[s].lock;
-    std::uint64_t owner = l.owner.load(std::memory_order_relaxed);
-    if (owner == 0) continue;
-    const std::uint64_t stamp =
-        l.last_accessed_ns.load(std::memory_order_relaxed);
-    if (now - stamp <= lease_ns_) continue;
+    common::LeaseLock& l = segs[s].lock;
+    std::uint64_t owner = l.owner.load(std::memory_order_acquire);
+    if (owner == 0 || !common::lease_expired(l.stamp_ns, lease_ns_)) continue;
     // Clearing straight to 0 is steal + immediate release: the holder died
     // inside a critical section that alloc_from/free_into keep crash-
     // consistent (recovery's rebuild sweeps any half-carved range).
@@ -667,7 +614,7 @@ void BlockAllocator::invalidate_reservations() noexcept {
   if (shared_ != nullptr) {
     // Forget the ranges but keep slot claims: live peer threads rebind via
     // revalidation; the caller is about to rebuild the free lists.
-    const std::uint64_t self = self_token();
+    const std::uint64_t self = common::thread_token();
     for (unsigned i = 0; i < kShmReserveSlots; ++i) {
       ShmReservation& slot = shared_->reservations[i];
       lock_reservation(slot, self, lease_ns_);
@@ -708,7 +655,7 @@ std::uint64_t BlockAllocator::reserved_unused_blocks() const noexcept {
 void BlockAllocator::for_each_reservation(
     const std::function<void(std::uint64_t, std::uint64_t)>& fn) const {
   if (shared_ != nullptr) {
-    const std::uint64_t self = self_token();
+    const std::uint64_t self = common::thread_token();
     for (unsigned i = 0; i < kShmReserveSlots; ++i) {
       ShmReservation& slot = shared_->reservations[i];
       lock_reservation(slot, self, lease_ns_);

@@ -2,10 +2,10 @@
 //
 // The device's data area is divided into `2 x n_cores` segments, each owning
 // a contiguous block range with its own free list, so concurrent threads
-// rarely collide (Hoard-style).  Each segment is guarded by an atomic lock
-// word paired with a `last_accessed` lease timestamp: a waiter that observes
-// the lease expired concludes the holder crashed and steals the lock — the
-// decentralized crash-detection rule of the paper (no kernel, no daemon).
+// rarely collide (Hoard-style).  Each segment is guarded by a lease lock
+// (common/lease.h): a waiter that observes the lease expired concludes the
+// holder crashed and steals the lock — the decentralized crash-detection
+// rule of the paper (no kernel, no daemon).
 //
 // Free space is kept as an address-ordered linked list of free *ranges*
 // threaded through the free blocks themselves (a free range's first block
@@ -17,11 +17,13 @@
 #pragma once
 
 #include <atomic>
+#include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <memory>
-#include <cstdint>
 
 #include "alloc/shm_state.h"
+#include "common/lease.h"
 #include "common/status.h"
 #include "nvmm/device.h"
 #include "nvmm/persist.h"
@@ -31,12 +33,6 @@ namespace simurgh::alloc {
 
 constexpr std::uint64_t kBlockSize = 4096;
 
-// Lock word + lease. 0 means free; otherwise an owner token.
-struct SegmentLock {
-  std::atomic<std::uint64_t> owner{0};
-  std::atomic<std::uint64_t> last_accessed_ns{0};
-};
-
 // Persistent per-segment state.  One segment header IS a free-list head —
 // the striping unit of the block tier — so each gets its own cache line:
 // the lock word is CASed on every direct allocation and free, and without
@@ -44,17 +40,18 @@ struct SegmentLock {
 // line holding both headers.
 //
 // The header doubles as the lock-discipline capability: its embedded
-// SegmentLock words are the runtime lock, and lock_segment()/
+// lease lock is the runtime lock, and lock_segment()/
 // unlock_segment() below are the only acquire/release points, so
 // alloc_from()/free_into() can state REQUIRES(seg) and the analysis proves
 // no free-list mutation happens outside the segment lock.  The attribute is
 // compile-time only — sizeof stays 64 (static_assert below).
 struct alignas(64) CAPABILITY("segment_lease") SegmentHeader {
-  SegmentLock lock;
+  common::LeaseLock lock;
   nvmm::atomic_pptr<struct FreeRange> free_head;
   std::atomic<std::uint64_t> free_blocks{0};
 };
 static_assert(sizeof(SegmentHeader) == 64);
+static_assert(offsetof(SegmentHeader, free_head) == 16);
 
 // Stored in the first block of every free range.
 struct FreeRange {

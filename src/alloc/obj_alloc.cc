@@ -4,6 +4,7 @@
 #include <cstring>
 
 #include "common/failpoint.h"
+#include "common/lease.h"
 
 namespace simurgh::alloc {
 
@@ -111,7 +112,7 @@ bool ObjectAllocator::refill_shared() {
   // refilling mounts are harmless — the popper must win the flag CAS.  A
   // full stack ends the scan early: whatever did not fit is found again by
   // the next refill.
-  const std::uint64_t self = shm_self_token();
+  const std::uint64_t self = common::thread_token();
   std::uint64_t batch[64];
   unsigned pending = 0;
   bool any = false;
@@ -137,7 +138,7 @@ Result<std::uint64_t> ObjectAllocator::alloc_shared() {
   // stack, racing peers for the on-media claim.  Every grow() adds fresh
   // free objects, so each trip around the loop makes global progress until
   // the device is full.
-  const std::uint64_t self = shm_self_token();
+  const std::uint64_t self = common::thread_token();
   Magazine& mag = magazine_for(stack_);
   for (;;) {
     while (!mag.hints.empty()) {
@@ -239,7 +240,7 @@ void ObjectAllocator::finish_pending_free(std::uint64_t payload_off) {
     mag.hints.push_back(payload_off);
     if (mag.hints.size() > kMagazineMax) {
       stack_->push_batch(mag.hints.data(), kMagazineBatch, home_stripe_,
-                         shm_self_token(), lease_ns_);
+                         common::thread_token(), lease_ns_);
       mag.hints.erase(mag.hints.begin(), mag.hints.begin() + kMagazineBatch);
     }
     return;

@@ -11,7 +11,7 @@
 //     referenced by no inode and sits on no free list; survivors must be
 //     able to find it and give it back without a full remount.  Each
 //     reservation is a fixed shm slot stamped with the owning mount's
-//     token, guarded by a lease-stamped slot spinlock (the same
+//     token, guarded by a slot lease lock (common/lease.h, the same
 //     decentralized crash rule as allocator segment locks).
 //
 //   * The object allocator's free-object cache (obj_alloc.h): offsets of
@@ -40,97 +40,37 @@
 // recovery re-derives all of it from NVMM.
 #pragma once
 
-#include <sched.h>
-#include <time.h>
-
 #include <atomic>
+#include <cstddef>
 #include <cstdint>
 
+#include "common/lease.h"
 #include "common/thread_annotations.h"
 
 namespace simurgh::alloc {
 
-inline std::uint64_t shm_clock_ns() noexcept {
-  timespec ts{};
-  ::clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ull +
-         static_cast<std::uint64_t>(ts.tv_nsec);
-}
-
-// Nonzero owner token, distinct per thread (across processes with
-// overwhelming probability — collisions only weaken lock-steal diagnostics,
-// never correctness, since every cached datum behind these locks is a hint).
-inline std::uint64_t shm_self_token() noexcept {
-  thread_local const std::uint64_t token = shm_clock_ns() | 1;
-  return token;
-}
-
-// Spin-acquires a lease-stamped shm spinlock.  The critical sections behind
-// these locks are a handful of loads/stores, so a holder whose lease
-// expired can only be a process that died inside one — steal, exactly like
-// allocator segment locks.  After a short pause burst the waiter yields the
-// CPU: the holder may be a *descheduled* peer process (single-core boxes,
-// oversubscribed machines), and burning the rest of a scheduler quantum on
-// pause only delays the release being waited for.
-inline void shm_spin_lock(std::atomic<std::uint64_t>& lock,
-                          std::atomic<std::uint64_t>& stamp_ns,
-                          std::uint64_t self, std::uint64_t lease_ns) noexcept {
-  unsigned spins = 0;
-  for (;;) {
-    std::uint64_t expected = 0;
-    if (lock.compare_exchange_weak(expected, self,
-                                   std::memory_order_acquire)) {
-      stamp_ns.store(shm_clock_ns(), std::memory_order_relaxed);
-      return;
-    }
-    const std::uint64_t stamp = stamp_ns.load(std::memory_order_relaxed);
-    if (expected != 0 && shm_clock_ns() - stamp > lease_ns) {
-      if (lock.compare_exchange_strong(expected, self,
-                                       std::memory_order_acquire)) {
-        stamp_ns.store(shm_clock_ns(), std::memory_order_relaxed);
-        return;
-      }
-    }
-    if (++spins < 64) {
-#if defined(__x86_64__)
-      __builtin_ia32_pause();
-#endif
-    } else {
-      ::sched_yield();
-    }
-  }
-}
-
-// Releases only if still the owner: a stalled (not dead) holder whose lock
-// was lease-stolen must not unlock the stealer.
-inline void shm_spin_unlock(std::atomic<std::uint64_t>& lock,
-                            std::uint64_t self) noexcept {
-  std::uint64_t expected = self;
-  lock.compare_exchange_strong(expected, 0, std::memory_order_release);
-}
-
 // One thread's block reservation, visible to every mount.  `mount` is the
 // owning FileSystem's attachment token (0 = slot free); a survivor that
 // declares that mount dead reclaims the slot under the slot lock.  Padded
-// to a cache line: the slot spinlock is CASed on every reserved allocation,
+// to a cache line: the slot lock is CASed on every reserved allocation,
 // and two adjacent threads' slots must not false-share.
 //
-// The slot struct itself is the capability (its embedded `lock` word is the
-// spinlock): lock_reservation()/unlock_reservation() below are the only
+// The slot struct itself is the capability (its embedded `lock` is the
+// runtime lock): lock_reservation()/unlock_reservation() below are the only
 // acquire/release points.  The fields stay plain atomics rather than
 // GUARDED_BY members because survivors legitimately read `mount`/`n`
 // lock-free (reserved_unused_blocks() sums, liveness probes) — the lock
 // only serialises *mutation* of a claimed slot.  The attribute adds no
 // bytes (static_assert below still pins the layout).
 struct alignas(64) CAPABILITY("shm_reservation_lease") ShmReservation {
-  std::atomic<std::uint64_t> lock{0};           // spinlock owner token
-  std::atomic<std::uint64_t> lock_stamp_ns{0};  // lease stamp for steals
+  common::LeaseLock lock;
   std::atomic<std::uint64_t> mount{0};          // owning mount token
   std::atomic<std::uint64_t> thread{0};         // owning thread token
   std::atomic<std::uint64_t> dev_off{0};        // next block to hand out
   std::atomic<std::uint64_t> n{0};              // blocks remaining
 };
 static_assert(sizeof(ShmReservation) == 64);
+static_assert(offsetof(ShmReservation, mount) == 16);
 
 constexpr unsigned kShmReserveSlots = 256;
 // Home ranges: slot claims start inside the mount's own 1/kShmReserveHomes
@@ -147,24 +87,28 @@ inline unsigned shm_reserve_home(std::uint64_t mount_token) noexcept {
                                kShmReserveHomes);
 }
 
-// NO_THREAD_SAFETY_ANALYSIS on the bodies: the acquisition happens inside
-// shm_spin_lock(), which operates on raw atomic words (an atomic is not a
-// capability), so the analysis cannot see the acquire/release happen — the
-// ACQUIRE/RELEASE attributes on these wrappers are the ground truth callers
-// are checked against.
+// The critical sections behind slot and stripe locks are a handful of
+// loads/stores, so a holder whose lease expired can only be a process that
+// died inside one: the steal needs no repair beyond taking the lock.
+//
+// NO_THREAD_SAFETY_ANALYSIS on the bodies: the acquisition is a CAS on the
+// embedded LeaseLock's raw atomic words (an atomic is not a capability), so
+// the analysis cannot see the acquire/release happen — the ACQUIRE/RELEASE
+// attributes on these wrappers are the ground truth callers are checked
+// against.
 inline void lock_reservation(ShmReservation& r, std::uint64_t self,
                              std::uint64_t lease_ns) noexcept
     ACQUIRE(r) NO_THREAD_SAFETY_ANALYSIS {
-  shm_spin_lock(r.lock, r.lock_stamp_ns, self, lease_ns);
+  r.lock.lock(self, lease_ns);
 }
 
 inline void unlock_reservation(ShmReservation& r, std::uint64_t self) noexcept
     RELEASE(r) NO_THREAD_SAFETY_ANALYSIS {
-  shm_spin_unlock(r.lock, self);
+  r.lock.unlock(self);
 }
 
 // One stripe of a pool's free-object cache: a bounded LIFO guarded by its
-// own lease-stamped spinlock, aligned so stripes never share a cache line.
+// own lease lock, aligned so stripes never share a cache line.
 // Entries are hints: the popper must still win the on-media flag CAS, so
 // the worst a lease steal from a *stalled* (not dead) holder can do is
 // duplicate or drop a hint — pops additionally discard zero reads so a torn
@@ -179,17 +123,15 @@ constexpr std::uint32_t kObjCacheSlots =
 // escapes: pop_some()/push_some() acquire and release internally (balanced
 // on every path), so no REQUIRES contracts exist for callers to satisfy and
 // the member functions need no acquire/release annotations.  The attribute
-// documents that `n`/`slots` mutation is spinlock-serialised; looks_empty()
+// documents that `n`/`slots` mutation is lock-serialised; looks_empty()
 // and looks_full() read `n` lock-free by design (hints, see above).
 struct alignas(64) CAPABILITY("obj_cache_stripe_lease") ObjCacheStripe {
-  std::atomic<std::uint64_t> lock{0};
-  std::atomic<std::uint64_t> lock_stamp_ns{0};
+  common::LeaseLock lock;
   std::atomic<std::uint32_t> n{0};
   std::atomic<std::uint64_t> slots[kObjCacheStripeSlots];
 
   void reset() noexcept {
-    lock.store(0, std::memory_order_relaxed);
-    lock_stamp_ns.store(0, std::memory_order_relaxed);
+    lock.reset();
     n.store(0, std::memory_order_relaxed);
     for (auto& s : slots) s.store(0, std::memory_order_relaxed);
   }
@@ -205,7 +147,7 @@ struct alignas(64) CAPABILITY("obj_cache_stripe_lease") ObjCacheStripe {
 
   unsigned pop_some(std::uint64_t* out, unsigned max, std::uint64_t self,
                     std::uint64_t lease_ns) noexcept {
-    shm_spin_lock(lock, lock_stamp_ns, self, lease_ns);
+    lock.lock(self, lease_ns);
     std::uint32_t i = n.load(std::memory_order_relaxed);
     unsigned got = 0;
     while (i > 0 && got < max) {
@@ -213,22 +155,23 @@ struct alignas(64) CAPABILITY("obj_cache_stripe_lease") ObjCacheStripe {
       if (v != 0) out[got++] = v;
     }
     n.store(i, std::memory_order_relaxed);
-    shm_spin_unlock(lock, self);
+    lock.unlock(self);
     return got;
   }
 
   unsigned push_some(const std::uint64_t* in, unsigned count,
                      std::uint64_t self, std::uint64_t lease_ns) noexcept {
-    shm_spin_lock(lock, lock_stamp_ns, self, lease_ns);
+    lock.lock(self, lease_ns);
     std::uint32_t i = n.load(std::memory_order_relaxed);
     unsigned put = 0;
     while (put < count && i < kObjCacheStripeSlots)
       slots[i++].store(in[put++], std::memory_order_relaxed);
     n.store(i, std::memory_order_relaxed);
-    shm_spin_unlock(lock, self);
+    lock.unlock(self);
     return put;
   }
 };
+static_assert(offsetof(ObjCacheStripe, n) == 16);
 
 // A pool's striped free-object cache: kObjCacheStripes independent LIFOs.
 // Every operation names a *home* stripe (the caller's mount affinity); the
@@ -250,7 +193,7 @@ struct ObjCacheStack {
   // Quiescent re-initialisation (shm format, recovery).
   void reset() noexcept {
     for (auto& s : stripes) s.reset();
-    epoch.store(shm_clock_ns(), std::memory_order_release);
+    epoch.store(common::monotonic_ns(), std::memory_order_release);
     std::atomic_thread_fence(std::memory_order_release);
   }
 
@@ -310,8 +253,7 @@ struct ShmAllocShared {
 
   void reset() noexcept {
     for (auto& r : reservations) {
-      r.lock.store(0, std::memory_order_relaxed);
-      r.lock_stamp_ns.store(0, std::memory_order_relaxed);
+      r.lock.reset();
       r.mount.store(0, std::memory_order_relaxed);
       r.thread.store(0, std::memory_order_relaxed);
       r.dev_off.store(0, std::memory_order_relaxed);

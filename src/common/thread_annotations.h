@@ -2,9 +2,9 @@
 //
 // Simurgh's concurrency story is a zoo of lock shapes: std::mutex for
 // mount-private state (write-behind staging, the shadow log, allocator
-// caches), lease-stamped spin words in shared memory (the WbJournal lock,
-// the mount-registry lock, per-reservation and per-stripe locks), per-file
-// reader/writer lease locks, per-segment owner words, and per-line busy
+// caches), {owner, stamp} lease locks in shared memory and NVMM (the
+// WbJournal lock, the mount-registry lock, per-reservation, per-stripe and
+// per-segment locks), per-file reader/writer lease locks, and per-line busy
 // bits in directory blocks.  All of them follow a "who guards what" map
 // that used to live only in comments.  This header turns that map into
 // compiler-checked annotations:
@@ -24,9 +24,9 @@
 //      analysis; tools/pmlint additionally rejects raw std::mutex in src/
 //      to force adoption of the wrapper.
 //
-//   2. Lease-stamped shm locks — the lock *is* a persistent or shm-resident
-//      struct (WbJournal, FileLock, ShmReservation, ObjCacheStripe,
-//      SegmentLock, DirBlock's busy word).  Those structs are annotated
+//   2. Lease locks (common/lease.h) — the lock *is* a persistent or
+//      shm-resident struct (WbJournal, FileLock, ShmReservation,
+//      ObjCacheStripe, SegmentHeader, DirBlock's busy word).  Those structs are annotated
 //      CAPABILITY(...) directly (an attribute, not a member: layout is
 //      untouched), and their lock/unlock entry points are annotated
 //      ACQUIRE(obj)/RELEASE(obj), so "requires the journal lock" is

@@ -198,10 +198,9 @@ Result<std::size_t> Process::do_write(Inode& ino, std::uint64_t ino_off,
                                       const void* buf, std::size_t n,
                                       std::uint64_t off, bool append,
                                       std::uint64_t* pos_out) {
-  std::unique_ptr<ExclusiveFileLock> lock;
+  std::optional<ExclusiveFileLock> lock;
   if (!fs_.relaxed_writes())
-    lock = std::make_unique<ExclusiveFileLock>(
-        fs_.file_locks(), fs_.file_locks().slot_for(ino_off));
+    lock.emplace(fs_.file_locks(), fs_.file_locks().slot_for(ino_off));
   if (append) {
     // O_APPEND: the position is resolved *after* taking the write lock, so
     // concurrent appenders see each other's size update and never overlap.
@@ -350,10 +349,9 @@ Status Process::truncate_inode(std::uint64_t ino_off, std::uint64_t size) {
   if (WriteBehind* wb = fs_.write_behind(); wb != nullptr && wb->active())
     (void)wb->flush_inode(ino_off);
   Inode* ino = fs_.inode_at(ino_off);
-  std::unique_ptr<ExclusiveFileLock> lock;
+  std::optional<ExclusiveFileLock> lock;
   if (!fs_.relaxed_writes())
-    lock = std::make_unique<ExclusiveFileLock>(
-        fs_.file_locks(), fs_.file_locks().slot_for(ino_off));
+    lock.emplace(fs_.file_locks(), fs_.file_locks().slot_for(ino_off));
   const std::uint64_t old = ino->size.load(std::memory_order_acquire);
   // Commit point first: the persisted size store makes the truncate visible
   // atomically; a crash before it leaves the old file intact, a crash after
@@ -416,10 +414,9 @@ Status Process::fallocate(int fd, std::uint64_t off, std::uint64_t len) {
   if ((f->flags & kOpenWrite) == 0) return Status(Errc::bad_fd);
   const std::uint64_t ino_off = f->inode_off.load(std::memory_order_acquire);
   Inode* ino = fs_.inode_at(ino_off);
-  std::unique_ptr<ExclusiveFileLock> lock;
+  std::optional<ExclusiveFileLock> lock;
   if (!fs_.relaxed_writes())
-    lock = std::make_unique<ExclusiveFileLock>(
-        fs_.file_locks(), fs_.file_locks().slot_for(ino_off));
+    lock.emplace(fs_.file_locks(), fs_.file_locks().slot_for(ino_off));
   const std::uint64_t first = off / kBS;
   const std::uint64_t last = (off + len + kBS - 1) / kBS;
   // The evaluation configures file systems to *not* zero preallocated

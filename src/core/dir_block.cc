@@ -1,16 +1,15 @@
 #include "core/dir_block.h"
 
-#include <time.h>
-
 #include <algorithm>
 #include <cstring>
 #include <iterator>
-#include <memory>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "common/failpoint.h"
+#include "common/lease.h"
 #include "core/layout.h"
 
 namespace simurgh::core {
@@ -32,13 +31,6 @@ void advance_epoch_gen(nvmm::Device& dev, std::uint64_t e) noexcept {
   while (g <= e &&
          !gen.compare_exchange_weak(g, e + 2, std::memory_order_acq_rel)) {
   }
-}
-
-std::uint64_t monotonic_ns() noexcept {
-  timespec ts{};
-  ::clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ull +
-         static_cast<std::uint64_t>(ts.tv_nsec);
 }
 
 // Publishes `value` into a slot observed free.  All publications go through
@@ -91,33 +83,29 @@ void scrub_entry(FileEntry* fe) noexcept {
 LineLock::LineLock(DirBlock* head, unsigned line, std::uint64_t lease_ns)
     : first_(head), line_(line) {
   const std::uint64_t bit = 1ull << line;
+  std::atomic<std::uint64_t>& stamp = first_->stamp_ns[line];
+  unsigned spins = 0;
   for (;;) {
-    std::uint64_t cur = first_->busy.load(std::memory_order_relaxed);
-    if ((cur & bit) == 0 &&
-        first_->busy.compare_exchange_weak(cur, cur | bit,
-                                           std::memory_order_acquire)) {
+    // Acquire: a waiter that sees the bit set also sees the holder's stamp
+    // (stored before its claiming CAS), never the idle line's old one.
+    std::uint64_t cur = first_->busy.load(std::memory_order_acquire);
+    if ((cur & bit) == 0) {
+      stamp.store(common::monotonic_ns(), std::memory_order_relaxed);
+      if (first_->busy.compare_exchange_weak(cur, cur | bit,
+                                             std::memory_order_acq_rel))
+        break;
+      continue;
+    }
+    // Lease check: a stale stamp means the holder crashed mid-operation.
+    // Claiming the stamp IS the steal — the bit stays set and we adopt it —
+    // and the caller repairs the line (paper: "the waiting process performs
+    // the recovery corresponding to this lock").
+    if (common::claim_expired_stamp(stamp, lease_ns)) {
+      stole_ = true;
       break;
     }
-    // Lease check: the holder refreshes stamp_ns when taking the line; if
-    // it is stale, the holder crashed mid-operation.  Steal the lock and
-    // let the caller repair the line (paper: "the waiting process performs
-    // the recovery corresponding to this lock").
-    const std::uint64_t stamp =
-        first_->stamp_ns[line].load(std::memory_order_relaxed);
-    if ((cur & bit) != 0 && monotonic_ns() - stamp > lease_ns) {
-      // Refresh the stamp; the bit stays set, we simply adopt it.
-      std::uint64_t expected = stamp;
-      if (first_->stamp_ns[line].compare_exchange_strong(
-              expected, monotonic_ns(), std::memory_order_acq_rel)) {
-        stole_ = true;
-        break;
-      }
-    }
-#if defined(__x86_64__)
-    __builtin_ia32_pause();
-#endif
+    common::lease_backoff(spins);
   }
-  first_->stamp_ns[line].store(monotonic_ns(), std::memory_order_relaxed);
   held_ = true;
 }
 
@@ -214,7 +202,7 @@ DirOps::MutCtx DirOps::lock_name(Inode& dir, std::string_view name,
     ctx.rt = route_of(dir, name);
     if (ctx.rt.anchor == nullptr) return ctx;  // directory being torn down
     DirBlock* tgt = lock_block_of(ctx.rt);
-    ctx.lock = std::make_unique<LineLock>(tgt, ln, lease_ns_);
+    ctx.lock.emplace(tgt, ln, lease_ns_);
     // The route may have changed while we waited for the lock (a split
     // published its depth, or settled): re-route and retry on the block
     // that now serializes this name.
@@ -246,11 +234,9 @@ DirOps::PairCtx DirOps::lock_pair(Inode& dir_a, std::string_view name_a,
     const bool a_first =
         std::make_pair(ta, ln_a) <= std::make_pair(tb, ln_b);
     const bool same = ta == tb && ln_a == ln_b;
-    ctx.first = std::make_unique<LineLock>(a_first ? ta : tb,
-                                           a_first ? ln_a : ln_b, lease_ns_);
+    ctx.first.emplace(a_first ? ta : tb, a_first ? ln_a : ln_b, lease_ns_);
     if (!same)
-      ctx.second = std::make_unique<LineLock>(
-          a_first ? tb : ta, a_first ? ln_b : ln_a, lease_ns_);
+      ctx.second.emplace(a_first ? tb : ta, a_first ? ln_b : ln_a, lease_ns_);
     Route now_a = route_of(dir_a, name_a);
     Route now_b = route_of(dir_b, name_b);
     if (now_a.anchor == nullptr || now_b.anchor == nullptr ||
@@ -265,7 +251,7 @@ DirOps::PairCtx DirOps::lock_pair(Inode& dir_a, std::string_view name_a,
     if (ctx.first->stole_lease())
       steal_repair(a_first ? dir_a : dir_b, a_first ? now_a : now_b,
                    a_first ? ta : tb, a_first ? ln_a : ln_b);
-    if (ctx.second != nullptr && ctx.second->stole_lease())
+    if (ctx.second.has_value() && ctx.second->stole_lease())
       steal_repair(a_first ? dir_b : dir_a, a_first ? now_b : now_a,
                    a_first ? tb : ta, a_first ? ln_b : ln_a);
     return ctx;
@@ -884,9 +870,8 @@ void DirOps::maybe_split(Inode& dir) {
     // on ENOSPC and released its locks): roll the split forward now so
     // the directory doesn't stay in splitting mode — every lookup
     // double-scanning legacy then bucket chains — until a remount.
-    const std::uint64_t stamp =
-        anchor->stamp_ns[0].load(std::memory_order_relaxed);
-    if (monotonic_ns() - stamp > lease_ns_) (void)split_directory(dir);
+    if (common::lease_expired(anchor->stamp_ns[0], lease_ns_))
+      (void)split_directory(dir);
     return;
   }
   if (anchor->depth.load(std::memory_order_acquire) != 0) return;
@@ -905,13 +890,9 @@ Status DirOps::split_directory(Inode& dir) {
 
   // Take every anchor line lock, ascending — consistent with the global
   // (block, line) order, so the sweep cannot deadlock against mutators.
-  std::vector<std::unique_ptr<LineLock>> locks;
-  bool stolen[kLines] = {};
-  locks.reserve(kLines);
-  for (unsigned ln = 0; ln < kLines; ++ln) {
-    locks.push_back(std::make_unique<LineLock>(anchor, ln, lease_ns_));
-    stolen[ln] = locks.back()->stole_lease();
-  }
+  std::optional<LineLock> locks[kLines];
+  for (unsigned ln = 0; ln < kLines; ++ln)
+    locks[ln].emplace(anchor, ln, lease_ns_);
 
   // A predecessor may have died mid-split: roll its attempt forward (depth
   // published) or back (depth still 0) before deciding ours.
@@ -926,7 +907,7 @@ Status DirOps::split_directory(Inode& dir) {
       for (unsigned ln = 0; ln < kLines; ++ln) repair_line_all(dir, ln);
       bool drained = true;
       for (unsigned ln = 0; ln < kLines; ++ln) {
-        const std::uint64_t now = monotonic_ns();
+        const std::uint64_t now = common::monotonic_ns();
         for (unsigned i = 0; i < kLines; ++i)
           anchor->stamp_ns[i].store(now, std::memory_order_relaxed);
         if (!migrate_line(dir, ln)) drained = false;
@@ -958,7 +939,7 @@ Status DirOps::split_directory(Inode& dir) {
     for (unsigned i = 0; i < n_heads; ++i) pools_.dirblock->free(head_offs[i]);
   }
   for (unsigned ln = 0; ln < kLines; ++ln)
-    if (stolen[ln]) repair_line_chain(dir, anchor, ln);
+    if (locks[ln]->stole_lease()) repair_line_chain(dir, anchor, ln);
 
   // The guard's entry bump happens before any head exists and its exit
   // bump re-reads depth, so it invalidates the anchor now and the anchor
@@ -1001,7 +982,7 @@ Status DirOps::split_directory(Inode& dir) {
   for (unsigned ln = 0; ln < kLines; ++ln) {
     // Keep every held lease fresh: mutators must not conclude we died
     // while a long migration is still making progress.
-    const std::uint64_t now = monotonic_ns();
+    const std::uint64_t now = common::monotonic_ns();
     for (unsigned i = 0; i < kLines; ++i)
       anchor->stamp_ns[i].store(now, std::memory_order_relaxed);
     if (!migrate_line(dir, ln)) drained = false;

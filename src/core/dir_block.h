@@ -39,7 +39,9 @@
 #include <cstdint>
 #include <exception>
 #include <memory>
+#include <optional>
 #include <string_view>
+#include <utility>
 
 #include "common/hash.h"
 #include "common/thread_annotations.h"
@@ -206,7 +208,49 @@ inline unsigned bucket_of(std::string_view name, std::uint64_t depth) noexcept {
   return bucket_of_hash(fnv1a64(name), depth);
 }
 
-class LineLock;
+// Busy-wait lock on one line of a chain head (bit in that head's busy
+// word) — per-bucket lock words once a directory splits.  Stealing an
+// expired lease lets the caller repair the line, implementing the paper's
+// "the next process accessing the same row continues the execution" rule.
+//
+// NOT a SCOPED_CAPABILITY, deliberately (the justification the analyze
+// preset requires): (a) the capability would have to be block-granular
+// (see DirBlock) while the lock is line-granular, so the splitter's
+// all-48-lines sweep and same-block lock_pair reads as double acquisition;
+// (b) every call site holds the lock through std::optional (MutCtx /
+// PairCtx, the splitter's array), and the analysis cannot track a scoped
+// capability constructed by emplace() and handed out of lock_name —
+// annotating the constructor ACQUIRE would make every lock_name caller a
+// false "capability leaked" error.  Lock discipline here is enforced at
+// runtime instead: lease stamps + steal_repair, the §7 crash harness, and
+// TSAN; pmlint checks the persist ordering of the mutations made under it.
+class LineLock {
+ public:
+  LineLock(DirBlock* head, unsigned line, std::uint64_t lease_ns);
+  // A CrashedException models the holding process dying: the lock must stay
+  // held so survivors detect the expired lease and run line recovery, so
+  // the destructor skips the unlock while crash-unwinding.
+  ~LineLock() {
+    if (std::uncaught_exceptions() == 0) unlock();
+  }
+  // Moving hands the held line over (MutCtx/PairCtx are returned by value).
+  LineLock(LineLock&& o) noexcept
+      : first_(o.first_),
+        line_(o.line_),
+        held_(std::exchange(o.held_, false)),
+        stole_(o.stole_) {}
+  LineLock(const LineLock&) = delete;
+  LineLock& operator=(const LineLock&) = delete;
+
+  void unlock() noexcept;
+  [[nodiscard]] bool stole_lease() const noexcept { return stole_; }
+
+ private:
+  DirBlock* first_;
+  unsigned line_;
+  bool held_ = false;
+  bool stole_ = false;
+};
 
 // All directory operations; shared by every Process of the mount.
 // Stateless except for references to the device and pools, so one instance
@@ -373,7 +417,6 @@ class DirOps {
   [[nodiscard]] nvmm::Device& device() const noexcept { return dev_; }
 
  private:
-  friend class LineLock;
   friend class EpochGuard;
 
   [[nodiscard]] DirBlock* first_block(Inode& dir) const noexcept {
@@ -407,7 +450,7 @@ class DirOps {
   // being torn down (no lock taken).
   struct MutCtx {
     Route rt;
-    std::unique_ptr<LineLock> lock;
+    std::optional<LineLock> lock;
   };
   MutCtx lock_name(Inode& dir, std::string_view name, unsigned ln);
   // Same for two (dir, name) pairs, acquiring in global (block, line)
@@ -415,8 +458,8 @@ class DirOps {
   struct PairCtx {
     Route rt_a;
     Route rt_b;
-    std::unique_ptr<LineLock> first;
-    std::unique_ptr<LineLock> second;
+    std::optional<LineLock> first;
+    std::optional<LineLock> second;
   };
   PairCtx lock_pair(Inode& dir_a, std::string_view name_a, unsigned ln_a,
                     Inode& dir_b, std::string_view name_b, unsigned ln_b);
@@ -555,46 +598,6 @@ class EpochGuard {
   DirBlock* a_ = nullptr;
   DirBlock* b_ = nullptr;
   bool whole_ = false;
-};
-
-// Busy-wait lock on one line of a chain head (bit in that head's busy
-// word) — per-bucket lock words once a directory splits.  Stealing an
-// expired lease lets the caller repair the line, implementing the paper's
-// "the next process accessing the same row continues the execution" rule.
-//
-// NOT a SCOPED_CAPABILITY, deliberately (the justification the analyze
-// preset requires): (a) the capability would have to be block-granular
-// (see DirBlock) while the lock is line-granular, so the splitter's
-// all-48-lines sweep and same-block lock_pair reads as double acquisition;
-// (b) every call site holds the lock through std::unique_ptr (MutCtx /
-// PairCtx), and the analysis cannot track a heap-held scoped capability —
-// annotating the constructor ACQUIRE would make every lock_name caller a
-// false "capability leaked" error.  Lock discipline here is enforced at
-// runtime instead: lease stamps + steal_repair, the §7 crash harness, and
-// TSAN; pmlint checks the persist ordering of the mutations made under it.
-class LineLock {
- public:
-  LineLock(const DirOps& ops, Inode& dir, unsigned line,
-           std::uint64_t lease_ns)
-      : LineLock(ops.first_block(dir), line, lease_ns) {}
-  LineLock(DirBlock* head, unsigned line, std::uint64_t lease_ns);
-  // A CrashedException models the holding process dying: the lock must stay
-  // held so survivors detect the expired lease and run line recovery, so
-  // the destructor skips the unlock while crash-unwinding.
-  ~LineLock() {
-    if (std::uncaught_exceptions() == 0) unlock();
-  }
-  LineLock(const LineLock&) = delete;
-  LineLock& operator=(const LineLock&) = delete;
-
-  void unlock() noexcept;
-  [[nodiscard]] bool stole_lease() const noexcept { return stole_; }
-
- private:
-  DirBlock* first_;
-  unsigned line_;
-  bool held_ = false;
-  bool stole_ = false;
 };
 
 template <typename Fn>

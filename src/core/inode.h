@@ -194,6 +194,9 @@ void ExtentMap::drop_from(std::uint64_t from_block, Fn&& fn) {
   while (b) {
     ExtentBlock* eb = b.in(dev_);
     for (std::uint64_t i = 0; i < eb->n; ++i) clip(eb->extents[i]);
+    // Give trailing cleared slots back: append() only adds at `n`, so
+    // without this every append+trim cycle would burn a fresh slot.
+    while (eb->n > 0 && eb->extents[eb->n - 1].n_blocks == 0) --eb->n;
     nvmm::persist_obj(*eb);
     b = eb->next;
   }

@@ -27,6 +27,7 @@
 #include "alloc/block_alloc.h"
 #include "alloc/obj_alloc.h"
 #include "alloc/shm_state.h"
+#include "common/lease.h"
 #include "common/thread_annotations.h"
 #include "nvmm/pptr.h"
 
@@ -170,15 +171,15 @@ struct CAPABILITY("wb_journal_lease") WbJournal {
   std::atomic<std::uint32_t> state{kWbJournalIdle};
   std::uint32_t n_entries = 0;
   std::uint64_t epoch_seq = 0;
-  // Cross-mount drain lock (lease-stamped like segment locks): epochs from
-  // concurrent mounts serialize their arm/commit through this page.  A
-  // stealer finding the journal armed rolls it forward first.
-  std::atomic<std::uint64_t> lock_token{0};
-  std::atomic<std::uint64_t> lock_stamp_ns{0};
+  // Cross-mount drain lock: epochs from concurrent mounts serialize their
+  // arm/commit through this page.  A stealer finding the journal armed
+  // rolls it forward first.
+  common::LeaseLock lock;
   std::uint8_t pad_[64 - 40];
   WbJournalEntry entries[kWbJournalCap];
 };
 static_assert(sizeof(WbJournal) <= 4096);
+static_assert(offsetof(WbJournal, lock) == 24);
 static_assert(offsetof(WbJournal, entries) == 64);
 
 // ---- shared-DRAM runtime state ----
@@ -186,7 +187,7 @@ static_assert(offsetof(WbJournal, entries) == 64);
 constexpr std::uint64_t kShmMagic = 0x53494d5f53484d31ull;  // "SIM_SHM1"
 
 // Busy-wait reader/writer lock with a lease stamp so survivors can detect a
-// crashed holder (same rule as allocator segment locks).
+// crashed holder (common/lease.h rules over its own word shape).
 // A capability: FileLockTable::lock_shared/lock_exclusive acquire it (with
 // the lease-steal path counting as an acquisition by the thief — exactly
 // the runtime ownership contract).
@@ -212,7 +213,7 @@ static_assert(sizeof(MountSlot) == 64);
 
 constexpr unsigned kMaxMountSlots = 64;
 
-// Capability for the embedded registry spin lock: MountRegistry's
+// Capability for the embedded registry lease lock: MountRegistry's
 // lock_registry/unlock_registry are ACQUIRE(header())/RELEASE(header()),
 // serialising attach/detach/reap transitions over `mounts` and
 // `dirty_deaths`.
@@ -220,10 +221,8 @@ struct CAPABILITY("mount_registry_lease") ShmHeader {
   std::uint64_t magic = 0;
   std::uint64_t n_locks = 0;  // power of two
   // ---- mount registry ----
-  // Spin lock (lease-stamped) serialising attach/detach/reap and the
-  // clean-flag transitions they gate.
-  std::atomic<std::uint64_t> registry_lock{0};
-  std::atomic<std::uint64_t> registry_lock_stamp_ns{0};
+  // Serialises attach/detach/reap and the clean-flag transitions they gate.
+  common::LeaseLock registry_lock;
   // Token of a first-in mount currently running full recovery; later
   // attachers wait until it clears (or its lease expires).
   std::atomic<std::uint64_t> recovering{0};
@@ -239,5 +238,7 @@ struct CAPABILITY("mount_registry_lease") ShmHeader {
   alloc::ShmAllocShared alloc_shared;
   // FileLock[n_locks] follows.
 };
+static_assert(offsetof(ShmHeader, registry_lock) == 16);
+static_assert(offsetof(ShmHeader, recovering) == 32);
 
 }  // namespace simurgh::core

@@ -12,30 +12,20 @@
 //      allocated objects are reclaimed.
 //   4. The block allocator's per-segment free lists are rebuilt from the
 //      mark bitmap, and the volatile shared-DRAM lock table is reset.
-#include <time.h>
-
 #include <cstring>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
 
+#include "common/lease.h"
 #include "core/fs.h"
 #include "core/write_behind.h"
 
 namespace simurgh::core {
 
-namespace {
-double now_seconds() {
-  timespec ts{};
-  ::clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<double>(ts.tv_sec) +
-         static_cast<double>(ts.tv_nsec) * 1e-9;
-}
-}  // namespace
-
 RecoveryReport FileSystem::recover() {
   RecoveryReport report;
-  const double t0 = now_seconds();
+  const std::uint64_t t0 = common::monotonic_ns();
 
   // Long recoveries must not look like a dead mount: a peer blocked in
   // MountRegistry::wait_recovery_done watches our heartbeat, and if it
@@ -267,7 +257,7 @@ RecoveryReport FileSystem::recover() {
     registry_->reattach(attachment_);
 
   if (wb_) wb_->resume();  // restart the persister for post-recovery work
-  report.seconds = now_seconds() - t0;
+  report.seconds = static_cast<double>(common::monotonic_ns() - t0) * 1e-9;
   last_recovery_ = report;
   return report;
 }

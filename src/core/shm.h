@@ -86,8 +86,8 @@ class FileLockTable {
 // live heartbeat) owns the recovery decision; the last one out — and only
 // with no dirty deaths in between — marks the superblock clean.  Survivors
 // reap expired peers and reclaim their cross-process state without a
-// remount.  All transitions are serialised by a lease-stamped registry
-// spinlock so attach, detach and reap never interleave.
+// remount.  All transitions are serialised by the registry's lease lock
+// (common/lease.h) so attach, detach and reap never interleave.
 class MountRegistry {
  public:
   MountRegistry(nvmm::Device& shm, std::uint64_t off)
@@ -170,8 +170,7 @@ class MountRegistry {
   }
   void lock_registry(std::uint64_t self) const ACQUIRE(header());
   void unlock_registry(std::uint64_t self) const RELEASE(header());
-  [[nodiscard]] bool slot_live(const MountSlot& s,
-                               std::uint64_t now) const noexcept;
+  [[nodiscard]] bool slot_live(const MountSlot& s) const noexcept;
 
   nvmm::Device* shm_;
   std::uint64_t off_;

@@ -1,19 +1,17 @@
 // FileLockTable implementation (shared-DRAM runtime state).
 #include "core/shm.h"
 
-#include <time.h>
-
 #include "common/hash.h"
+#include "common/lease.h"
 
 namespace simurgh::core {
 
+using common::claim_expired_stamp;
+using common::lease_backoff;
+using common::lease_expired;
+using common::monotonic_ns;
+
 namespace {
-std::uint64_t monotonic_ns() noexcept {
-  timespec ts{};
-  ::clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ull +
-         static_cast<std::uint64_t>(ts.tv_nsec);
-}
 constexpr std::uint32_t kWriterBit = 0x8000'0000u;
 }  // namespace
 
@@ -25,8 +23,7 @@ FileLockTable FileLockTable::format(nvmm::Device& shm, std::uint64_t off,
   FileLockTable t(shm, off);
   ShmHeader& h = t.header();
   h.n_locks = n_locks;
-  h.registry_lock.store(0, std::memory_order_relaxed);
-  h.registry_lock_stamp_ns.store(0, std::memory_order_relaxed);
+  h.registry_lock.reset();
   h.recovering.store(0, std::memory_order_relaxed);
   h.dirty_deaths.store(0, std::memory_order_relaxed);
   h.attach_counter.store(0, std::memory_order_relaxed);
@@ -79,31 +76,29 @@ FileLock& FileLockTable::slot_for(std::uint64_t inode_off) {
 // lease stamps), which the analysis cannot model — the ACQUIRE/RELEASE
 // attributes on the declarations (shm.h) are the contract callers are
 // checked against.
+//
+// Both acquire paths follow the lease.h rules on the RW word: stamp, then
+// claim the word with acq_rel; steal by claiming the expired stamp first.
+// A waiter loads the word with acquire, so once it sees a holder it also
+// sees that holder's stamp, never the idle lock's old one.
 void FileLockTable::lock_shared(FileLock& l) NO_THREAD_SAFETY_ANALYSIS {
+  unsigned spins = 0;
   for (;;) {
-    std::uint32_t cur = l.word.load(std::memory_order_relaxed);
+    std::uint32_t cur = l.word.load(std::memory_order_acquire);
     if ((cur & kWriterBit) == 0) {
+      l.stamp_ns.store(monotonic_ns(), std::memory_order_relaxed);
       if (l.word.compare_exchange_weak(cur, cur + 1,
-                                       std::memory_order_acquire)) {
-        l.stamp_ns.store(monotonic_ns(), std::memory_order_relaxed);
+                                       std::memory_order_acq_rel))
         return;
-      }
       continue;
     }
     // Writer present: lease check (crashed writer recovery).
-    const std::uint64_t stamp = l.stamp_ns.load(std::memory_order_relaxed);
-    if (monotonic_ns() - stamp > lease_ns_) {
-      std::uint32_t expected = cur;
-      if (l.word.compare_exchange_strong(expected, 1,
-                                         std::memory_order_acq_rel)) {
-        l.stamp_ns.store(monotonic_ns(), std::memory_order_relaxed);
-        stats_->lease_steals.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
+    if (claim_expired_stamp(l.stamp_ns, lease_ns_) &&
+        l.word.compare_exchange_strong(cur, 1, std::memory_order_acq_rel)) {
+      stats_->lease_steals.fetch_add(1, std::memory_order_relaxed);
+      return;
     }
-#if defined(__x86_64__)
-    __builtin_ia32_pause();
-#endif
+    lease_backoff(spins);
   }
 }
 
@@ -112,26 +107,23 @@ void FileLockTable::unlock_shared(FileLock& l) NO_THREAD_SAFETY_ANALYSIS {
 }
 
 void FileLockTable::lock_exclusive(FileLock& l) NO_THREAD_SAFETY_ANALYSIS {
+  unsigned spins = 0;
   for (;;) {
-    std::uint32_t expected = 0;
-    if (l.word.compare_exchange_weak(expected, kWriterBit,
-                                     std::memory_order_acquire)) {
+    std::uint32_t cur = l.word.load(std::memory_order_acquire);
+    if (cur == 0) {
       l.stamp_ns.store(monotonic_ns(), std::memory_order_relaxed);
+      if (l.word.compare_exchange_weak(cur, kWriterBit,
+                                       std::memory_order_acq_rel))
+        return;
+      continue;
+    }
+    if (claim_expired_stamp(l.stamp_ns, lease_ns_) &&
+        l.word.compare_exchange_strong(cur, kWriterBit,
+                                       std::memory_order_acq_rel)) {
+      stats_->lease_steals.fetch_add(1, std::memory_order_relaxed);
       return;
     }
-    const std::uint64_t stamp = l.stamp_ns.load(std::memory_order_relaxed);
-    if (monotonic_ns() - stamp > lease_ns_) {
-      std::uint32_t cur = l.word.load(std::memory_order_relaxed);
-      if (cur != 0 && l.word.compare_exchange_strong(
-                          cur, kWriterBit, std::memory_order_acq_rel)) {
-        l.stamp_ns.store(monotonic_ns(), std::memory_order_relaxed);
-        stats_->lease_steals.fetch_add(1, std::memory_order_relaxed);
-        return;
-      }
-    }
-#if defined(__x86_64__)
-    __builtin_ia32_pause();
-#endif
+    lease_backoff(spins);
   }
 }
 
@@ -151,14 +143,10 @@ void FileLockTable::reset_all() {
 unsigned FileLockTable::sweep_expired(std::uint64_t* shard_mask) {
   const std::uint64_t n = header().n_locks;
   FileLock* ls = locks();
-  const std::uint64_t now = monotonic_ns();
   unsigned released = 0;
   for (std::uint64_t i = 0; i < n; ++i) {
-    std::uint32_t w = ls[i].word.load(std::memory_order_relaxed);
-    if (w == 0) continue;
-    const std::uint64_t stamp =
-        ls[i].stamp_ns.load(std::memory_order_relaxed);
-    if (now - stamp <= lease_ns_) continue;
+    std::uint32_t w = ls[i].word.load(std::memory_order_acquire);
+    if (w == 0 || !lease_expired(ls[i].stamp_ns, lease_ns_)) continue;
     if (ls[i].word.compare_exchange_strong(w, 0,
                                            std::memory_order_acq_rel)) {
       ++released;
@@ -177,46 +165,17 @@ unsigned FileLockTable::sweep_expired(std::uint64_t* shard_mask) {
 
 void MountRegistry::lock_registry(std::uint64_t self) const
     NO_THREAD_SAFETY_ANALYSIS {  // see FileLockTable::lock_shared
-  ShmHeader& h = header();
-  for (;;) {
-    std::uint64_t expected = 0;
-    if (h.registry_lock.compare_exchange_weak(expected, self,
-                                              std::memory_order_acquire)) {
-      h.registry_lock_stamp_ns.store(monotonic_ns(),
-                                     std::memory_order_relaxed);
-      return;
-    }
-    const std::uint64_t stamp =
-        h.registry_lock_stamp_ns.load(std::memory_order_relaxed);
-    if (expected != 0 && monotonic_ns() - stamp > lease_ns()) {
-      if (h.registry_lock.compare_exchange_strong(
-              expected, self, std::memory_order_acquire)) {
-        h.registry_lock_stamp_ns.store(monotonic_ns(),
-                                       std::memory_order_relaxed);
-        return;
-      }
-    }
-#if defined(__x86_64__)
-    __builtin_ia32_pause();
-#endif
-  }
+  header().registry_lock.lock(self, lease_ns());
 }
 
 void MountRegistry::unlock_registry(std::uint64_t self) const
     NO_THREAD_SAFETY_ANALYSIS {  // see FileLockTable::lock_shared
-  // CAS, not a blind store: a holder that outlived its lease was stolen
-  // from, and a plain store here would release the thief's critical
-  // section out from under it.
-  std::uint64_t expected = self;
-  header().registry_lock.compare_exchange_strong(expected, 0,
-                                                 std::memory_order_release);
+  header().registry_lock.unlock(self);
 }
 
-bool MountRegistry::slot_live(const MountSlot& s,
-                              std::uint64_t now) const noexcept {
-  if (s.token.load(std::memory_order_acquire) == 0) return false;
-  const std::uint64_t hb = s.heartbeat_ns.load(std::memory_order_relaxed);
-  return now - hb <= lease_ns();
+bool MountRegistry::slot_live(const MountSlot& s) const noexcept {
+  return s.token.load(std::memory_order_acquire) != 0 &&
+         !lease_expired(s.heartbeat_ns, lease_ns());
 }
 
 MountRegistry::Attachment MountRegistry::attach_mount() {
@@ -228,10 +187,9 @@ MountRegistry::Attachment MountRegistry::attach_mount() {
   Attachment a;
   a.token = token;
   lock_registry(token);
-  const std::uint64_t now = monotonic_ns();
   bool any_live = false;
   for (const MountSlot& s : h.mounts)
-    if (slot_live(s, now)) any_live = true;
+    if (slot_live(s)) any_live = true;
   a.first_in = !any_live;
   if (a.first_in) {
     // A new era: whatever slots remain belong to dead mounts of the old
@@ -255,7 +213,7 @@ MountRegistry::Attachment MountRegistry::attach_mount() {
   }
   SIMURGH_CHECK(idx < kMaxMountSlots);  // > 64 concurrent mounts: unsupported
   h.mounts[idx].attach_gen.store(token, std::memory_order_relaxed);
-  h.mounts[idx].heartbeat_ns.store(now, std::memory_order_relaxed);
+  h.mounts[idx].heartbeat_ns.store(monotonic_ns(), std::memory_order_relaxed);
   h.mounts[idx].token.store(token, std::memory_order_release);
   a.slot.store(idx, std::memory_order_relaxed);
   unlock_registry(token);
@@ -283,11 +241,10 @@ void MountRegistry::detach_mount(const Attachment& a,
     // read as a clean image and skip recovery.  Refresh the stamp, then
     // gate the clean store on still owning the lock: the remaining window
     // is lease-sized from a fresh stamp, not drain-sized.
-    if (h.registry_lock.load(std::memory_order_acquire) == a.token) {
-      h.registry_lock_stamp_ns.store(monotonic_ns(),
-                                     std::memory_order_relaxed);
-      if (h.registry_lock.load(std::memory_order_acquire) == a.token &&
-          mark_clean)
+    common::LeaseLock& l = h.registry_lock;
+    if (l.owner.load(std::memory_order_acquire) == a.token) {
+      l.stamp_ns.store(monotonic_ns(), std::memory_order_relaxed);
+      if (l.owner.load(std::memory_order_acquire) == a.token && mark_clean)
         mark_clean();
     }
   }
@@ -357,13 +314,11 @@ unsigned MountRegistry::reap_dead(
     const Attachment& a, const std::function<void(std::uint64_t)>& fn) {
   ShmHeader& h = header();
   lock_registry(a.token);
-  const std::uint64_t now = monotonic_ns();
   unsigned reaped = 0;
   for (MountSlot& s : h.mounts) {
     const std::uint64_t tok = s.token.load(std::memory_order_acquire);
     if (tok == 0 || tok == a.token) continue;
-    if (now - s.heartbeat_ns.load(std::memory_order_relaxed) <= lease_ns())
-      continue;
+    if (!lease_expired(s.heartbeat_ns, lease_ns())) continue;
     if (fn) fn(tok);
     s.token.store(0, std::memory_order_relaxed);
     s.heartbeat_ns.store(0, std::memory_order_relaxed);
@@ -382,16 +337,16 @@ void MountRegistry::finish_recovery(const Attachment& a) {
 
 bool MountRegistry::wait_recovery_done(const Attachment& a) {
   ShmHeader& h = header();
+  unsigned spins = 0;
   for (;;) {
     const std::uint64_t r = h.recovering.load(std::memory_order_acquire);
     if (r == 0) return false;
     if (r == a.token) return true;
     // Is the recovering mount still alive?
-    const std::uint64_t now = monotonic_ns();
     bool live = false;
     for (const MountSlot& s : h.mounts) {
       if (s.token.load(std::memory_order_acquire) == r &&
-          now - s.heartbeat_ns.load(std::memory_order_relaxed) <= lease_ns())
+          !lease_expired(s.heartbeat_ns, lease_ns()))
         live = true;
     }
     if (!live) {
@@ -402,9 +357,7 @@ bool MountRegistry::wait_recovery_done(const Attachment& a) {
                                                std::memory_order_acq_rel))
         return true;
     }
-#if defined(__x86_64__)
-    __builtin_ia32_pause();
-#endif
+    lease_backoff(spins);
   }
 }
 

@@ -1,27 +1,21 @@
 // Metadata-service mode implementation (see svc_ring.h for the protocol).
 #include "core/svc_ring.h"
 
-#include <time.h>
-
 #include <cstring>
 #include <new>
 
 #include "common/failpoint.h"
 #include "common/hash.h"
+#include "common/lease.h"
 #include "core/fs.h"
 #include "core/inode.h"
 #include "core/shm.h"
 
 namespace simurgh::core {
 
-namespace {
-std::uint64_t now_ns() noexcept {
-  timespec ts{};
-  ::clock_gettime(CLOCK_MONOTONIC, &ts);
-  return static_cast<std::uint64_t>(ts.tv_sec) * 1'000'000'000ull +
-         static_cast<std::uint64_t>(ts.tv_nsec);
-}
-}  // namespace
+using common::claim_expired_stamp;
+using common::lease_expired;
+using common::monotonic_ns;
 
 std::uint64_t MetaService::ring_offset(nvmm::Device& shm) {
   const auto& h = *reinterpret_cast<const ShmHeader*>(shm.base());
@@ -37,11 +31,6 @@ std::uint64_t MetaService::owner_lease_ns() const noexcept {
   // dead mount (locks, reservations) before a peer re-executes its
   // in-flight arbitrations.
   return 2 * fs_.mount_registry().lease_ns();
-}
-
-bool MetaService::lease_expired(std::uint64_t stamp_ns,
-                                std::uint64_t now) const noexcept {
-  return now > stamp_ns && now - stamp_ns > owner_lease_ns();
 }
 
 std::uint64_t MetaService::expected_cap(std::uint64_t token) const noexcept {
@@ -120,17 +109,20 @@ bool MetaService::is_owner() const noexcept {
 }
 
 bool MetaService::try_elect() {
-  const std::uint64_t now = now_ns();
+  // The seat is a lease lock over its own two words (common/lease.h rules):
+  // stamp a free seat before claiming it, and steal an expired one by
+  // claiming its stamp first — so a peer that sees our token never reads
+  // the previous owner's stale stamp and re-posts our in-flight slots.
   std::uint64_t cur = hdr_->owner_token.load(std::memory_order_acquire);
   if (cur == token_) return true;
-  if (cur != 0 &&
-      !lease_expired(hdr_->owner_stamp_ns.load(std::memory_order_acquire),
-                     now))
+  if (cur == 0) {
+    hdr_->owner_stamp_ns.store(monotonic_ns(), std::memory_order_relaxed);
+  } else if (!claim_expired_stamp(hdr_->owner_stamp_ns, owner_lease_ns())) {
     return false;
+  }
   if (!hdr_->owner_token.compare_exchange_strong(cur, token_,
                                                  std::memory_order_acq_rel))
     return false;
-  hdr_->owner_stamp_ns.store(now, std::memory_order_release);
   if (cur != 0) {
     // Took a dead owner's seat: first complete-or-unwind whatever its
     // in-flight requests left behind by re-posting them.
@@ -164,7 +156,7 @@ void MetaService::server_main() {
     // Refresh the seat lease; stand down if a peer stole it (our lease
     // expired — e.g. this process was stopped under a debugger).
     if (hdr_->owner_token.load(std::memory_order_acquire) != token_) return;
-    hdr_->owner_stamp_ns.store(now_ns(), std::memory_order_release);
+    hdr_->owner_stamp_ns.store(monotonic_ns(), std::memory_order_release);
     bool did = false;
     try {
       did = serve_once();
@@ -315,8 +307,7 @@ void MetaService::publish(SvcSlot& s, Status st, std::uint64_t r0) {
   s.err = static_cast<std::int32_t>(st.code());
   s.r0 = r0;
   s.seq.store(sq + 2, std::memory_order_release);  // even: response stable
-  if (lease_expired(s.client_stamp_ns.load(std::memory_order_acquire),
-                    now_ns())) {
+  if (lease_expired(s.client_stamp_ns, owner_lease_ns())) {
     // The waiter died: nobody will consume the response; reap the slot.
     s.phase.store(kSvcFree, std::memory_order_release);
   } else {
@@ -336,18 +327,18 @@ SvcSlot* MetaService::claim_slot() {
         // Reap a dead claimant's parked slot — but never one the server is
         // executing (the failover takeover path owns those).
         if (ph == kSvcExecuting) continue;
-        if (!lease_expired(s.client_stamp_ns.load(std::memory_order_acquire),
-                           now_ns()))
-          continue;
+        if (!lease_expired(s.client_stamp_ns, owner_lease_ns())) continue;
         if (!s.phase.compare_exchange_strong(ph, kSvcFree,
                                              std::memory_order_acq_rel))
           continue;
       }
+      // Stamp before claim: a peer that sees the slot claimed must not
+      // judge it by the previous claimant's stamp and reap it from us.
+      s.client_stamp_ns.store(monotonic_ns(), std::memory_order_relaxed);
       std::uint32_t expect = kSvcFree;
       if (s.phase.compare_exchange_strong(expect, kSvcClaimed,
                                           std::memory_order_acq_rel)) {
         s.client_token.store(token_, std::memory_order_relaxed);
-        s.client_stamp_ns.store(now_ns(), std::memory_order_release);
         return &s;
       }
     }
@@ -392,16 +383,18 @@ Status MetaService::request(SvcOp op, const protsec::Credentials& cred,
       // busy and let the caller retry against current state.
       return Status(Errc::busy);
     }
-    const std::uint64_t now = now_ns();
-    s->client_stamp_ns.store(now, std::memory_order_release);
     if (hdr_->owner_token.load(std::memory_order_acquire) == 0 ||
-        lease_expired(hdr_->owner_stamp_ns.load(std::memory_order_acquire),
-                      now)) {
+        lease_expired(hdr_->owner_stamp_ns, owner_lease_ns())) {
       // Owner death detection: elect ourselves (the takeover re-posts this
       // very slot and the new server thread serves it).
       try_elect();
     }
-    if (++spins > 64) std::this_thread::yield();
+    if (++spins > 64) {
+      // A long wait: keep our slot's lease fresh (claim_slot stamped it)
+      // so the server and other claimants never take us for dead.
+      s->client_stamp_ns.store(monotonic_ns(), std::memory_order_release);
+      std::this_thread::yield();
+    }
   }
 
   // The phase acquire already ordered the response words; the seqlock

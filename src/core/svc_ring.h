@@ -210,8 +210,6 @@ class MetaService : public alloc::CarveProxy {
   friend class FileSystem;
 
   [[nodiscard]] std::uint64_t owner_lease_ns() const noexcept;
-  [[nodiscard]] bool lease_expired(std::uint64_t stamp_ns,
-                                   std::uint64_t now_ns) const noexcept;
   [[nodiscard]] std::uint64_t expected_cap(std::uint64_t token) const noexcept;
 
   bool try_elect();

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "common/lease.h"
 #include "core/fs.h"
 #include "core/inode.h"
 #include "core/shm.h"
@@ -473,37 +474,9 @@ void WriteBehind::drain_epoch(Epoch& e) {
 
 namespace {
 
-// The lease-lock acquire loop, shared by the mount-local drain path and the
-// standalone locked roll-forward below.  Returns whether a dead holder's
-// armed epoch was rolled forward as part of a lock steal.
-bool lock_journal_raw(WbJournal& j, nvmm::Device& dev, std::uint64_t token,
-                      std::uint64_t lease_ns) {
-  if (token == 0) token = 1;  // format-time drains predate registration
-  for (;;) {
-    std::uint64_t cur = j.lock_token.load(std::memory_order_acquire);
-    if (cur == 0) {
-      if (j.lock_token.compare_exchange_weak(cur, token,
-                                             std::memory_order_acq_rel)) {
-        j.lock_stamp_ns.store(wall_ns(), std::memory_order_release);
-        return false;
-      }
-      continue;
-    }
-    const std::uint64_t stamp =
-        j.lock_stamp_ns.load(std::memory_order_acquire);
-    const std::uint64_t now = wall_ns();
-    if (stamp != 0 && now > stamp + lease_ns) {
-      // Dead holder: steal the lock, then roll forward any epoch it left
-      // armed before draining our own.
-      if (j.lock_token.compare_exchange_weak(cur, token,
-                                             std::memory_order_acq_rel)) {
-        j.lock_stamp_ns.store(now, std::memory_order_release);
-        return wb_journal_roll_forward(dev);
-      }
-      continue;
-    }
-    std::this_thread::yield();
-  }
+// Journal owner token: the mount's; format-time drains predate registration.
+std::uint64_t journal_owner(std::uint64_t mount_token) noexcept {
+  return mount_token != 0 ? mount_token : 1;
 }
 
 }  // namespace
@@ -511,23 +484,29 @@ bool lock_journal_raw(WbJournal& j, nvmm::Device& dev, std::uint64_t token,
 bool wb_journal_roll_forward_locked(nvmm::Device& dev, std::uint64_t token,
                                     std::uint64_t lease_ns) {
   WbJournal& j = journal_at(dev);
-  bool applied = lock_journal_raw(j, dev, token, lease_ns);
-  applied = wb_journal_roll_forward(dev) || applied;
-  j.lock_token.store(0, std::memory_order_release);
+  const std::uint64_t self = journal_owner(token);
+  // Whether or not the lock was stolen, one roll-forward under it finishes
+  // any armed epoch (its holder is dead, or it already disarmed).
+  (void)j.lock.lock(self, lease_ns);
+  const bool applied = wb_journal_roll_forward(dev);
+  j.lock.unlock(self);
   return applied;
 }
 
 // NO_THREAD_SAFETY_ANALYSIS on both bodies: the journal lease lock is a CAS
-// protocol over raw atomic words (lock_journal_raw) the analysis cannot
-// model; the ACQUIRE/RELEASE attributes on the declarations (write_behind.h)
-// are the contract callers are checked against.
+// protocol over raw atomic words (common::LeaseLock) the analysis cannot
+// model; the ACQUIRE/RELEASE attributes on the declarations
+// (write_behind.h) are the contract callers are checked against.
 void WriteBehind::lock_journal(WbJournal& j) NO_THREAD_SAFETY_ANALYSIS {
-  (void)lock_journal_raw(j, fs_.dev(), fs_.mount_token(),
-                         lease_ns_.load(std::memory_order_relaxed));
+  // Stole from a dead holder: roll forward any epoch it left armed before
+  // draining our own.
+  if (j.lock.lock(journal_owner(fs_.mount_token()),
+                  lease_ns_.load(std::memory_order_relaxed)))
+    (void)wb_journal_roll_forward(fs_.dev());
 }
 
 void WriteBehind::unlock_journal(WbJournal& j) NO_THREAD_SAFETY_ANALYSIS {
-  j.lock_token.store(0, std::memory_order_release);
+  j.lock.unlock(journal_owner(fs_.mount_token()));
 }
 
 // ---- persister ----

@@ -157,7 +157,7 @@ TEST_F(BlockAllocTest, LeaseStealRecoversCrashedHolder) {
       (kHeaderOff + sizeof(BlockAllocHeader) + 63) / 64 * 64));
   for (std::uint64_t s = 0; s < hdr->n_segments; ++s) {
     segs[s].lock.owner.store(0xdeadbeef, std::memory_order_relaxed);
-    segs[s].lock.last_accessed_ns.store(1, std::memory_order_relaxed);
+    segs[s].lock.stamp_ns.store(1, std::memory_order_relaxed);
   }
   auto r = alloc_.alloc(1, 0);  // must steal rather than hang
   EXPECT_TRUE(r.is_ok());

@@ -1,12 +1,18 @@
 // Direct unit tests for core internals that the POSIX surface only
 // exercises indirectly: extent maps, path walking, the open-file map, the
-// shared-DRAM lock table, and persist-ordering of the directory protocols.
+// shared-DRAM lock table, leases, and persist-ordering of the directory
+// protocols.
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <chrono>
+#include <optional>
 #include <thread>
 #include <vector>
 
+#include "common/lease.h"
 #include "core/fs.h"
+#include "core/shm.h"
 #include "nvmm/persist.h"
 
 namespace simurgh::core {
@@ -196,6 +202,225 @@ TEST_F(CoreUnitTest, FileLockLeaseStealFromDeadWriter) {
   l.stamp_ns.store(1, std::memory_order_relaxed);
   t.lock_exclusive(l);  // must steal, not hang
   t.unlock_exclusive(l);
+}
+
+// ---- leases (common/lease.h) ----
+
+constexpr std::uint64_t kSecondNs = 1'000'000'000;
+
+// Two threads take one lock once per round, released together onto an idle
+// lock that reset() prepares.  Counts the rounds where both were inside at
+// once, and the steals: nobody holding the lock is dead, so any steal took
+// it from the live winner.  acquire(id) returns whether it stole.
+struct RaceResult {
+  int both_inside = 0;
+  int steals = 0;
+};
+
+template <typename Reset, typename Acquire, typename Release>
+RaceResult race_on_idle_lock(int rounds, Reset&& reset, Acquire&& acquire,
+                             Release&& release) {
+  std::atomic<int> go{0}, done{0}, inside{0}, both{0}, steals{0};
+  auto worker = [&](int id) {
+    for (int r = 1; r <= rounds; ++r) {
+      unsigned spins = 0;
+      while (go.load(std::memory_order_acquire) < r)
+        common::lease_backoff(spins);
+      if (acquire(id)) steals.fetch_add(1, std::memory_order_relaxed);
+      if (inside.fetch_add(1, std::memory_order_acq_rel) != 0)
+        both.fetch_add(1, std::memory_order_relaxed);
+      // Stay inside briefly so a thief that entered late is still seen.
+      for (int i = 0; i < 64; ++i) (void)inside.load(std::memory_order_relaxed);
+      inside.fetch_sub(1, std::memory_order_acq_rel);
+      release(id);
+      done.fetch_add(1, std::memory_order_acq_rel);
+    }
+  };
+  std::thread a(worker, 0), b(worker, 1);
+  for (int r = 1; r <= rounds; ++r) {
+    reset();
+    go.store(r, std::memory_order_release);
+    unsigned spins = 0;
+    while (done.load(std::memory_order_acquire) < 2 * r)
+      common::lease_backoff(spins);
+  }
+  a.join();
+  b.join();
+  return {both.load(), steals.load()};
+}
+
+// An idle lock's stamp is either older than the lease or 0 (never used).
+constexpr std::uint64_t kIdleStamps[] = {1, 0};
+constexpr int kRaceRounds = 10000;
+
+TEST(LeaseLockTest, UnlockByNonOwnerLeavesItHeld) {
+  common::LeaseLock l;
+  ASSERT_TRUE(l.try_lock(3));
+  l.unlock(5);  // a holder whose lease was stolen releasing the thief
+  EXPECT_EQ(l.owner.load(), 3u);
+  EXPECT_FALSE(l.try_lock(5));
+  l.unlock(3);
+  EXPECT_EQ(l.owner.load(), 0u);
+}
+
+TEST(LeaseLockTest, LockStealsFromDeadHolder) {
+  common::LeaseLock l;
+  l.owner.store(0xdeadbeef);
+  l.stamp_ns.store(1);
+  EXPECT_TRUE(l.lock(3, 1'000'000));  // returns true: it stole
+  EXPECT_EQ(l.owner.load(), 3u);
+  EXPECT_FALSE(common::lease_expired(l.stamp_ns, kSecondNs));
+  l.unlock(3);
+  EXPECT_FALSE(l.lock(3, 1'000'000));  // free: taken, not stolen
+  l.unlock(3);
+}
+
+TEST(LeaseLockTest, StampAheadOfTheClockReadsAsExpired) {
+  // An NVMM lock word stamped in an earlier boot can be ahead of now.
+  const std::uint64_t hour_ahead = common::monotonic_ns() + 3600 * kSecondNs;
+  std::atomic<std::uint64_t> stamp{hour_ahead};
+  EXPECT_TRUE(common::lease_expired(stamp, kSecondNs));
+  stamp.store(common::monotonic_ns());
+  EXPECT_FALSE(common::lease_expired(stamp, kSecondNs));
+  common::LeaseLock l;
+  l.owner.store(0xdeadbeef);
+  l.stamp_ns.store(hour_ahead);
+  EXPECT_TRUE(l.lock(3, kSecondNs));
+}
+
+TEST(LeaseLockTest, SimultaneousFirstAcquirersNeverBothEnter) {
+  common::LeaseLock l;
+  const std::uint64_t token[2] = {3, 5};
+  for (const std::uint64_t idle : kIdleStamps) {
+    const RaceResult r = race_on_idle_lock(
+        kRaceRounds,
+        [&] {
+          l.owner.store(0);
+          l.stamp_ns.store(idle);
+        },
+        [&](int id) { return l.lock(token[id], kSecondNs); },
+        [&](int id) { l.unlock(token[id]); });
+    EXPECT_EQ(r.both_inside, 0) << "idle stamp " << idle;
+    EXPECT_EQ(r.steals, 0) << "idle stamp " << idle;
+  }
+}
+
+TEST_F(CoreUnitTest, FileLockSimultaneousFirstWritersNeverBothEnter) {
+  FileLockTable& t = fs_->file_locks();
+  t.set_lease_ns(kSecondNs);
+  FileLock& l = t.slot_for(666);
+  for (const std::uint64_t idle : kIdleStamps) {
+    const std::uint64_t steals0 = t.stats().lease_steals.load();
+    const RaceResult r = race_on_idle_lock(
+        kRaceRounds,
+        [&] {
+          l.word.store(0);
+          l.stamp_ns.store(idle);
+        },
+        [&](int) {
+          t.lock_exclusive(l);
+          return false;
+        },
+        [&](int) { t.unlock_exclusive(l); });
+    EXPECT_EQ(r.both_inside, 0) << "idle stamp " << idle;
+    EXPECT_EQ(t.stats().lease_steals.load(), steals0) << "idle stamp " << idle;
+  }
+}
+
+TEST(DirLineLockTest, SimultaneousFirstAcquirersNeverBothEnter) {
+  auto blk = std::make_unique<DirBlock>();
+  constexpr unsigned kLine = 7;
+  std::optional<LineLock> held[2];
+  for (const std::uint64_t idle : kIdleStamps) {
+    const RaceResult r = race_on_idle_lock(
+        kRaceRounds,
+        [&] {
+          blk->busy.store(0);
+          blk->stamp_ns[kLine].store(idle);
+        },
+        [&](int id) {
+          held[id].emplace(blk.get(), kLine, kSecondNs);
+          return held[id]->stole_lease();
+        },
+        [&](int id) { held[id].reset(); });
+    EXPECT_EQ(r.both_inside, 0) << "idle stamp " << idle;
+    EXPECT_EQ(r.steals, 0) << "idle stamp " << idle;
+  }
+}
+
+TEST_F(CoreUnitTest, FileLockSweepNeverReleasesALiveLock) {
+  FileLockTable& t = fs_->file_locks();
+  t.set_lease_ns(50'000'000);  // 50 ms
+  FileLock& l = t.slot_for(555);
+  std::atomic<bool> stop{false};
+  std::thread holder([&] {
+    while (!stop.load(std::memory_order_relaxed)) {
+      t.lock_exclusive(l);
+      t.unlock_exclusive(l);
+    }
+  });
+  unsigned released = 0;
+  const auto end = std::chrono::steady_clock::now() +
+                   std::chrono::milliseconds(300);
+  while (std::chrono::steady_clock::now() < end) released += t.sweep_expired();
+  stop.store(true);
+  holder.join();
+  EXPECT_EQ(released, 0u);
+}
+
+// A bare registry over its own shm device (no FileSystem, no heartbeat
+// thread): the tests drive every heartbeat themselves.
+class MountRegistryTest : public ::testing::Test {
+ protected:
+  MountRegistryTest() : shm_(1ull << 20) {
+    (void)FileLockTable::format(shm_, 0, 64);
+    reg_.set_lease_ns(kSecondNs);
+  }
+  ShmHeader& header() { return *reinterpret_cast<ShmHeader*>(shm_.base()); }
+
+  nvmm::Device shm_;
+  MountRegistry reg_{shm_, 0};
+};
+
+TEST_F(MountRegistryTest, ReapDeadNeverReapsAHeartbeatingMount) {
+  MountRegistry::Attachment a = reg_.attach_mount();
+  reg_.finish_recovery(a);
+  MountRegistry::Attachment b = reg_.attach_mount();
+  std::atomic<bool> stop{false};
+  std::thread beat([&] {
+    while (!stop.load(std::memory_order_relaxed))
+      if (!reg_.heartbeat(b)) reg_.reattach(b);
+  });
+  unsigned reaped = 0;
+  const auto end = std::chrono::steady_clock::now() +
+                   std::chrono::milliseconds(300);
+  while (std::chrono::steady_clock::now() < end)
+    reaped += reg_.reap_dead(a, {});
+  stop.store(true);
+  beat.join();
+  EXPECT_EQ(reaped, 0u);
+}
+
+TEST_F(MountRegistryTest, WaitRecoveryDoneNeverTakesOverFromLiveRecoverer) {
+  MountRegistry::Attachment a = reg_.attach_mount();  // first in: recovers
+  reg_.finish_recovery(a);
+  MountRegistry::Attachment b = reg_.attach_mount();
+  int took_over = 0;
+  for (int trial = 0; trial < 400; ++trial) {
+    header().recovering.store(a.token, std::memory_order_release);
+    std::thread recoverer([&] {
+      const auto end = std::chrono::steady_clock::now() +
+                       std::chrono::microseconds(500);
+      while (std::chrono::steady_clock::now() < end) (void)reg_.heartbeat(a);
+      reg_.finish_recovery(a);
+    });
+    if (reg_.wait_recovery_done(b)) {
+      ++took_over;
+      reg_.finish_recovery(b);
+    }
+    recoverer.join();
+  }
+  EXPECT_EQ(took_over, 0);
 }
 
 // ---- persist ordering through the directory protocols ----

@@ -1,6 +1,7 @@
 // Data-path tests: extents, large files, truncate, fallocate, persistence
 // ordering (§4.3 "Data operations").
 #include <cstring>
+#include <utility>
 
 #include "common/rng.h"
 #include "fs_fixture.h"
@@ -70,6 +71,37 @@ TEST_F(FsDataTest, SpillsBeyondInlineExtents) {
         p().pread(fd, buf, sizeof buf, (2ull * i + 1) * sizeof buf).is_ok());
     EXPECT_EQ(buf[0], '\0');
   }
+}
+
+TEST_F(FsDataTest, AppendTruncateCyclesReuseSpillSlots) {
+  // Seven unmergeable extents: six inline plus one spilled.  Each cycle
+  // appends one block (a new extent) and truncates it away again; the
+  // cleared slot must be reused, not left behind while the next append
+  // takes a fresh one.
+  const int fd = make_file("/cycle");
+  char blk[4096] = {};
+  for (int i = 0; i < 7; ++i)
+    ASSERT_TRUE(p().pwrite(fd, blk, sizeof blk, 2ull * i * sizeof blk).is_ok());
+  const std::uint64_t size = 13 * sizeof blk;
+  const core::Inode* ino = fs_->inode_at(p().stat("/cycle")->inode);
+  auto spill_shape = [&] {
+    std::pair<unsigned, std::uint64_t> blocks_slots{0, 0};
+    for (auto b = ino->ext_spill.load(); b; b = b.in(fs_->dev())->next) {
+      ++blocks_slots.first;
+      blocks_slots.second += b.in(fs_->dev())->n;
+    }
+    return blocks_slots;
+  };
+  const auto before = spill_shape();
+  EXPECT_EQ(before, std::make_pair(1u, std::uint64_t{1}));
+  for (int c = 0; c < 400; ++c) {
+    ASSERT_TRUE(p().pwrite(fd, blk, sizeof blk, size).is_ok());
+    ASSERT_TRUE(p().ftruncate(fd, size).is_ok());
+  }
+  EXPECT_EQ(spill_shape(), before);
+  char buf[4096];
+  ASSERT_EQ(*p().pread(fd, buf, sizeof buf, size - sizeof buf), sizeof buf);
+  EXPECT_EQ(*p().pread(fd, buf, sizeof buf, size), 0u);
 }
 
 TEST_F(FsDataTest, ReadPastEofTruncatesAndAtEofReturnsZero) {

@@ -451,13 +451,13 @@ TEST_F(WriteBehindTest, RecoverStealsJournalLockThenRollsForward) {
   j.n_entries = 0;
   j.state.store(core::kWbJournalArmed, std::memory_order_release);
   // A dead peer's lock: foreign token, lease long expired.
-  j.lock_token.store(0xdeadbeef, std::memory_order_release);
-  j.lock_stamp_ns.store(1, std::memory_order_release);
+  j.lock.owner.store(0xdeadbeef, std::memory_order_release);
+  j.lock.stamp_ns.store(1, std::memory_order_release);
   const core::RecoveryReport rr = fs_->recover();
   EXPECT_EQ(rr.wb_epochs_rolled_forward, 1u);
   EXPECT_EQ(j.state.load(std::memory_order_acquire), core::kWbJournalIdle);
   // The steal went through the lock and released it afterwards.
-  EXPECT_EQ(j.lock_token.load(std::memory_order_acquire), 0u);
+  EXPECT_EQ(j.lock.owner.load(std::memory_order_acquire), 0u);
   const core::CheckReport cr = core::check_fs(*fs_);
   EXPECT_TRUE(cr.ok()) << cr.summary();
 }
