@@ -571,9 +571,9 @@ class Process {
   FileSystem& fs_;
   Credentials cred_;
   OpenFileMap fds_;
-  // Set on the stack Process the service-mode server dispatches through:
-  // its mutations execute locally (it already IS the arbiter) instead of
-  // re-routing into the ring.
+  // Set on the worker Process each service-mode server thread dispatches
+  // through: its mutations execute locally (it already IS the arbiter)
+  // instead of re-routing into the ring.
   bool svc_worker_ = false;
 };
 

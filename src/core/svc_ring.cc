@@ -152,6 +152,12 @@ void MetaService::start_server() {
 }
 
 void MetaService::server_main() {
+  // One worker for the life of this thread (a failover thread builds its
+  // own).  dispatch re-credentials it per request; svc_worker_ makes its
+  // mutations execute locally instead of re-routing into the ring.  Nothing
+  // on the server opens an fd, so its fd table stays empty.
+  Process w(fs_, protsec::Credentials{0, 0});
+  w.svc_worker_ = true;
   while (!stop_.load(std::memory_order_acquire)) {
     // Refresh the seat lease; stand down if a peer stole it (our lease
     // expired — e.g. this process was stopped under a debugger).
@@ -159,7 +165,7 @@ void MetaService::server_main() {
     hdr_->owner_stamp_ns.store(monotonic_ns(), std::memory_order_release);
     bool did = false;
     try {
-      did = serve_once();
+      did = serve_once(w);
     } catch (const CrashedException&) {
       // The armed failpoint fired mid-dispatch: die exactly like a killed
       // owner — slot stays kExecuting, whatever locks the dispatch held
@@ -172,7 +178,7 @@ void MetaService::server_main() {
   }
 }
 
-bool MetaService::serve_once() {
+bool MetaService::serve_once(Process& w) {
   bool did = false;
   for (unsigned i = 0; i < n_slots_ && !stop_.load(std::memory_order_acquire);
        ++i) {
@@ -182,13 +188,13 @@ bool MetaService::serve_once() {
     if (!s.phase.compare_exchange_strong(ph, kSvcExecuting,
                                          std::memory_order_acq_rel))
       continue;
-    execute(s);
+    execute(s, w);
     did = true;
   }
   return did;
 }
 
-void MetaService::execute(SvcSlot& s) {
+void MetaService::execute(SvcSlot& s, Process& w) {
   const std::uint32_t attempt =
       s.attempts.fetch_add(1, std::memory_order_acq_rel) + 1;
   hdr_->served.fetch_add(1, std::memory_order_relaxed);
@@ -208,20 +214,24 @@ void MetaService::execute(SvcSlot& s) {
     // Forged or stale capability: refused before any path is resolved.
     st = Status(Errc::permission);
   } else {
-    st = dispatch(s, attempt > 1, &r0);
+    st = dispatch(s, w, attempt > 1, &r0);
   }
   publish(s, st, r0);
 }
 
-Status MetaService::dispatch(const SvcSlot& s, bool retry,
+Status MetaService::dispatch(const SvcSlot& s, Process& w, bool retry,
                              std::uint64_t* r0) {
-  const std::string_view p1(s.paths[0], s.p1_len);
-  const std::string_view p2(s.paths[1], s.p2_len);
-  // A stack worker carrying the CLIENT's credentials: permission checks run
-  // against the requester, not the server process.  svc_worker_ makes its
-  // mutations execute locally instead of re-routing into the ring.
-  Process w(fs_, protsec::Credentials{s.euid, s.egid});
-  w.svc_worker_ = true;
+  // The lengths are the client's word: bound them by the slot before any
+  // path is built from them.
+  const std::uint32_t n1 = s.p1_len;
+  const std::uint32_t n2 = s.p2_len;
+  if (n1 >= kSvcMaxPath || n2 >= kSvcMaxPath)
+    return Status(Errc::name_too_long);
+  const std::string_view p1(s.paths[0], n1);
+  const std::string_view p2(s.paths[1], n2);
+  // The worker wears the CLIENT's credentials for this request: permission
+  // checks run against the requester, not the server process.
+  w.cred_ = protsec::Credentials{s.euid, s.egid};
   switch (static_cast<SvcOp>(s.op)) {
     case SvcOp::kNoop:
       return Status();
@@ -383,15 +393,17 @@ Status MetaService::request(SvcOp op, const protsec::Credentials& cred,
       // busy and let the caller retry against current state.
       return Status(Errc::busy);
     }
-    if (hdr_->owner_token.load(std::memory_order_acquire) == 0 ||
-        lease_expired(hdr_->owner_stamp_ns, owner_lease_ns())) {
-      // Owner death detection: elect ourselves (the takeover re-posts this
-      // very slot and the new server thread serves it).
-      try_elect();
-    }
+    // The first 64 spins read only the slot: no clock, so a server on
+    // another CPU answers a short request as fast as it can publish.
     if (++spins > 64) {
-      // A long wait: keep our slot's lease fresh (claim_slot stamped it)
-      // so the server and other claimants never take us for dead.
+      // A long wait.  Owner death detection: elect ourselves (the takeover
+      // re-posts this very slot and the new server thread serves it).
+      if (hdr_->owner_token.load(std::memory_order_acquire) == 0 ||
+          lease_expired(hdr_->owner_stamp_ns, owner_lease_ns()))
+        try_elect();
+      // Keep our slot's lease fresh (claim_slot stamped it) so the server
+      // and other claimants never take us for dead, and yield: on a shared
+      // CPU the server runs only once we do.
       s->client_stamp_ns.store(monotonic_ns(), std::memory_order_release);
       std::this_thread::yield();
     }

@@ -28,10 +28,20 @@
 //           (below), exactly the lease discipline the registry machinery
 //           applies to mount slots.
 //
-// Waiting is spin-then-yield (the futex-or-spin tradeoff lands on spin: the
-// emulated shm device is plain anonymous memory, per-process, so there is
-// no cross-address-space futex word to sleep on; the yield bound keeps a
-// 1-cpu CI box live).
+// Waiting is spin-then-yield.  A futex word would work (the shm device can
+// be MAP_SHARED) but does not pay: with client and server on one CPU the
+// server runs only once the client gives the CPU up, so a trip costs two
+// sched_yields (about 2.8 µs on a 4-vCPU x86-64 VM), where a futex handoff
+// needs at least four syscalls.  The client's first 64 spins read only its
+// slot's words and no clock: 64 clock reads take 2.6–2.9 µs there, all of
+// it delay when the server cannot run until the client yields.  From then
+// on each spin checks the owner's lease, refreshes the slot stamp and
+// yields.
+//
+// Each server thread dispatches through one worker Process, built when the
+// thread starts and re-credentialed per request: building a Process
+// zero-fills its 96 KiB fd table (2.4–3.0 µs on the same VM), and the
+// server never opens an fd.
 //
 // Ownership and failover: the first mount to enable service mode CASes its
 // registry token into owner_token and runs the server thread.  A client
@@ -216,9 +226,11 @@ class MetaService : public alloc::CarveProxy {
   void start_server();
   void takeover_scan();  // re-post the dead owner's kExecuting slots
   void server_main();
-  bool serve_once();     // one ring sweep; true if something was dispatched
-  void execute(SvcSlot& s);
-  Status dispatch(const SvcSlot& s, bool retry, std::uint64_t* r0);
+  // One ring sweep through the thread's worker `w`; true if something was
+  // dispatched.
+  bool serve_once(Process& w);
+  void execute(SvcSlot& s, Process& w);
+  Status dispatch(const SvcSlot& s, Process& w, bool retry, std::uint64_t* r0);
   SvcSlot* claim_slot();
   void publish(SvcSlot& s, Status st, std::uint64_t r0);
 

@@ -2,11 +2,12 @@
 // boundary over the direct data path.  Two FileSystem instances share one
 // nvmm+shm pair; the first to enable service mode owns the arbiter seat and
 // the other becomes a ring client.  Covers the FsStat arbitration proof
-// (zero unarbitrated mutations), ring wrap-around, full-ring backpressure,
-// dead-client slot reaping, forged-capability refusal, and the acceptance
-// scenario: the owner dies mid-rename, a client elects itself, the armed
-// request rolls forward exactly once, and the remounted image passes fsck
-// including the CRC pass.
+// (zero unarbitrated mutations), per-request credentials, ring wrap-around,
+// full-ring backpressure, dead-client slot reaping, the server's refusal of
+// forged capabilities and over-long paths, and the acceptance scenario: the
+// owner dies mid-rename, a client elects itself, the armed request rolls
+// forward exactly once, and the remounted image passes fsck including the
+// CRC pass.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -18,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/hash.h"
 #include "core/check.h"
 #include "core/fs.h"
 #include "core/svc_ring.h"
@@ -139,11 +141,19 @@ TEST_F(SvcRingTest, CreateExclusiveSemanticsSurviveArbitration) {
 }
 
 TEST_F(SvcRingTest, ClientPermissionChecksRunAsTheRequester) {
-  auto root = fs_a_->open_process(0, 0);
-  ASSERT_TRUE(root->mkdir("/locked", 0700).is_ok());
-  // The arbiter must evaluate the CLIENT's credentials, not its own.
+  // The arbiter must evaluate the CLIENT's credentials, not its own.  Its
+  // server dispatches every request through one long-lived worker, so
+  // alternate requesters: each is judged by the credentials its slot
+  // carries, whatever the previous request wore.
+  auto root = fs_b_->open_process(0, 0);
   auto other = fs_b_->open_process(2000, 2000);
-  EXPECT_EQ(other->mkdir("/locked/nope").code(), Errc::permission);
+  ASSERT_TRUE(root->mkdir("/locked", 0700).is_ok());
+  for (int i = 0; i < 3; ++i) {
+    const std::string dir = "/locked/d" + std::to_string(i);
+    EXPECT_EQ(other->mkdir(dir).code(), Errc::permission) << dir;
+    EXPECT_TRUE(root->mkdir(dir).is_ok()) << dir;
+  }
+  EXPECT_EQ(fs_b_->fsstat().svc_local_fastpath, 0u);
 }
 
 // ---- ring mechanics ----
@@ -234,6 +244,46 @@ TEST_F(SvcRingTest, ForgedCapabilityIsRefused) {
 TEST_F(SvcRingTest, PathBeyondSlotCapacityIsRejectedClientSide) {
   const std::string longname(core::kSvcMaxPath + 10, 'p');
   EXPECT_EQ(b().mkdir("/" + longname).code(), Errc::name_too_long);
+}
+
+TEST_F(SvcRingTest, ServerRefusesARequestLongerThanItsSlot) {
+  // request() bounds the path lengths, but a peer can write a slot by
+  // hand, so the server must not trust p1_len either.  The mkdir posted
+  // here claims all of paths[0] plus 50 bytes of paths[1], and those bytes
+  // still spell a valid path.
+  const std::string top = "/" + std::string(200, 'a');
+  const std::string parent = top + "/" + std::string(200, 'b');
+  ASSERT_TRUE(a().mkdir(top).is_ok());
+  ASSERT_TRUE(a().mkdir(parent).is_ok());
+  const std::string full = parent + "/" + std::string(127, 'c');
+  ASSERT_EQ(full.size(), core::kSvcMaxPath + 50);
+
+  core::SvcSlot* s = mb().slot(0);
+  ASSERT_EQ(s->phase.load(), core::kSvcFree);
+  const std::uint64_t token = fs_b_->mount_token();
+  s->client_token.store(token, std::memory_order_relaxed);
+  s->client_stamp_ns.store(mono_ns(), std::memory_order_relaxed);
+  s->op = static_cast<std::uint32_t>(SvcOp::kMkdir);
+  s->euid = s->egid = 1000;
+  s->arg0 = 0755;
+  s->p1_len = static_cast<std::uint32_t>(full.size());
+  s->p2_len = 0;
+  std::memcpy(s->paths[0], full.data(), core::kSvcMaxPath);
+  std::memcpy(s->paths[1], full.data() + core::kSvcMaxPath, 50);
+  s->cap = mix64(token ^ fs_b_->sb().magic);  // a valid capability
+  s->attempts.store(0, std::memory_order_relaxed);
+  s->phase.store(core::kSvcPosted, std::memory_order_release);
+  const auto deadline = mono_ns() + 2'000'000'000ull;
+  while (s->phase.load(std::memory_order_acquire) != core::kSvcDone &&
+         mono_ns() < deadline) {
+    // Wait like a live client: keep the slot's lease fresh.
+    s->client_stamp_ns.store(mono_ns(), std::memory_order_release);
+    std::this_thread::yield();
+  }
+  ASSERT_EQ(s->phase.load(), core::kSvcDone);
+  EXPECT_EQ(static_cast<Errc>(s->err), Errc::name_too_long);
+  s->phase.store(core::kSvcFree, std::memory_order_release);
+  EXPECT_FALSE(a().stat(full).is_ok());
 }
 
 // ---- owner death and failover ----
