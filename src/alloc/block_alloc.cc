@@ -1,7 +1,6 @@
 #include "alloc/block_alloc.h"
 
 #include <algorithm>
-#include <unordered_map>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -9,65 +8,9 @@
 
 namespace simurgh::alloc {
 
-// One thread's reservation.  `mu` serializes the owning thread against
-// drain/adoption (the owner holds it for a few instructions per alloc; the
-// uncontended fast path is a futex-free lock/unlock pair, far cheaper than
-// a segment-lock spin under contention).
-struct ThreadReservation {
-  common::Mutex mu;
-  std::uint64_t dev_off GUARDED_BY(mu) = 0;  // next block to hand out
-  std::uint64_t n GUARDED_BY(mu) = 0;        // blocks remaining
-};
-
-struct ReserveRegistry {
-  common::Mutex mu;
-  std::vector<std::shared_ptr<ThreadReservation>> all GUARDED_BY(mu);
-  std::atomic<std::uint64_t> chunk_blocks{0};  // 0 = reservations off
-  // Carved into reservations, not yet handed out — added back into
-  // free_blocks() so exact-accounting invariants hold.
-  std::atomic<std::uint64_t> unused{0};
-};
-
 namespace {
 
 constexpr std::uint64_t kMagic = 0x53494d5f424c4b31ull;  // "SIM_BLK1"
-
-// Lock order (deadlock freedom): registry mu → any reservation's mu →
-// segment locks.  Nobody acquires a mutex to the left while holding one
-// to the right.  The reserve fast path takes only the owning
-// reservation's mu; the refill slow path drops it and re-enters in
-// registry-first order (alloc_reserved), so own-mu and orphan-mu — the
-// same mutex class — are never nested against each other.
-struct TlsSlot {
-  std::shared_ptr<ReserveRegistry> reg;  // keeps the keyed address stable
-  std::shared_ptr<ThreadReservation> res;
-};
-
-std::shared_ptr<ThreadReservation> tls_reservation(
-    const std::shared_ptr<ReserveRegistry>& reg) {
-  thread_local std::unordered_map<ReserveRegistry*, TlsSlot> slots;
-  TlsSlot& slot = slots[reg.get()];
-  if (!slot.res) {
-    slot.reg = reg;
-    slot.res = std::make_shared<ThreadReservation>();
-    common::MutexLock g(reg->mu);
-    reg->all.push_back(slot.res);
-  }
-  // Garbage-collect slots whose allocator turned reservations off for good
-  // (keeps the map from accumulating one entry per torn-down file system).
-  if (slots.size() > 8) {
-    for (auto it = slots.begin(); it != slots.end();) {
-      bool dead = false;
-      if (it->second.reg.get() != reg.get() &&
-          it->second.reg->chunk_blocks.load(std::memory_order_relaxed) == 0) {
-        common::MutexLock g(it->second.res->mu);
-        dead = it->second.res->n == 0;
-      }
-      it = dead ? slots.erase(it) : std::next(it);
-    }
-  }
-  return slot.res;
-}
 
 }  // namespace
 
@@ -149,11 +92,8 @@ void BlockAllocator::unlock_segment(SegmentHeader& seg) noexcept
 Result<std::uint64_t> BlockAllocator::alloc(std::uint64_t n_blocks,
                                             std::uint64_t hint) {
   SIMURGH_CHECK(n_blocks > 0);
-  if (reserve_ && n_blocks <= kReserveServeMax &&
-      reserve_->chunk_blocks.load(std::memory_order_relaxed) >=
-          kReserveServeMax) {
-    auto r = shared_ != nullptr ? alloc_reserved_shm(n_blocks, hint)
-                                : alloc_reserved(n_blocks, hint);
+  if (shared_ != nullptr && n_blocks <= kReserveServeMax) {
+    auto r = alloc_reserved(n_blocks, hint);
     if (r.is_ok()) {
       stats_->allocs.fetch_add(1, std::memory_order_relaxed);
       return r;
@@ -209,83 +149,6 @@ Result<std::uint64_t> BlockAllocator::carve(std::uint64_t n_blocks,
   return alloc_direct(n_blocks, hint);
 }
 
-Result<std::uint64_t> BlockAllocator::alloc_reserved(std::uint64_t n,
-                                                     std::uint64_t hint) {
-  ReserveRegistry& reg = *reserve_;
-  std::shared_ptr<ThreadReservation> res = tls_reservation(reserve_);
-  common::MutexLock own(res->mu);
-  if (res->n >= n) {
-    stats_->reserve_hits.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    // Return the tail we cannot serve from (the next chunk is not
-    // contiguous with it), then refill.
-    if (res->n > 0) {
-      reg.unused.fetch_sub(res->n, std::memory_order_relaxed);
-      free(res->dev_off, res->n);
-      res->n = 0;
-      stats_->reserve_drains.fetch_add(1, std::memory_order_relaxed);
-    }
-    // Refill with the own lock dropped so reservation mutexes are never
-    // nested against each other (lock-order comment at the top of the
-    // file).  Only the owner fills a reservation, so after relocking the
-    // count can only still be zero — install unconditionally.
-    own.unlock();
-    std::uint64_t got_off = 0;
-    std::uint64_t got_n = 0;
-    // Adopt a reservation orphaned by an exited thread before carving a
-    // fresh chunk (use_count: registry ref only once the TLS slot died).
-    {
-      common::MutexLock rg(reg.mu);
-      for (auto it = reg.all.begin(); it != reg.all.end();) {
-        if (it->use_count() != 1) {
-          ++it;
-          continue;
-        }
-        // Keep the orphan alive past the erase below — the registry holds
-        // its last reference, and og must not unlock a freed mutex.
-        std::shared_ptr<ThreadReservation> orphan = *it;
-        common::MutexLock og(orphan->mu);
-        if (got_n == 0 && orphan->n >= n) {
-          got_off = orphan->dev_off;
-          got_n = orphan->n;
-          orphan->n = 0;  // stays counted in reg.unused — still reserved
-        } else if (orphan->n > 0) {
-          reg.unused.fetch_sub(orphan->n, std::memory_order_relaxed);
-          free(orphan->dev_off, orphan->n);
-          orphan->n = 0;
-          stats_->reserve_drains.fetch_add(1, std::memory_order_relaxed);
-        }
-        it = reg.all.erase(it);  // empty orphan: registry hygiene
-        if (got_n != 0) break;
-      }
-    }
-    if (got_n == 0) {
-      const std::uint64_t chunk = std::max(
-          reg.chunk_blocks.load(std::memory_order_relaxed), n);
-      auto c = carve(chunk, hint);
-      if (!c.is_ok()) {
-        // Near-full device: fall back to exactly what was asked for —
-        // nothing left over to reserve.
-        return carve(n, hint);
-      }
-      got_off = c.value();
-      got_n = chunk;
-      reg.unused.fetch_add(chunk, std::memory_order_relaxed);
-      stats_->reserve_refills.fetch_add(1, std::memory_order_relaxed);
-    }
-    own.lock();
-    res->dev_off = got_off;
-    res->n = got_n;
-  }
-  // Hand out ascending so a thread's consecutive small allocations are
-  // address-contiguous and merge into one extent (inode.h append).
-  const std::uint64_t off = res->dev_off;
-  res->dev_off += n * kBlockSize;
-  res->n -= n;
-  reg.unused.fetch_sub(n, std::memory_order_relaxed);
-  return off;
-}
-
 void BlockAllocator::attach_shared_state(ShmAllocShared* shared,
                                          std::uint64_t mount_token) noexcept {
   shared_ = shared;
@@ -301,8 +164,9 @@ void BlockAllocator::attach_shared_state(ShmAllocShared* shared,
 ShmReservation* BlockAllocator::shm_thread_slot() {
   // The binding (shared region → slot index) is thread-local DRAM; the slot
   // itself is shm.  A survivor that declared this mount dead may have freed
-  // the slot behind our back, so every use revalidates {mount, thread}
-  // under the slot lock and rebinds on mismatch (alloc_reserved_shm).
+  // the slot behind our back, and another thread may have adopted it while
+  // this one sat idle, so every use revalidates {mount, thread} under the
+  // slot lock and rebinds on mismatch (alloc_reserved).
   struct Binding {
     ShmAllocShared* shared;
     unsigned idx;
@@ -319,7 +183,7 @@ ShmReservation* BlockAllocator::shm_thread_slot() {
       // (one process, several FileSystem instances): keep that binding.
       if (owner != 0) continue;
     }
-    bindings.erase(it);  // slot was lease-reclaimed; claim a fresh one
+    bindings.erase(it);  // slot was reclaimed or adopted; claim a fresh one
     break;
   }
   // Claim scan: start inside this mount's home range so concurrent mounts
@@ -333,21 +197,27 @@ ShmReservation* BlockAllocator::shm_thread_slot() {
     ShmReservation& slot = shared_->reservations[i];
     ++probes;
     const std::uint64_t owner = slot.mount.load(std::memory_order_relaxed);
+    const std::uint64_t thread = slot.thread.load(std::memory_order_relaxed);
     // Re-adopt a slot this thread already owns for this mount (the binding
     // was dropped, e.g. the thread alternated between two mounts of the
     // same shm region in one process) before burning a fresh one.
-    const bool ours = owner == mount_token_ &&
-                      slot.thread.load(std::memory_order_relaxed) == self;
-    if (owner != 0 && !ours) continue;
+    const bool ours = owner == mount_token_ && thread == self;
+    // Every reserved alloc stamps the slot lock, so a claimed slot whose
+    // lock sat free for a whole lease belongs to a thread that exited (or
+    // idled that long).  Adopt it with its remainder: nothing else would
+    // reclaim an exited thread's slot before unmount.  An idle owner that
+    // comes back fails the {mount, thread} revalidation and rebinds.
+    const bool idle =
+        owner != 0 && slot.lock.owner.load(std::memory_order_acquire) == 0 &&
+        common::lease_expired(slot.lock.stamp_ns, lease_ns_);
+    if (owner != 0 && !ours && !idle) continue;
     lock_reservation(slot, self, lease_ns_);
-    const std::uint64_t owner2 = slot.mount.load(std::memory_order_relaxed);
-    const bool ours2 = owner2 == mount_token_ &&
-                       slot.thread.load(std::memory_order_relaxed) == self;
-    if (owner2 == 0 || ours2) {
-      if (owner2 == 0) {
+    // Unchanged {mount, thread} under the lock: no racing claimer got here
+    // first.
+    if (slot.mount.load(std::memory_order_relaxed) == owner &&
+        slot.thread.load(std::memory_order_relaxed) == thread) {
+      if (!ours) {  // free (its n is 0) or idle: its remainder is ours now
         slot.thread.store(self, std::memory_order_relaxed);
-        slot.dev_off.store(0, std::memory_order_relaxed);
-        slot.n.store(0, std::memory_order_relaxed);
         slot.mount.store(mount_token_, std::memory_order_release);
       }
       unlock_reservation(slot, self);
@@ -363,16 +233,16 @@ ShmReservation* BlockAllocator::shm_thread_slot() {
   return nullptr;  // table full: caller serves directly
 }
 
-Result<std::uint64_t> BlockAllocator::alloc_reserved_shm(std::uint64_t n,
-                                                         std::uint64_t hint) {
+Result<std::uint64_t> BlockAllocator::alloc_reserved(std::uint64_t n,
+                                                     std::uint64_t hint) {
   const std::uint64_t self = common::thread_token();
   ShmReservation* res = shm_thread_slot();
   if (res == nullptr) return alloc_direct(n, hint);
   lock_reservation(*res, self, lease_ns_);
   if (res->mount.load(std::memory_order_relaxed) != mount_token_ ||
       res->thread.load(std::memory_order_relaxed) != self) {
-    // Lease-reclaimed between shm_thread_slot's check and our lock.  Serve
-    // this call directly; the next call's revalidation rebinds.
+    // Reclaimed or adopted between shm_thread_slot's check and our lock.
+    // Serve this call directly; the next call's revalidation rebinds.
     unlock_reservation(*res, self);
     return alloc_direct(n, hint);
   }
@@ -398,9 +268,7 @@ Result<std::uint64_t> BlockAllocator::alloc_reserved_shm(std::uint64_t n,
   // Refill with the slot lock dropped: carving the chunk spins on segment
   // locks, and a short slot lease must not expire around that wait.
   unlock_reservation(*res, self);
-  const std::uint64_t chunk =
-      std::max(reserve_->chunk_blocks.load(std::memory_order_relaxed), n);
-  auto c = carve(chunk, hint);
+  auto c = carve(kReserveChunk, hint);
   if (!c.is_ok()) {
     // Near-full device: fall back to exactly what was asked for.
     return carve(n, hint);
@@ -410,15 +278,15 @@ Result<std::uint64_t> BlockAllocator::alloc_reserved_shm(std::uint64_t n,
       res->thread.load(std::memory_order_relaxed) == self &&
       res->n.load(std::memory_order_relaxed) == 0) {
     res->dev_off.store(c.value() + n * kBlockSize, std::memory_order_relaxed);
-    res->n.store(chunk - n, std::memory_order_relaxed);
+    res->n.store(kReserveChunk - n, std::memory_order_relaxed);
     unlock_reservation(*res, self);
     stats_->reserve_refills.fetch_add(1, std::memory_order_relaxed);
     return c.value();
   }
-  // Lost the slot mid-refill (lease reclaim): keep the first n blocks for
-  // the caller, give the remainder straight back.
+  // Lost the slot mid-refill (reclaimed or adopted): keep the first n
+  // blocks for the caller, give the remainder straight back.
   unlock_reservation(*res, self);
-  if (chunk > n) free(c.value() + n * kBlockSize, chunk - n);
+  free(c.value() + n * kBlockSize, kReserveChunk - n);
   return c.value();
 }
 
@@ -571,110 +439,43 @@ void BlockAllocator::free_into(SegmentHeader& seg, std::uint64_t block_off,
   nvmm::fence();
 }
 
-void BlockAllocator::set_reserve_chunk(std::uint64_t blocks) {
-  if (!reserve_) {
-    if (blocks == 0) return;
-    reserve_ = std::make_shared<ReserveRegistry>();
-  }
-  reserve_->chunk_blocks.store(blocks, std::memory_order_relaxed);
-  if (blocks == 0) drain_reservations();
-}
-
-std::uint64_t BlockAllocator::reserve_chunk() const noexcept {
-  return reserve_ ? reserve_->chunk_blocks.load(std::memory_order_relaxed)
-                  : 0;
-}
-
 void BlockAllocator::drain_reservations(bool drain_all) {
-  if (shared_ != nullptr) {
-    // Own slots always; every claimed slot when last-out sweeps stragglers.
-    reclaim_shm_slots(mount_token_, drain_all);
-    return;
-  }
-  if (!reserve_) return;
-  ReserveRegistry& reg = *reserve_;
-  // Snapshot under the registry lock, release, then lock each reservation
-  // (see the lock-order comment at the top of the file).
-  std::vector<std::shared_ptr<ThreadReservation>> snap;
-  {
-    common::MutexLock g(reg.mu);
-    snap = reg.all;
-  }
-  for (auto& res : snap) {
-    common::MutexLock g(res->mu);
-    if (res->n == 0) continue;
-    reg.unused.fetch_sub(res->n, std::memory_order_relaxed);
-    free(res->dev_off, res->n);
-    res->n = 0;
-    stats_->reserve_drains.fetch_add(1, std::memory_order_relaxed);
-  }
+  if (shared_ == nullptr) return;
+  // Own slots always; every claimed slot when last-out sweeps stragglers.
+  reclaim_shm_slots(mount_token_, drain_all);
 }
 
 void BlockAllocator::invalidate_reservations() noexcept {
-  if (shared_ != nullptr) {
-    // Forget the ranges but keep slot claims: live peer threads rebind via
-    // revalidation; the caller is about to rebuild the free lists.
-    const std::uint64_t self = common::thread_token();
-    for (unsigned i = 0; i < kShmReserveSlots; ++i) {
-      ShmReservation& slot = shared_->reservations[i];
-      lock_reservation(slot, self, lease_ns_);
-      const std::uint64_t len = slot.n.load(std::memory_order_relaxed);
-      if (len > 0) {
-        slot.n.store(0, std::memory_order_relaxed);
-      }
-      unlock_reservation(slot, self);
-    }
-    return;
-  }
-  if (!reserve_) return;
-  ReserveRegistry& reg = *reserve_;
-  std::vector<std::shared_ptr<ThreadReservation>> snap;
-  {
-    common::MutexLock g(reg.mu);
-    snap = reg.all;
-  }
-  for (auto& res : snap) {
-    common::MutexLock g(res->mu);
-    reg.unused.fetch_sub(res->n, std::memory_order_relaxed);
-    res->n = 0;
+  if (shared_ == nullptr) return;
+  // Forget the ranges but keep slot claims: live peer threads rebind via
+  // revalidation; the caller is about to rebuild the free lists.
+  const std::uint64_t self = common::thread_token();
+  for (ShmReservation& slot : shared_->reservations) {
+    lock_reservation(slot, self, lease_ns_);
+    slot.n.store(0, std::memory_order_relaxed);
+    unlock_reservation(slot, self);
   }
 }
 
 std::uint64_t BlockAllocator::reserved_unused_blocks() const noexcept {
-  if (shared_ != nullptr) {
-    // Derived from the slots instead of a shared hot-path counter; exact
-    // whenever no reservation is mid-refill (every accounting caller).
-    std::uint64_t total = 0;
-    for (const ShmReservation& slot : shared_->reservations)
-      total += slot.n.load(std::memory_order_acquire);
-    return total;
-  }
-  return reserve_ ? reserve_->unused.load(std::memory_order_relaxed) : 0;
+  if (shared_ == nullptr) return 0;
+  // Derived from the slots instead of a shared hot-path counter; exact
+  // whenever no reservation is mid-refill (every accounting caller).
+  std::uint64_t total = 0;
+  for (const ShmReservation& slot : shared_->reservations)
+    total += slot.n.load(std::memory_order_acquire);
+  return total;
 }
 
 void BlockAllocator::for_each_reservation(
     const std::function<void(std::uint64_t, std::uint64_t)>& fn) const {
-  if (shared_ != nullptr) {
-    const std::uint64_t self = common::thread_token();
-    for (unsigned i = 0; i < kShmReserveSlots; ++i) {
-      ShmReservation& slot = shared_->reservations[i];
-      lock_reservation(slot, self, lease_ns_);
-      const std::uint64_t len = slot.n.load(std::memory_order_relaxed);
-      if (len > 0) fn(slot.dev_off.load(std::memory_order_relaxed), len);
-      unlock_reservation(slot, self);
-    }
-    return;
-  }
-  if (!reserve_) return;
-  ReserveRegistry& reg = *reserve_;
-  std::vector<std::shared_ptr<ThreadReservation>> snap;
-  {
-    common::MutexLock g(reg.mu);
-    snap = reg.all;
-  }
-  for (const auto& res : snap) {
-    common::MutexLock g(res->mu);
-    if (res->n > 0) fn(res->dev_off, res->n);
+  if (shared_ == nullptr) return;
+  const std::uint64_t self = common::thread_token();
+  for (ShmReservation& slot : shared_->reservations) {
+    lock_reservation(slot, self, lease_ns_);
+    const std::uint64_t len = slot.n.load(std::memory_order_relaxed);
+    if (len > 0) fn(slot.dev_off.load(std::memory_order_relaxed), len);
+    unlock_reservation(slot, self);
   }
 }
 
@@ -685,7 +486,7 @@ std::uint64_t BlockAllocator::free_blocks() const noexcept {
   for (unsigned s = 0; s < h.n_segments; ++s)
     total += segs[s].free_blocks.load(std::memory_order_relaxed);
   // Reserved-but-unused blocks are still free space — they are just parked
-  // in a thread's DRAM allotment rather than on a segment list.
+  // in a thread's reservation slot rather than on a segment list.
   return total + reserved_unused_blocks();
 }
 

@@ -103,14 +103,6 @@ class CarveProxy {
                                       std::uint64_t hint) = 0;
 };
 
-// Per-allocator DRAM reservation state (definition in block_alloc.cc).
-// Reservations are *volatile*: a chunk is carved out of a segment's
-// persistent free list by one ordinary allocation, then handed out to its
-// owning thread lock-free from DRAM.  A crash strands nothing durable —
-// the carved-but-unwritten blocks are referenced by no inode, so recovery's
-// rebuild_free_lists sweep returns them to the free lists.
-struct ReserveRegistry;
-
 class BlockAllocator {
  public:
   // Formats the allocator over device blocks [data_off, data_off+len) with
@@ -139,8 +131,10 @@ class BlockAllocator {
   }
 
   // Lease after which a lock holder counts as crashed.  Short values are
-  // used by the crash tests; production default is 100 ms.
+  // used by the crash tests; production default is 100 ms.  The object
+  // allocators over this one read it too.
   void set_lease_ns(std::uint64_t ns) noexcept { lease_ns_ = ns; }
+  [[nodiscard]] std::uint64_t lease_ns() const noexcept { return lease_ns_; }
 
   BlockAllocStats& stats() noexcept { return *stats_; }
 
@@ -158,31 +152,32 @@ class BlockAllocator {
     return alloc_direct(n_blocks, hint);
   }
 
-  // ---- thread-local block reservations (data-path fast lane) ----
+  // ---- per-thread block reservations (data-path fast lane) ----
   //
-  // When enabled, small allocations (≤ kReserveServeMax blocks) are served
-  // from a per-thread chunk of `blocks` carved under ONE segment-lock
-  // acquisition and handed out in ascending address order (so consecutive
-  // appends of one thread form one extent per chunk).  Larger requests and
-  // frees keep the direct path.  Off by default (blocks = 0) so raw
-  // allocator users — and their exact free-space accounting — see the
-  // historical behavior; the file system opts in at mount.
+  // With shm state attached, small allocations (≤ kReserveServeMax blocks)
+  // are served from a per-thread chunk of kReserveChunk blocks carved under
+  // ONE segment-lock acquisition and handed out in ascending address order
+  // (so consecutive appends of one thread form one extent per chunk).
+  // Larger requests and frees keep the direct path, and so does every
+  // request of an allocator with no shm state.
   //
-  // Residency: a raw allocator keeps the reservation registry in private
-  // DRAM (single-mount use).  A mounted file system calls
-  // attach_shared_state() first, which moves every reservation into fixed
-  // shm slots stamped with the mount's token — so N concurrent mounts
-  // share the accounting, and a survivor can return a dead mount's carved
-  // remainders to the free lists via reclaim_mount_reservations() without
-  // a remount (the decentralized crash rule, §4.2).
-  static constexpr std::uint64_t kDefaultReserveChunk = 64;  // 256 KB
+  // Each reservation is a fixed shm slot stamped with the {mount, thread}
+  // tokens of its owner, so N concurrent mounts share the accounting, and a
+  // survivor can return a dead mount's carved remainders to the free lists
+  // via reclaim_mount_reservations() without a remount (the decentralized
+  // crash rule, §4.2).  A slot whose lock nobody took for a whole lease
+  // (its thread exited, or sat idle that long) is adopted, remainder
+  // included, by the next thread that claims a slot.  Reservations are
+  // volatile: the carve durably removes the chunk from a free list, but the
+  // remainder is referenced by no inode, so after a crash recovery's
+  // rebuild_free_lists sweep returns it.
+  static constexpr std::uint64_t kReserveChunk = 64;  // 256 KB
   static constexpr std::uint64_t kReserveServeMax = 8;
-  void set_reserve_chunk(std::uint64_t blocks);
-  [[nodiscard]] std::uint64_t reserve_chunk() const noexcept;
+  static_assert(kReserveServeMax < kReserveChunk);
 
-  // Switches reservation residency to the shared-DRAM slots (`shared` lives
-  // in the shm device's header) and tags every future carve with
-  // `mount_token`.  Call before the first alloc().
+  // Attaches the shm reservation slots (`shared` lives in the shm device's
+  // header) and tags every future carve with `mount_token` (nonzero).  Call
+  // before the first alloc().
   void attach_shared_state(ShmAllocShared* shared,
                            std::uint64_t mount_token) noexcept;
   [[nodiscard]] std::uint64_t mount_token() const noexcept {
@@ -199,10 +194,10 @@ class BlockAllocator {
   // of locks cleared.
   unsigned reap_expired_segment_locks();
 
-  // Clean shutdown: returns every reservation's unused remainder to the
-  // free lists (including remainders orphaned by exited threads).  In
-  // shared-state mode this drains only THIS mount's slots — peers' chunks
-  // are still live; last-out can sweep stragglers with drain_all=true.
+  // Clean shutdown: returns the unused remainder of every slot this mount
+  // owns to the free lists (including slots of exited threads).  Peers'
+  // chunks are still live; last-out can sweep stragglers with
+  // drain_all=true.
   void drain_reservations(bool drain_all = false);
   // Recovery: forget all reservations WITHOUT touching the device — the
   // caller is about to rebuild_free_lists, which reclaims the blocks.
@@ -291,10 +286,8 @@ class BlockAllocator {
   Result<std::uint64_t> carve(std::uint64_t n_blocks, std::uint64_t hint);
   Result<std::uint64_t> alloc_reserved(std::uint64_t n_blocks,
                                        std::uint64_t hint);
-  Result<std::uint64_t> alloc_reserved_shm(std::uint64_t n_blocks,
-                                           std::uint64_t hint);
   // Claims (or revalidates) this thread's shm reservation slot; nullptr if
-  // all slots are taken (caller falls back to the direct path).
+  // every slot is owned and in use (caller falls back to the direct path).
   ShmReservation* shm_thread_slot();
   // Frees every shm slot matching `tok` (0 = every claimed slot); returns
   // blocks returned to the free lists.
@@ -308,12 +301,7 @@ class BlockAllocator {
   // Heap-held for the same movability reason; read on every refill carve.
   std::unique_ptr<std::atomic<CarveProxy*>> carve_proxy_ =
       std::make_unique<std::atomic<CarveProxy*>>(nullptr);
-  // Shared with thread-local slots so an exiting thread never touches a
-  // destroyed registry (it just drops its reference; the remainder is
-  // adopted or drained later).  In shared-state mode the registry only
-  // carries configuration (chunk size); the slots live in *shared_.
-  std::shared_ptr<ReserveRegistry> reserve_;
-  ShmAllocShared* shared_ = nullptr;
+  ShmAllocShared* shared_ = nullptr;  // null: no reservations
   std::uint64_t mount_token_ = 0;
   // Segment affinity: alloc_direct rotates each mount's segment walk by
   // this bias so two mounts with similar hints start on different segment

@@ -2,6 +2,7 @@
 
 #include <atomic>
 #include <cstring>
+#include <vector>
 
 #include "common/failpoint.h"
 #include "common/lease.h"
@@ -45,10 +46,11 @@ Magazine& magazine_for(const ObjCacheStack* s) {
 
 ObjectAllocator ObjectAllocator::format(nvmm::Device& dev,
                                         BlockAllocator& blocks,
+                                        ObjCacheStack& cache,
                                         std::uint64_t pool_header_off,
                                         std::uint64_t payload_size,
                                         std::uint64_t objs_per_segment) {
-  ObjectAllocator a(dev, blocks, pool_header_off);
+  ObjectAllocator a(dev, blocks, cache, pool_header_off);
   PoolHeader& p = a.pool();
   p.payload_size = payload_size;
   p.stride = (sizeof(ObjectHeader) + payload_size + 63) / 64 * 64;
@@ -60,8 +62,9 @@ ObjectAllocator ObjectAllocator::format(nvmm::Device& dev,
 
 ObjectAllocator ObjectAllocator::attach(nvmm::Device& dev,
                                         BlockAllocator& blocks,
+                                        ObjCacheStack& cache,
                                         std::uint64_t pool_header_off) {
-  ObjectAllocator a(dev, blocks, pool_header_off);
+  ObjectAllocator a(dev, blocks, cache, pool_header_off);
   SIMURGH_CHECK(a.pool().stride != 0);
   return a;
 }
@@ -99,20 +102,14 @@ Status ObjectAllocator::grow() {
   return Status::ok();
 }
 
-void ObjectAllocator::refill_cache() {
-  // Collect candidates (flags == 00) without claiming them; alloc() claims
-  // with a CAS so duplicates across shards/mounts are harmless.
-  scan([this](std::uint64_t payload_off, std::uint32_t flags) {
-    if (flags == 0) cache_.push_back(payload_off);
-  });
-}
-
-bool ObjectAllocator::refill_shared() {
+bool ObjectAllocator::refill() {
   // Push candidates (flags == 00) without claiming them; duplicates across
   // refilling mounts are harmless — the popper must win the flag CAS.  A
   // full stack ends the scan early: whatever did not fit is found again by
   // the next refill.
   const std::uint64_t self = common::thread_token();
+  const unsigned home = home_stripe();
+  const std::uint64_t lease_ns = blocks_->lease_ns();
   std::uint64_t batch[64];
   unsigned pending = 0;
   bool any = false;
@@ -121,19 +118,18 @@ bool ObjectAllocator::refill_shared() {
     if (full || flags != 0) return;
     batch[pending++] = payload_off;
     if (pending < std::size(batch)) return;
-    const unsigned put =
-        stack_->push_batch(batch, pending, home_stripe_, self, lease_ns_);
+    const unsigned put = stack_->push_batch(batch, pending, home, self,
+                                            lease_ns);
     any |= put > 0;
     full = put < pending;
     pending = 0;
   });
   if (!full && pending > 0)
-    any |= stack_->push_batch(batch, pending, home_stripe_, self, lease_ns_) >
-           0;
+    any |= stack_->push_batch(batch, pending, home, self, lease_ns) > 0;
   return any;
 }
 
-Result<std::uint64_t> ObjectAllocator::alloc_shared() {
+Result<std::uint64_t> ObjectAllocator::alloc() {
   // Serve from the thread-local magazine, batch-refilled off the shared
   // stack, racing peers for the on-media claim.  Every grow() adds fresh
   // free objects, so each trip around the loop makes global progress until
@@ -157,8 +153,9 @@ Result<std::uint64_t> ObjectAllocator::alloc_shared() {
     }
     std::uint64_t batch[kMagazineBatch];
     std::uint64_t steals = 0;
-    const unsigned got = stack_->pop_batch(batch, kMagazineBatch, home_stripe_,
-                                           self, lease_ns_, &steals);
+    const unsigned got =
+        stack_->pop_batch(batch, kMagazineBatch, home_stripe(), self,
+                          blocks_->lease_ns(), &steals);
     if (steals > 0)
       stats_->stripe_steals.fetch_add(steals, std::memory_order_relaxed);
     if (got > 0) {
@@ -167,33 +164,9 @@ Result<std::uint64_t> ObjectAllocator::alloc_shared() {
       for (unsigned i = got; i > 0; --i) mag.hints.push_back(batch[i - 1]);
       continue;
     }
-    if (refill_shared()) continue;
+    if (refill()) continue;
     if (Status st = grow(); !st.is_ok()) return st.code();
-    refill_shared();
-  }
-}
-
-Result<std::uint64_t> ObjectAllocator::alloc() {
-  if (stack_ != nullptr) return alloc_shared();
-  common::MutexLock lock(*cache_mu_);
-  for (;;) {
-    while (!cache_.empty()) {
-      const std::uint64_t off = cache_.back();
-      cache_.pop_back();
-      ObjectHeader& hdr = header_of(off);
-      std::uint32_t expected = 0;
-      if (hdr.flags.compare_exchange_strong(expected, kObjValid | kObjDirty,
-                                            std::memory_order_acq_rel)) {
-        nvmm::persist_now(hdr.flags);
-        SIMURGH_FAILPOINT("objalloc.claimed");
-        return off;
-      }
-    }
-    refill_cache();
-    if (!cache_.empty()) continue;
-    if (Status st = grow(); !st.is_ok()) return st.code();
-    refill_cache();
-    if (cache_.empty()) return Errc::no_space;
+    refill();
   }
 }
 
@@ -232,21 +205,16 @@ void ObjectAllocator::finish_pending_free(std::uint64_t payload_off) {
   ObjectHeader& hdr = header_of(payload_off);
   hdr.flags.store(0, std::memory_order_release);
   nvmm::persist_now(hdr.flags);
-  if (stack_ != nullptr) {
-    // Recycle through the local magazine; spill the oldest half to the
-    // shared stack once it overfills (dropped-when-full is fine there —
-    // a refill scan finds the object again).
-    Magazine& mag = magazine_for(stack_);
-    mag.hints.push_back(payload_off);
-    if (mag.hints.size() > kMagazineMax) {
-      stack_->push_batch(mag.hints.data(), kMagazineBatch, home_stripe_,
-                         common::thread_token(), lease_ns_);
-      mag.hints.erase(mag.hints.begin(), mag.hints.begin() + kMagazineBatch);
-    }
-    return;
+  // Recycle through the local magazine; spill the oldest half to the shared
+  // stack once it overfills (dropped-when-full is fine there — a refill
+  // scan finds the object again).
+  Magazine& mag = magazine_for(stack_);
+  mag.hints.push_back(payload_off);
+  if (mag.hints.size() > kMagazineMax) {
+    stack_->push_batch(mag.hints.data(), kMagazineBatch, home_stripe(),
+                       common::thread_token(), blocks_->lease_ns());
+    mag.hints.erase(mag.hints.begin(), mag.hints.begin() + kMagazineBatch);
   }
-  common::MutexLock lock(*cache_mu_);
-  cache_.push_back(payload_off);
 }
 
 std::uint32_t ObjectAllocator::flags_of(std::uint64_t payload_off) const {
@@ -273,13 +241,8 @@ bool ObjectAllocator::owns_block(std::uint64_t block_off) const {
 }
 
 void ObjectAllocator::drop_volatile_cache() {
-  if (stack_ != nullptr) {
-    magazine_for(stack_).hints.clear();  // this thread's magazine only;
-    stack_->reset();  // peers' stale magazines lose the claim CAS anyway
-    return;
-  }
-  common::MutexLock lock(*cache_mu_);
-  cache_.clear();
+  magazine_for(stack_).hints.clear();  // this thread's magazine only;
+  stack_->reset();  // peers' stale magazines lose the claim CAS anyway
 }
 
 }  // namespace simurgh::alloc

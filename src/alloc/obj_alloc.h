@@ -16,28 +16,24 @@
 // then clears dirty — so a crash at any point leaves a state the recovery
 // scan maps to exactly one decision (the paper's two-bit protocol).
 //
-// A volatile free-list caches offsets of free objects so the hot path is
-// O(1), falling back to scanning pool segments on refill.  The cache is a
-// *hint* store — the on-media flag CAS is the only claim authority — so its
-// residency is a deployment choice: a raw single-process allocator keeps a
-// mutex-guarded DRAM vector; a mounted file system calls
-// attach_shared_cache() to use a LIFO stack in the shm device instead,
-// shared by every mount (alloc/shm_state.h).  Without that, mount A's
-// private cache happily serves offsets mount B already claimed and every
-// alloc burns a failed persist-fenced CAS — or worse, both serve the same
-// offset and one spins through a full rescan.  Both residencies are LIFO,
-// so a just-freed object is the next one handed out in either mode.
+// A volatile free-object cache holds offsets of free objects so the hot
+// path is O(1), falling back to scanning pool segments on refill.  The
+// cache is a striped LIFO stack in the shm device, shared by every mount of
+// the pool (alloc/shm_state.h), under a thread-local magazine.  Its entries
+// are *hints* — the on-media flag CAS is the only claim authority — so a
+// hint another mount already claimed costs one failed CAS, never a double
+// allocation.  LIFO end to end: a just-freed object is the next one handed
+// out.  The caller passes the stack to format()/attach(), so no
+// allocation runs without it.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <vector>
 
 #include "alloc/block_alloc.h"
 #include "alloc/shm_state.h"
 #include "common/status.h"
-#include "common/thread_annotations.h"
 
 namespace simurgh::alloc {
 
@@ -77,12 +73,17 @@ struct PoolSegment {
 
 class ObjectAllocator {
  public:
-  // Formats/attaches a pool with objects of `payload_size` bytes.
+  // Formats/attaches a pool with objects of `payload_size` bytes.  `cache`
+  // is the pool's free-object stack (one per pool, never shared between
+  // pools) and must outlive the allocator.  The home stripe and the stripe
+  // lease come from `blocks`: its mount token and its lease.
   static ObjectAllocator format(nvmm::Device& dev, BlockAllocator& blocks,
+                                ObjCacheStack& cache,
                                 std::uint64_t pool_header_off,
                                 std::uint64_t payload_size,
                                 std::uint64_t objs_per_segment = 1024);
   static ObjectAllocator attach(nvmm::Device& dev, BlockAllocator& blocks,
+                                ObjCacheStack& cache,
                                 std::uint64_t pool_header_off);
 
   // Claims a free object (flags 00 -> 11, persisted) and returns the
@@ -139,32 +140,18 @@ class ObjectAllocator {
     }
   }
 
-  // Drops the volatile free cache (simulated process restart).  With a
-  // shared stack attached this resets the stack — quiescent callers only
-  // (recovery, while peers wait on the mount registry's recovering token).
+  // Drops the volatile free cache (simulated process restart) by resetting
+  // the shared stack — quiescent callers only (recovery, while peers wait
+  // on the mount registry's recovering token).
   void drop_volatile_cache();
-
-  // Switches the free cache to a shm-resident striped stack shared by all
-  // mounts.  `mount_token` picks this mount's home stripe (other stripes
-  // are touched only to steal/spill).  Call before the first alloc();
-  // `stack` must outlive the allocator.
-  void attach_shared_cache(ObjCacheStack* stack,
-                           std::uint64_t mount_token) noexcept {
-    stack_ = stack;
-    home_stripe_ = static_cast<unsigned>(
-        (mount_token * 0x9e3779b97f4a7c15ull >> 56) % kObjCacheStripes);
-  }
 
   ObjAllocStats& stats() noexcept { return *stats_; }
 
-  // Lease for the shared stack's spinlock steals; mirrors the block
-  // allocator's lease (FileSystem::set_lease_ns fans out to both).
-  void set_lease_ns(std::uint64_t ns) noexcept { lease_ns_ = ns; }
-
  private:
   ObjectAllocator(nvmm::Device& dev, BlockAllocator& blocks,
-                  std::uint64_t pool_header_off)
-      : dev_(&dev), blocks_(&blocks), pool_off_(pool_header_off) {}
+                  ObjCacheStack& cache, std::uint64_t pool_header_off)
+      : dev_(&dev), blocks_(&blocks), stack_(&cache),
+        pool_off_(pool_header_off) {}
 
   [[nodiscard]] PoolHeader& pool() const noexcept {
     return *reinterpret_cast<PoolHeader*>(dev_->at(pool_off_));
@@ -178,24 +165,22 @@ class ObjectAllocator {
         dev_->at(payload_off - sizeof(ObjectHeader)));
   }
 
+  // This mount's stripe of the stack (the others are touched only to steal
+  // or spill), mixed from the block allocator's mount token the same way
+  // as the reservation home ranges.
+  [[nodiscard]] unsigned home_stripe() const noexcept {
+    return static_cast<unsigned>(
+        (blocks_->mount_token() * 0x9e3779b97f4a7c15ull >> 56) %
+        kObjCacheStripes);
+  }
+
   Status grow();
-  void refill_cache() REQUIRES(*cache_mu_);
-  Result<std::uint64_t> alloc_shared();
-  bool refill_shared();
+  bool refill();
 
   nvmm::Device* dev_;
   BlockAllocator* blocks_;
+  ObjCacheStack* stack_;
   std::uint64_t pool_off_;
-
-  // Volatile free cache (per-mount, rebuilt on attach/refill).  Heap-held
-  // so the allocator stays movable.  Unused once stack_ is attached.
-  // GUARDED_BY dereferences the unique_ptr: the analysis tracks `*cache_mu_`
-  // as the capability expression, which every lock site names too.
-  std::unique_ptr<common::Mutex> cache_mu_ = std::make_unique<common::Mutex>();
-  std::vector<std::uint64_t> cache_ GUARDED_BY(*cache_mu_);
-  ObjCacheStack* stack_ = nullptr;
-  unsigned home_stripe_ = 0;
-  std::uint64_t lease_ns_ = 100'000'000;  // 100 ms
   // Heap-held so the allocator stays movable.
   std::unique_ptr<ObjAllocStats> stats_ = std::make_unique<ObjAllocStats>();
 };

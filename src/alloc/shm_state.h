@@ -5,7 +5,7 @@
 // one mount can reach therefore must live where every mount — and every
 // *survivor* of a crashed mount — can see it.  Two pieces qualify:
 //
-//   * Block reservations (block_alloc.h "thread-local block reservations"):
+//   * Block reservations (block_alloc.h "per-thread block reservations"):
 //     a chunk carved out of a segment's persistent free list and handed out
 //     lock-free.  If the carving mount dies, the unused remainder is
 //     referenced by no inode and sits on no free list; survivors must be
@@ -17,9 +17,9 @@
 //   * The object allocator's free-object cache (obj_alloc.h): offsets of
 //     free pool objects.  The on-media two-bit CAS claim remains the only
 //     authority — a cached offset is a *hint* — so sharing one bounded
-//     stack between all mounts is safe by construction and removes the
-//     per-mount mutex from the hot path.  The stack is deliberately LIFO,
-//     matching the single-process allocator: a just-freed object is the
+//     stack between all mounts is safe by construction.  It is the only
+//     free-object cache: a raw allocator in a test gets a heap-resident
+//     one.  The stack is deliberately LIFO: a just-freed object is the
 //     next one handed out, which keeps recycling prompt and the object's
 //     cache lines hot.  A full stack drops the push (the scan refill finds
 //     the object again later); an empty one sends the caller to the refill

@@ -92,6 +92,12 @@ std::uint64_t pool_header_off(unsigned i) {
   return kSuperblockOff + offsetof(Superblock, pools) +
          i * sizeof(alloc::PoolHeader);
 }
+
+// Pool i's free-object stack in the shm header.  The address is fixed, so
+// the pools can take it before attach_components() lays the header out.
+alloc::ObjCacheStack& pool_stack(nvmm::Device& shm, unsigned i) {
+  return reinterpret_cast<ShmHeader*>(shm.base())->alloc_shared.obj_stacks[i];
+}
 }  // namespace
 
 std::unique_ptr<FileSystem> FileSystem::format(nvmm::Device& nvmm,
@@ -137,8 +143,9 @@ std::unique_ptr<FileSystem> FileSystem::format(nvmm::Device& nvmm,
   const std::uint64_t per_segment[kNumPools] = {2048, 2048, 64, 64};
   for (unsigned i = 0; i < kNumPools; ++i) {
     fs->pools_[i] = std::make_unique<alloc::ObjectAllocator>(
-        alloc::ObjectAllocator::format(nvmm, *fs->blocks_, pool_header_off(i),
-                                       payloads[i], per_segment[i]));
+        alloc::ObjectAllocator::format(nvmm, *fs->blocks_, pool_stack(shm, i),
+                                       pool_header_off(i), payloads[i],
+                                       per_segment[i]));
   }
   fs->attach_components(/*formatted=*/true, opts);
   return fs;
@@ -160,7 +167,7 @@ std::unique_ptr<FileSystem> FileSystem::mount(nvmm::Device& nvmm,
                     sb.data_off);
   for (unsigned i = 0; i < kNumPools; ++i)
     fs->pools_[i] = std::make_unique<alloc::ObjectAllocator>(
-        alloc::ObjectAllocator::attach(nvmm, *fs->blocks_,
+        alloc::ObjectAllocator::attach(nvmm, *fs->blocks_, pool_stack(shm, i),
                                        pool_header_off(i)));
   // A shm device this boot has not seen yet gets the default lock table.
   fs->attach_components(/*formatted=*/false, FormatOptions{});
@@ -184,10 +191,9 @@ void FileSystem::attach_components(bool formatted, const FormatOptions& opts) {
   // Heartbeats start before the recovery decision: a long recover() below
   // (or a long wait on a peer's) must not read as a dead mount.
   start_heartbeat_thread();
+  // Block reservations live in shm slots from here on; the pools pick
+  // their home stripes from the same token.
   blocks_->attach_shared_state(&shm_hdr->alloc_shared, attachment_.token);
-  for (unsigned i = 0; i < kNumPools; ++i)
-    pools_[i]->attach_shared_cache(&shm_hdr->alloc_shared.obj_stacks[i],
-                                   attachment_.token);
 
   Superblock& s = sb();
   if (formatted) {
@@ -221,9 +227,6 @@ void FileSystem::attach_components(bool formatted, const FormatOptions& opts) {
                                          lookup_cache_.get(),
                                          path_cache_.get());
   extent_cache_ = std::make_unique<ExtentCache>();
-  // Thread-local block reservations: raw BlockAllocator users keep the
-  // direct path; only a mounted file system opts in.
-  blocks_->set_reserve_chunk(alloc::BlockAllocator::kDefaultReserveChunk);
   register_protected_functions();
 
   // Recovery decision (registry protocol): the era's first attacher owns
@@ -287,6 +290,8 @@ void FileSystem::unmount() {
         // swept here; with dirty deaths the blocks stay stranded for the
         // next recovery's rebuild instead.
         blocks_->drain_reservations(/*drain_all=*/true);
+        // Checksums must be durable before the image is marked clean.
+        crc_.persist_all();
       },
       [&] {
         // Declares the shutdown clean — the registry runs this only while
@@ -392,10 +397,9 @@ ReapReport FileSystem::reap_dead_mounts() {
 }
 
 void FileSystem::set_lease_ns(std::uint64_t ns) {
-  blocks_->set_lease_ns(ns);
+  blocks_->set_lease_ns(ns);  // the object allocators read it there
   dirops_->set_lease_ns(ns);
   locks_->set_lease_ns(ns);
-  for (auto& p : pools_) p->set_lease_ns(ns);
   if (wb_) wb_->set_lease_ns(ns);
   if (registry_) {
     registry_->set_lease_ns(ns);

@@ -18,7 +18,9 @@
 //              re-zero, and recovery's post-crash re-derivation of every
 //              reachable file block (an in-place overwrite torn by a crash
 //              legitimately leaves data and entry out of step; recovery
-//              restores the invariant before verifiers run).
+//              restores the invariant before verifiers run).  Stamps are
+//              not flushed one by one; the last clean unmount persists the
+//              whole table, since a clean image skips recovery.
 //   verify     data.cc do_read under verify_reads mode, the background
 //              scrubber (core/scrub.h), and fsck's CRC pass (check.cc).
 //
@@ -74,9 +76,10 @@ class CrcTable {
 
   // Recompute a block's checksum from its device bytes and record it.
   // Deliberately NO flush: the table is derivable state — recovery
-  // re-stamps every reachable file block — so eager persistence would only
-  // perturb the data path's persist shape (one metadata line per commit,
-  // asserted by the FlushCounter tests) without buying crash safety.
+  // re-stamps every reachable file block, and a clean unmount persists the
+  // whole table (persist_all) — so eager persistence would only perturb the
+  // data path's persist shape (one metadata line per commit, asserted by
+  // the FlushCounter tests) without buying crash safety.
   void stamp(std::uint64_t block_dev_off) noexcept {
     const std::uint64_t i = index_of(block_dev_off);
     if (i >= capacity_) return;
@@ -93,6 +96,15 @@ class CrcTable {
       if (i >= capacity_) return;
       entries_[i].store(kNoCrc, std::memory_order_relaxed);
     }
+  }
+
+  // Flushes and fences the whole table (one line per 16 data blocks).  The
+  // last clean unmount calls it: a clean image mounts without recovery, so
+  // nothing would re-stamp what never left the caches.
+  void persist_all() const noexcept {
+    if (entries_ == nullptr) return;
+    nvmm::persist(entries_, capacity_ * sizeof(std::uint32_t));
+    nvmm::fence();
   }
 
   // True when the block's bytes match its entry (or the entry is 0).

@@ -2,6 +2,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <memory>
 #include <set>
 #include <thread>
 #include <vector>
@@ -16,13 +18,24 @@ class BlockAllocTest : public ::testing::Test {
  protected:
   static constexpr std::uint64_t kHeaderOff = 4096;
   static constexpr std::uint64_t kDataOff = 64 * 1024;
+  static constexpr std::uint64_t kMountToken = 3;  // nonzero, like a mount's
 
   BlockAllocTest()
       : dev_(64ull << 20),
         alloc_(BlockAllocator::format(dev_, kHeaderOff, kDataOff,
                                       dev_.size() - kDataOff, 8)) {}
 
+  // Reservations live in shm slots, which a mount attaches; a raw allocator
+  // takes the direct path for everything.  Attach a heap copy of the shm
+  // allocator block instead.
+  void attach_shm() {
+    shared_ = std::make_unique<ShmAllocShared>();
+    shared_->reset();
+    alloc_.attach_shared_state(shared_.get(), kMountToken);
+  }
+
   nvmm::Device dev_;
+  std::unique_ptr<ShmAllocShared> shared_;
   BlockAllocator alloc_;
 };
 
@@ -187,18 +200,18 @@ TEST_F(BlockAllocTest, RebuildFreeListsFromMark) {
   EXPECT_TRUE(found);
 }
 
-// ---- thread-local reservations (data-path fast lane) ----
+// ---- per-thread reservations (data-path fast lane) ----
 
 TEST_F(BlockAllocTest, ReservationsKeepFreeAccountingExact) {
   const std::uint64_t total = alloc_.free_blocks();
-  alloc_.set_reserve_chunk(BlockAllocator::kDefaultReserveChunk);
+  attach_shm();
   // First small alloc carves a whole chunk but only 1 block leaves the
   // free count: the carved-but-unused remainder still counts as free.
   auto a = alloc_.alloc(1, 0);
   ASSERT_TRUE(a.is_ok());
   EXPECT_EQ(alloc_.free_blocks(), total - 1);
   EXPECT_EQ(alloc_.reserved_unused_blocks(),
-            BlockAllocator::kDefaultReserveChunk - 1);
+            BlockAllocator::kReserveChunk - 1);
   auto b = alloc_.alloc(2, 0);
   ASSERT_TRUE(b.is_ok());
   EXPECT_EQ(alloc_.free_blocks(), total - 3);
@@ -212,7 +225,7 @@ TEST_F(BlockAllocTest, ReservationsKeepFreeAccountingExact) {
 }
 
 TEST_F(BlockAllocTest, ReservationServesAscendingContiguousBlocks) {
-  alloc_.set_reserve_chunk(BlockAllocator::kDefaultReserveChunk);
+  attach_shm();
   // Consecutive 1-block allocs from one thread must be device-contiguous
   // and ascending — that is the whole point (appends merge into one
   // extent) and the opposite of the descending tail-carve of the direct
@@ -220,18 +233,18 @@ TEST_F(BlockAllocTest, ReservationServesAscendingContiguousBlocks) {
   auto first = alloc_.alloc(1, 0);
   ASSERT_TRUE(first.is_ok());
   std::uint64_t prev = *first;
-  for (std::uint64_t i = 1; i < BlockAllocator::kDefaultReserveChunk; ++i) {
+  for (std::uint64_t i = 1; i < BlockAllocator::kReserveChunk; ++i) {
     auto r = alloc_.alloc(1, 0);
     ASSERT_TRUE(r.is_ok());
     EXPECT_EQ(*r, prev + kBlockSize) << "allocation " << i;
     prev = *r;
   }
   EXPECT_GE(alloc_.stats().reserve_hits.load(),
-            BlockAllocator::kDefaultReserveChunk - 1);
+            BlockAllocator::kReserveChunk - 1);
 }
 
 TEST_F(BlockAllocTest, LargeRequestsBypassTheReservation) {
-  alloc_.set_reserve_chunk(BlockAllocator::kDefaultReserveChunk);
+  attach_shm();
   const std::uint64_t total = alloc_.free_blocks();
   auto r = alloc_.alloc(BlockAllocator::kReserveServeMax + 1, 0);
   ASSERT_TRUE(r.is_ok());
@@ -241,7 +254,7 @@ TEST_F(BlockAllocTest, LargeRequestsBypassTheReservation) {
 }
 
 TEST_F(BlockAllocTest, InvalidateAndRebuildReclaimsReservedBlocks) {
-  alloc_.set_reserve_chunk(BlockAllocator::kDefaultReserveChunk);
+  attach_shm();
   auto a = alloc_.alloc(1, 0);
   ASSERT_TRUE(a.is_ok());
   ASSERT_GT(alloc_.reserved_unused_blocks(), 0u);
@@ -254,7 +267,7 @@ TEST_F(BlockAllocTest, InvalidateAndRebuildReclaimsReservedBlocks) {
 }
 
 TEST_F(BlockAllocTest, ExitedThreadsReservationIsAdoptedOrDrained) {
-  alloc_.set_reserve_chunk(BlockAllocator::kDefaultReserveChunk);
+  attach_shm();
   const std::uint64_t total = alloc_.free_blocks();
   std::thread t([&] {
     auto r = alloc_.alloc(1, 0);
@@ -273,7 +286,7 @@ TEST_F(BlockAllocTest, ExitedThreadsReservationIsAdoptedOrDrained) {
 }
 
 TEST_F(BlockAllocTest, ConcurrentReservedAllocsNeverOverlap) {
-  alloc_.set_reserve_chunk(BlockAllocator::kDefaultReserveChunk);
+  attach_shm();
   constexpr int kThreads = 8;
   constexpr int kPerThread = 300;
   std::vector<std::vector<std::uint64_t>> got(kThreads);
@@ -302,18 +315,31 @@ TEST_F(BlockAllocTest, ConcurrentReservedAllocsNeverOverlap) {
   EXPECT_EQ(alloc_.free_blocks(), alloc_.n_blocks_total() - all.size());
 }
 
-TEST_F(BlockAllocTest, DisablingReservationsDrainsThem) {
-  alloc_.set_reserve_chunk(BlockAllocator::kDefaultReserveChunk);
-  auto r = alloc_.alloc(1, 0);
-  ASSERT_TRUE(r.is_ok());
-  ASSERT_GT(alloc_.reserved_unused_blocks(), 0u);
-  alloc_.set_reserve_chunk(0);
-  EXPECT_EQ(alloc_.reserved_unused_blocks(), 0u);
-  // Back to the historical direct path.
-  const std::uint64_t before = alloc_.free_blocks();
-  auto d = alloc_.alloc(1, 0);
-  ASSERT_TRUE(d.is_ok());
-  EXPECT_EQ(alloc_.free_blocks(), before - 1);
+// A thread that exits leaves its slot claimed.  The next thread to claim a
+// slot adopts it, remainder included, once the slot lock has sat free for a
+// lease; otherwise every exited thread would strand a chunk until unmount,
+// and after 256 of them every allocation would take the direct path.
+TEST_F(BlockAllocTest, ExitedThreadsSlotsAreAdopted) {
+  attach_shm();
+  alloc_.set_lease_ns(1'000'000);  // 1 ms
+  const std::uint64_t total = alloc_.free_blocks();
+  constexpr std::uint64_t kThreads = 512;  // a whole number of chunks
+  for (std::uint64_t t = 0; t < kThreads; ++t) {
+    std::thread th([&] { ASSERT_TRUE(alloc_.alloc(1, 0).is_ok()); });
+    th.join();
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  unsigned claimed = 0;
+  for (const ShmReservation& s : shared_->reservations)
+    claimed += s.mount.load(std::memory_order_relaxed) != 0;
+  EXPECT_EQ(claimed, 1u);
+  EXPECT_EQ(alloc_.reserved_unused_blocks(), 0u) << "stranded blocks";
+  EXPECT_EQ(alloc_.free_blocks(), total - kThreads);
+  // Every allocation was served from a reservation.
+  const BlockAllocStats& st = alloc_.stats();
+  EXPECT_EQ(st.reserve_refills.load(),
+            kThreads / BlockAllocator::kReserveChunk);
+  EXPECT_EQ(st.reserve_hits.load() + st.reserve_refills.load(), kThreads);
 }
 
 }  // namespace

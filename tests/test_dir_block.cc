@@ -1,6 +1,7 @@
 // Directory hash-block protocol tests (Figs. 4-5), below the POSIX layer.
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <set>
 #include <string>
 
@@ -14,15 +15,20 @@ class DirBlockTest : public ::testing::Test {
  protected:
   DirBlockTest()
       : dev_(128ull << 20),
+        shared_(std::make_unique<alloc::ShmAllocShared>()),
         blocks_(alloc::BlockAllocator::format(dev_, 4096, 64 * 1024,
                                               dev_.size() - 64 * 1024, 8)),
-        fentries_(alloc::ObjectAllocator::format(dev_, blocks_, 8192,
-                                                 kFileEntryPayload, 512)),
-        dirblocks_(alloc::ObjectAllocator::format(dev_, blocks_, 8448,
-                                                  kDirBlockPayload, 16)),
-        inodes_(alloc::ObjectAllocator::format(dev_, blocks_, 8704,
-                                               kInodePayload, 512)),
+        fentries_(alloc::ObjectAllocator::format(
+            dev_, blocks_, shared_->obj_stacks[0], 8192, kFileEntryPayload,
+            512)),
+        dirblocks_(alloc::ObjectAllocator::format(
+            dev_, blocks_, shared_->obj_stacks[1], 8448, kDirBlockPayload,
+            16)),
+        inodes_(alloc::ObjectAllocator::format(
+            dev_, blocks_, shared_->obj_stacks[2], 8704, kInodePayload,
+            512)),
         ops_(dev_, DirOps::Pools{&fentries_, &dirblocks_}) {
+    shared_->reset();
     auto ino = inodes_.alloc();
     EXPECT_TRUE(ino.is_ok());
     dir_off_ = *ino;
@@ -47,6 +53,8 @@ class DirBlockTest : public ::testing::Test {
   }
 
   nvmm::Device dev_;
+  // A heap copy of the shm allocator block: one free-object stack per pool.
+  std::unique_ptr<alloc::ShmAllocShared> shared_;
   alloc::BlockAllocator blocks_;
   alloc::ObjectAllocator fentries_;
   alloc::ObjectAllocator dirblocks_;

@@ -15,6 +15,7 @@
 #include "core/check.h"
 #include "core/scrub.h"
 #include "fs_fixture.h"
+#include "nvmm/shadow.h"
 
 namespace simurgh::testing {
 namespace {
@@ -169,6 +170,50 @@ TEST_F(IntegrityTest, RecoveryRederivesChecksumsAfterCrash) {
   const core::CheckReport cr = core::check_fs(*fs_);
   EXPECT_TRUE(cr.ok()) << cr.summary();
   EXPECT_EQ(cr.crc_mismatches, 0u);
+}
+
+// A clean image mounts without recovery, so nothing re-stamps the table:
+// the checksums of the last mount's writes must already be durable when
+// unmount marks the image clean.  The ShadowLog keeps only what was flushed,
+// so its final image is what a power cut after the clean shutdown leaves.
+TEST_F(IntegrityTest, ChecksumsSurviveACleanShutdown) {
+  constexpr std::size_t kBytes = 64 * 4096;
+  make_file("/durable", std::string(kBytes, 'a'));
+  proc_.reset();
+  fs_->unmount();
+  fs_.reset();
+
+  nvmm::ShadowLog log(*nvmm_);  // baseline: the first mount's image
+  log.start();
+  {
+    auto fs = core::FileSystem::mount(*nvmm_, *shm_);
+    auto proc = fs->open_process(1000, 1000);
+    const auto fd = proc->open("/durable", kOpenWrite);
+    ASSERT_TRUE(fd.is_ok());
+    const std::string next(kBytes, 'b');
+    ASSERT_TRUE(proc->pwrite(*fd, next.data(), kBytes, 0).is_ok());
+    ASSERT_TRUE(proc->fsync(*fd).is_ok());
+    proc.reset();
+    fs->unmount();
+  }
+  log.stop();
+  log.seal();
+
+  nvmm::Device img(nvmm_->size());
+  log.materialize(log.n_windows(), {}, img);
+  nvmm::Device shm(kShmSize);
+  auto fs = core::FileSystem::mount(img, shm);
+  const core::CheckReport cr = core::check_fs(*fs);
+  EXPECT_EQ(cr.crc_mismatches, 0u) << cr.summary();
+  EXPECT_TRUE(cr.ok()) << cr.summary();
+  fs->set_verify_reads(true);
+  auto proc = fs->open_process(1000, 1000);
+  const auto fd = proc->open("/durable", kOpenRead);
+  ASSERT_TRUE(fd.is_ok());
+  std::string buf(kBytes, '\0');
+  const auto r = proc->pread(*fd, buf.data(), kBytes, 0);
+  ASSERT_TRUE(r.is_ok()) << "verify_reads failed the durable data";
+  EXPECT_EQ(buf, std::string(kBytes, 'b'));
 }
 
 TEST_F(IntegrityTest, RecycledBlocksDoNotInheritStaleChecksums) {

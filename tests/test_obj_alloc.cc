@@ -2,6 +2,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <memory>
 #include <set>
 #include <thread>
 #include <vector>
@@ -16,11 +17,17 @@ class ObjAllocTest : public ::testing::Test {
  protected:
   ObjAllocTest()
       : dev_(64ull << 20),
+        shared_(std::make_unique<ShmAllocShared>()),
         blocks_(BlockAllocator::format(dev_, 4096, 64 * 1024,
                                        dev_.size() - 64 * 1024, 4)),
-        pool_(ObjectAllocator::format(dev_, blocks_, 8192, 120, 64)) {}
+        pool_(ObjectAllocator::format(dev_, blocks_, shared_->obj_stacks[0],
+                                      8192, 120, 64)) {
+    shared_->reset();
+  }
 
   nvmm::Device dev_;
+  // A heap copy of the shm allocator block: the pool's free-object stack.
+  std::unique_ptr<ShmAllocShared> shared_;
   BlockAllocator blocks_;
   ObjectAllocator pool_;
 };
@@ -81,7 +88,8 @@ TEST_F(ObjAllocTest, AttachFindsExistingObjects) {
   auto a = pool_.alloc();
   ASSERT_TRUE(a.is_ok());
   pool_.commit(*a);
-  auto re = ObjectAllocator::attach(dev_, blocks_, 8192);
+  auto re = ObjectAllocator::attach(dev_, blocks_, shared_->obj_stacks[0],
+                                    8192);
   EXPECT_EQ(re.flags_of(*a), kObjValid);
   EXPECT_EQ(re.payload_size(), 120u);
   // New allocations from the re-attached pool avoid the live object.

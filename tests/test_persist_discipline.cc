@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <memory>
 #include <set>
 #include <string>
 
@@ -100,7 +101,11 @@ TEST(PersistDisciplinePool, GrowFlushesZeroedObjectHeaders) {
   std::memset(dev.base() + 64 * 1024, 0xab, dev.size() - 64 * 1024);
   auto blocks = alloc::BlockAllocator::format(dev, 4096, 64 * 1024,
                                               dev.size() - 64 * 1024, 1);
-  auto pool = alloc::ObjectAllocator::format(dev, blocks, 8192, 120, 64);
+  auto shared = std::make_unique<alloc::ShmAllocShared>();
+  shared->reset();
+  auto pool = alloc::ObjectAllocator::format(dev, blocks,
+                                             shared->obj_stacks[0], 8192, 120,
+                                             64);
   nvmm::ShadowLog log(dev);
   log.start();
   auto r = pool.alloc();  // first alloc grows a segment from dirty blocks
@@ -111,7 +116,8 @@ TEST(PersistDisciplinePool, GrowFlushesZeroedObjectHeaders) {
   nvmm::Device img(dev.size());
   log.materialize(log.n_windows(), {}, img);
   auto b2 = alloc::BlockAllocator::attach(img, 4096);
-  auto p2 = alloc::ObjectAllocator::attach(img, b2, 8192);
+  auto p2 = alloc::ObjectAllocator::attach(img, b2, shared->obj_stacks[1],
+                                           8192);
   unsigned bad = 0;
   p2.scan([&](std::uint64_t off, std::uint32_t flags) {
     if (off == *r)
