@@ -144,7 +144,9 @@ Result<std::uint64_t> ObjectAllocator::alloc() {
       std::uint32_t expected = 0;
       if (hdr.flags.compare_exchange_strong(expected, kObjValid | kObjDirty,
                                             std::memory_order_acq_rel)) {
-        nvmm::persist_now(hdr.flags);
+        // Flushed, not fenced: the caller's fence before its publish orders
+        // the claim with the payload (an unpublished 11 is reclaimed).
+        nvmm::persist_obj(hdr.flags);
         SIMURGH_FAILPOINT("objalloc.claimed");
         return off;
       }
@@ -173,14 +175,14 @@ Result<std::uint64_t> ObjectAllocator::alloc() {
 void ObjectAllocator::commit(std::uint64_t payload_off) {
   ObjectHeader& hdr = header_of(payload_off);
   hdr.flags.fetch_and(~kObjDirty, std::memory_order_release);
-  nvmm::persist_now(hdr.flags);
+  nvmm::persist_obj(hdr.flags);
 }
 
 void ObjectAllocator::free(std::uint64_t payload_off) {
   ObjectHeader& hdr = header_of(payload_off);
   // Step 1: unset valid, set dirty ("deallocation in progress").
   hdr.flags.store(kObjDirty, std::memory_order_release);
-  nvmm::persist_now(hdr.flags);
+  nvmm::persist_obj(hdr.flags);
   SIMURGH_FAILPOINT("objalloc.free.valid_cleared");
   finish_pending_free(payload_off);
 }
@@ -204,7 +206,7 @@ void ObjectAllocator::finish_pending_free(std::uint64_t payload_off) {
   // Step 3: unset dirty — object is free again.
   ObjectHeader& hdr = header_of(payload_off);
   hdr.flags.store(0, std::memory_order_release);
-  nvmm::persist_now(hdr.flags);
+  nvmm::persist_obj(hdr.flags);
   // Recycle through the local magazine; spill the oldest half to the shared
   // stack once it overfills (dropped-when-full is fine there — a refill
   // scan finds the object again).
@@ -225,7 +227,7 @@ void ObjectAllocator::set_flags(std::uint64_t payload_off,
                                 std::uint32_t flags) {
   ObjectHeader& hdr = header_of(payload_off);
   hdr.flags.store(flags, std::memory_order_release);
-  nvmm::persist_now(hdr.flags);
+  nvmm::persist_obj(hdr.flags);
 }
 
 bool ObjectAllocator::owns_block(std::uint64_t block_off) const {

@@ -10,11 +10,26 @@
 //        1     0     live object                      keep if reachable
 //        0     1     deallocation in progress         finish: zero + clear
 //
-// Allocation claims an object by CAS-ing 00 -> 11 and persisting the flags;
-// when the file-system operation that uses the object completes, it clears
-// the dirty bit (commit).  Deallocation clears valid, zeroes the payload,
-// then clears dirty — so a crash at any point leaves a state the recovery
-// scan maps to exactly one decision (the paper's two-bit protocol).
+// Allocation claims an object by CAS-ing 00 -> 11; when the file-system
+// operation that uses the object completes, it clears the dirty bit
+// (commit).  Deallocation clears valid, zeroes the payload, then clears
+// dirty — so a crash at any point leaves a state the recovery scan maps to
+// exactly one decision (the paper's two-bit protocol).
+//
+// alloc, commit, set_flags and free flush their flag word but do not fence
+// (DESIGN.md "Persist budget").  The caller owns the ordering:
+//  * a claim and the payload written after it are fenced together before
+//    the store that publishes the object; until then an 11 object is
+//    unreachable and recovery reclaims it;
+//  * commit rides the next fence, since recovery commits a reachable 11;
+//  * an object the durable image can still reach is set to 01 and fenced
+//    before anything zeroes it, and free / finish_pending_free run only
+//    after the store that unlinked it is fenced.
+// Because a free's flushes are unfenced, a crash can leave a free (00)
+// object whose header line landed but whose payload lines still hold the
+// previous owner's bytes: alloc() hands out a zero payload on a live
+// mount, but after a crash it promises nothing about the payload, so every
+// caller stores each field it relies on.
 //
 // A volatile free-object cache holds offsets of free objects so the hot
 // path is O(1), falling back to scanning pool segments on refill.  The
@@ -86,20 +101,24 @@ class ObjectAllocator {
                                 ObjCacheStack& cache,
                                 std::uint64_t pool_header_off);
 
-  // Claims a free object (flags 00 -> 11, persisted) and returns the
-  // *payload* device offset, zero-filled.
+  // Claims a free object (flags 00 -> 11, flushed, not fenced) and returns
+  // the *payload* device offset.  The payload is not guaranteed zero after
+  // a crash (see the header comment): the caller initialises every field.
   Result<std::uint64_t> alloc();
 
-  // Marks the object's operation complete: clears dirty, persists.
+  // Marks the object's operation complete: clears dirty, flushes.
   void commit(std::uint64_t payload_off);
 
-  // Two-bit deallocation protocol: valid off -> zero payload -> dirty off.
+  // Two-bit deallocation protocol: valid off -> zero payload -> dirty off,
+  // each flushed, none fenced.  Only for objects the durable image can no
+  // longer reach.
   void free(std::uint64_t payload_off);
 
-  // Completes a deallocation found half-done after a crash (flags == 01).
+  // Completes a deallocation found half-done (flags == 01), unfenced.
   void finish_pending_free(std::uint64_t payload_off);
 
   [[nodiscard]] std::uint32_t flags_of(std::uint64_t payload_off) const;
+  // Stores and flushes the flag word; the caller fences.
   void set_flags(std::uint64_t payload_off, std::uint32_t flags);
 
   [[nodiscard]] std::uint64_t payload_size() const noexcept {

@@ -260,6 +260,9 @@ class Checker {
             fail("directory @", dir_off,
                  ": cross-directory rename log still armed (state=",
                  blk->log.state.load(std::memory_order_relaxed), ")");
+          if (blk->log_lock.owner.load(std::memory_order_acquire) != 0)
+            fail("directory @", dir_off,
+                 ": rename-log lock held in quiescent image");
         }
         for (unsigned ln = 0; ln < kLines; ++ln)
           for (unsigned s = 0; s < kSlotsPerLine; ++s) {

@@ -385,6 +385,9 @@ Status Process::truncate_inode(std::uint64_t ino_off, std::uint64_t size) {
                       fs_.blocks().free(dev_off, n);
                     });
     }
+    // The file stays reachable: its cleared extents are durable before the
+    // truncate returns, so no later growth can find a freed block mapped.
+    nvmm::fence();
     if (ExtentCache* c = fs_.extent_cache_if_enabled()) c->invalidate(ino_off);
   }
   return Status::ok();

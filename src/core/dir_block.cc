@@ -35,7 +35,7 @@ void advance_epoch_gen(nvmm::Device& dev, std::uint64_t e) noexcept {
 
 // Publishes `value` into a slot observed free.  All publications go through
 // a CAS from 0 so the lock-free repair path and lock-holding writers can
-// never overwrite each other.
+// never overwrite each other.  Fenced: a publish is a commit point.
 bool claim_slot(DirSlot& slot, std::uint64_t value) noexcept {
   std::uint64_t expected = 0;
   const bool ok = slot.v.compare_exchange_strong(expected, value,
@@ -44,13 +44,38 @@ bool claim_slot(DirSlot& slot, std::uint64_t value) noexcept {
   return ok;
 }
 
-// Clears a slot iff it still holds `expected`.
+// Clears a slot iff it still holds `expected`.  Fenced: the entry it
+// pointed at may be freed, and so recycled, right after.
 bool clear_slot(DirSlot& slot, std::uint64_t expected) noexcept {
   const bool ok = slot.v.compare_exchange_strong(expected, 0,
                                                  std::memory_order_acq_rel);
   if (ok) nvmm::persist_now(slot.v);
   return ok;
 }
+
+// Holds a source directory's rename-log lock for one cross-directory move.
+// Like LineLock, a holder that crash-unwinds keeps the lock: the next
+// writer steals it once the lease expires and replays the dead holder's
+// record before writing its own.
+class RenameLogLock {
+ public:
+  RenameLogLock(common::LeaseLock& lock, std::uint64_t lease_ns) noexcept
+      : lock_(lock),
+        self_(common::thread_token()),
+        stole_(lock.lock(self_, lease_ns)) {}
+  ~RenameLogLock() {
+    if (std::uncaught_exceptions() == 0) lock_.unlock(self_);
+  }
+  RenameLogLock(const RenameLogLock&) = delete;
+  RenameLogLock& operator=(const RenameLogLock&) = delete;
+
+  [[nodiscard]] bool stole_lease() const noexcept { return stole_; }
+
+ private:
+  common::LeaseLock& lock_;
+  const std::uint64_t self_;
+  const bool stole_;
+};
 
 }  // namespace
 
@@ -129,8 +154,8 @@ Result<std::uint64_t> DirOps::create_dir_block() {
   // matching EpochGuard's balanced bumps.
   blk->epoch.store(epoch_gen(dev_).fetch_add(2, std::memory_order_acq_rel),
                    std::memory_order_release);
+  // Flushed, not fenced: the caller fences before publishing the block.
   nvmm::persist(blk, sizeof(DirBlock));
-  nvmm::fence();
   pools_.dirblock->commit(off);
   return off;
 }
@@ -326,8 +351,11 @@ Result<DirOps::SlotRef> DirOps::free_slot_in(DirBlock* head, unsigned ln) {
     last = blk;
   }
   // Line full in every block: extend the chain (Fig. 5a step 4).  The next
-  // pointer is CAS-published because other lines extend concurrently.
+  // pointer is CAS-published because other lines extend concurrently, and
+  // fenced on its own: another line's writer may publish an entry in the
+  // new block, and its fence does not order our flushes.
   SIMURGH_ASSIGN_OR_RETURN(const std::uint64_t new_off, create_dir_block());
+  nvmm::fence();
   auto new_blk = nvmm::pptr<DirBlock>(new_off);
   for (;;) {
     nvmm::pptr<DirBlock> expected;
@@ -410,21 +438,25 @@ Result<std::uint64_t> DirOps::remove_locked(Inode& dir, unsigned ln,
   FileEntry* fe = entry_at(fe_off);
   const std::uint64_t inode_off = fe->inode.load().raw();
 
-  // Step 2: invalidate the entry (valid off, dirty on).
+  // Step 2: invalidate the entry (valid off, dirty on).  Fenced before the
+  // scrub: the slot still reaches the entry, and a zeroed line landing
+  // without the 01 would leave a live entry with a torn name.
   pools_.fentry->set_flags(fe_off, alloc::kObjDirty);
+  nvmm::fence();
   SIMURGH_FAILPOINT("dir.remove.entry_invalidated");
   // Steps 3-4: zero the entry payload.  (The inode itself is released by
   // the caller once the last link drops; a crash in between leaves an
   // unreachable inode that the full-recovery sweep reclaims — same final
-  // state as the paper's ordering.)
+  // state as the paper's ordering.)  Any subset of the scrub and the slot
+  // clear recovers the same way: the entry is already dead.
   scrub_entry(fe);
-  nvmm::fence();
   SIMURGH_FAILPOINT("dir.remove.entry_zeroed");
-  // Step 5: zero the slot.
+  // Step 5: zero the slot (fenced: the unlinking store).
   clear_slot(*ref.slot, v);
   SIMURGH_FAILPOINT("dir.remove.slot_cleared");
-  // Complete the object free (re-zero + dirty off) — after the slot so a
-  // recycled entry can never be reached through the stale slot.
+  // Complete the object free (re-zero + dirty off) — after the fenced slot
+  // clear so a recycled entry can never be reached through the stale slot.
+  // It rides the next fence.
   pools_.fentry->finish_pending_free(fe_off);
   // Step 6 (optional in the paper): freeing emptied chain blocks is
   // deferred to full recovery, which compacts chains safely offline.
@@ -474,6 +506,7 @@ Result<std::uint64_t> DirOps::rename_local(Inode& dir,
                       std::memory_order_release);
   new_fe->inode.store(old_fe->inode.load());
   nvmm::persist(new_fe, sizeof(FileEntry));
+  // One fence before the swing publishes the shadow: its claim and payload.
   nvmm::fence();
   SIMURGH_FAILPOINT("dir.rename.shadow_created");
 
@@ -484,20 +517,24 @@ Result<std::uint64_t> DirOps::rename_local(Inode& dir,
       DirSlot::off_of(target_ref.slot->v.load()) == old_fe_off)
     target_ref = {};  // renaming onto itself through the old slot
 
-  // Steps 3-4: mark the directory and line(s) as rename-busy.
+  // Steps 3-4: mark the directory and line(s) as rename-busy.  Recovery
+  // repairs from the line state alone and only resets the marker, so it
+  // is flushed but never fenced.
   first->rename_busy.store(1, std::memory_order_release);
-  nvmm::persist_now(first->rename_busy);
+  nvmm::persist_obj(first->rename_busy);
   SIMURGH_FAILPOINT("dir.rename.marked");
 
   // Step 5: swing the *old* slot onto the new entry.  The line is now
   // deliberately inconsistent: the entry's name hashes to l_new (and
-  // possibly a different bucket).
+  // possibly a different bucket).  Fenced: this is the commit point —
+  // from here line repair rolls the rename forward.
   old_ref.slot->v.store(DirSlot::pack(tag_new, new_fe_off),
                         std::memory_order_release);
   nvmm::persist_now(old_ref.slot->v);
   SIMURGH_FAILPOINT("dir.rename.line_inconsistent");
 
-  // Step 6: the old entry is no longer needed.
+  // Step 6: the old entry is no longer reachable; its free rides the next
+  // fence.
   pools_.fentry->free(old_fe_off);
   SIMURGH_FAILPOINT("dir.rename.old_entry_freed");
 
@@ -510,18 +547,16 @@ Result<std::uint64_t> DirOps::rename_local(Inode& dir,
                          !ctx.rt_a.splitting && !ctx.rt_b.splitting;
 
   // Step 7: publish in the correct line (reusing the displaced target's
-  // slot when replacing).
+  // slot when replacing).  Fenced before step 8 retires the temporary
+  // pointer; the displaced target is unreachable once its slot swings.
   if (target_ref.slot != nullptr) {
     const std::uint64_t t_v = target_ref.slot->v.load();
     const std::uint64_t t_off = DirSlot::off_of(t_v);
-    FileEntry* t_fe = entry_at(t_off);
-    replaced_inode = t_fe->inode.load().raw();
+    replaced_inode = entry_at(t_off)->inode.load().raw();
     target_ref.slot->v.store(DirSlot::pack(tag_new, new_fe_off),
                              std::memory_order_release);
     nvmm::persist_now(target_ref.slot->v);
-    pools_.fentry->set_flags(t_off, alloc::kObjDirty);
-    scrub_entry(t_fe);
-    pools_.fentry->finish_pending_free(t_off);
+    pools_.fentry->free(t_off);
   } else if (!keep_home) {
     for (;;) {
       SIMURGH_ASSIGN_OR_RETURN(SlotRef dst,
@@ -532,14 +567,16 @@ Result<std::uint64_t> DirOps::rename_local(Inode& dir,
   SIMURGH_FAILPOINT("dir.rename.published");
 
   // Step 8: retire the temporary (inconsistent) pointer, unless the swung
-  // slot stayed the entry's home.
+  // slot stayed the entry's home.  It rides the next fence with the commit
+  // and the marker: a surviving temporary is a stray whose home already
+  // holds the entry, which line repair drops.
   if (!keep_home) {
     old_ref.slot->v.store(0, std::memory_order_release);
-    nvmm::persist_now(old_ref.slot->v);
+    nvmm::persist_obj(old_ref.slot->v);
   }
   pools_.fentry->commit(new_fe_off);
   first->rename_busy.store(0, std::memory_order_release);
-  nvmm::persist_now(first->rename_busy);
+  nvmm::persist_obj(first->rename_busy);
   return replaced_inode;
 }
 
@@ -561,6 +598,11 @@ Result<std::uint64_t> DirOps::rename_cross(Inode& src_dir,
     return Errc::not_found;
   EpochGuard epoch_src(*this, src_dir, ctx.rt_a.head);
   EpochGuard epoch_dst(*this, dst_dir, ctx.rt_b.head);
+  // The source directory has one log, and its fields are plain stores: one
+  // move out of the directory at a time, from the record's write through
+  // its fenced close.  A thief first replays the dead holder's record.
+  RenameLogLock log_lock(src_first->log_lock, lease_ns_);
+  if (log_lock.stole_lease()) replay_cross_log(src_dir);
 
   SlotRef src_ref = find_slot(src_dir, l_src, old_name, tag_old);
   if (src_ref.slot == nullptr) return Errc::not_found;
@@ -577,13 +619,13 @@ Result<std::uint64_t> DirOps::rename_cross(Inode& src_dir,
                       std::memory_order_release);
   new_fe->inode.store(old_fe->inode.load());
   nvmm::persist(new_fe, sizeof(FileEntry));
-  nvmm::fence();
 
   std::uint64_t replaced_inode = 0;
   SlotRef dst_ref = find_slot(dst_dir, l_dst, new_name, tag_new);
 
-  // Steps 1-2: write the operation into the source directory's log entry
-  // and set its dirty bit.
+  // Steps 1-2: write the operation into the source directory's log entry,
+  // fence it together with the new entry, then arm it (fenced: the arm
+  // must be durable before the destination can publish).
   RenameLog& log = src_first->log;
   log.dst_dir_inode = dst_dir.dir.load().raw();  // identifies the dst chain
   log.old_fentry = old_fe_off;
@@ -600,18 +642,17 @@ Result<std::uint64_t> DirOps::rename_cross(Inode& src_dir,
   nvmm::persist_now(log.state);
   SIMURGH_FAILPOINT("dir.xrename.log_armed");
 
-  // Step 4: perform the operation.
+  // Step 4: perform the operation.  The fenced destination publish is the
+  // commit point: replay redoes from here on.  A displaced target is
+  // unreachable once its slot swings.
   if (dst_ref.slot != nullptr) {
     const std::uint64_t t_v = dst_ref.slot->v.load();
     const std::uint64_t t_off = DirSlot::off_of(t_v);
-    FileEntry* t_fe = entry_at(t_off);
-    replaced_inode = t_fe->inode.load().raw();
+    replaced_inode = entry_at(t_off)->inode.load().raw();
     dst_ref.slot->v.store(DirSlot::pack(tag_new, new_fe_off),
                           std::memory_order_release);
     nvmm::persist_now(dst_ref.slot->v);
-    pools_.fentry->set_flags(t_off, alloc::kObjDirty);
-    scrub_entry(t_fe);
-    pools_.fentry->finish_pending_free(t_off);
+    pools_.fentry->free(t_off);
   } else {
     for (;;) {
       SIMURGH_ASSIGN_OR_RETURN(SlotRef dst,
@@ -621,17 +662,20 @@ Result<std::uint64_t> DirOps::rename_cross(Inode& src_dir,
   }
   SIMURGH_FAILPOINT("dir.xrename.dst_published");
 
-  // Retire the source entry + slot.
+  // Retire the source entry.  Once its 01 is durable the source side is an
+  // ordinary interrupted delete (Fig. 5b), finished by the next holder of
+  // its line or by recovery, so the log may close in the window that
+  // clears the slot.  That slot clear's fence makes the close durable
+  // before the log lock is released.
   pools_.fentry->set_flags(old_fe_off, alloc::kObjDirty);
+  nvmm::fence();
   scrub_entry(old_fe);
-  clear_slot(*src_ref.slot, src_v);
-  pools_.fentry->finish_pending_free(old_fe_off);
-  SIMURGH_FAILPOINT("dir.xrename.src_cleared");
-
-  // Close the log.
   pools_.fentry->commit(new_fe_off);
   log.state.store(0, std::memory_order_release);
-  nvmm::persist_now(log.state);
+  nvmm::persist_obj(log.state);
+  clear_slot(*src_ref.slot, src_v);
+  SIMURGH_FAILPOINT("dir.xrename.src_cleared");
+  pools_.fentry->finish_pending_free(old_fe_off);
   return replaced_inode;
 }
 
@@ -683,11 +727,14 @@ void DirOps::repair_line_chain(Inode& dir, DirBlock* head, unsigned ln) {
     DirSlot* slot;
   };
   std::vector<NamedSlot> by_name;
-  // Retires a displaced entry exactly like delete steps 2-5.
-  auto retire_entry = [&](std::uint64_t fe_off) {
+  // Retires a displaced entry still reached through `victim` exactly like
+  // delete steps 2-5.
+  auto retire_entry = [&](DirSlot& victim, std::uint64_t vv) {
+    const std::uint64_t fe_off = DirSlot::off_of(vv);
     pools_.fentry->set_flags(fe_off, alloc::kObjDirty);
-    scrub_entry(entry_at(fe_off));
     nvmm::fence();
+    scrub_entry(entry_at(fe_off));
+    clear_slot(victim, vv);
     pools_.fentry->finish_pending_free(fe_off);
   };
   for (DirBlock* blk = head; blk != nullptr;
@@ -736,11 +783,8 @@ void DirOps::repair_line_chain(Inode& dir, DirBlock* head, unsigned ln) {
               pools_.fentry->flags_of(off) ==
               (alloc::kObjValid | alloc::kObjDirty);
           DirSlot* loser_slot = cur_wins ? prev.slot : &slot;
-          const std::uint64_t loser_off = cur_wins ? prev.off : off;
-          const std::uint64_t lv =
-              loser_slot->v.load(std::memory_order_acquire);
-          retire_entry(loser_off);
-          clear_slot(*loser_slot, lv);
+          retire_entry(*loser_slot,
+                       loser_slot->v.load(std::memory_order_acquire));
           if (cur_wins) {
             prev.off = off;
             prev.slot = &slot;
@@ -773,7 +817,7 @@ void DirOps::repair_line_chain(Inode& dir, DirBlock* head, unsigned ln) {
         // the home slot onto the stray's entry, then retire the target.
         home.slot->v.store(DirSlot::pack(tag, off), std::memory_order_release);
         nvmm::persist_now(home.slot->v);
-        retire_entry(DirSlot::off_of(hv));
+        pools_.fentry->free(DirSlot::off_of(hv));  // unreachable now
       }
       clear_slot(slot, v);
       if (pools_.fentry->flags_of(off) ==
@@ -962,6 +1006,8 @@ Status DirOps::split_directory(Inode& dir) {
     }
     head_offs[i] = *r;
   }
+  // The heads' claims and payloads are durable before any head pointer.
+  nvmm::fence();
   for (unsigned i = 0; i < nb; ++i)
     anchor->bucket_heads[i].store(nvmm::pptr<DirBlock>(head_offs[i]));
   nvmm::persist(&anchor->bucket_heads[0], sizeof(anchor->bucket_heads));
@@ -1008,30 +1054,29 @@ void DirOps::replay_cross_log(Inode& src_dir) {
   // Decide redo vs. undo by whether the destination directory published a
   // slot pointing at the new entry — the operation's commit point.
   const std::uint64_t new_fe = log.new_fentry;
+  const std::uint64_t old_fe = log.old_fentry;
   const bool dst_published = dir_contains_fentry(log.dst_dir_inode, new_fe);
   if (dst_published) {
-    // Redo: finish the source-side cleanup.
+    // Redo: the source entry becomes an interrupted delete (01, scrubbed).
+    // Its slot is left to the next holder of its line or to recovery's line
+    // repair, which clears it before finishing the free: a lease thief
+    // replaying here holds only its own lines.
     if (pools_.fentry->flags_of(new_fe) ==
         (alloc::kObjValid | alloc::kObjDirty))
       pools_.fentry->commit(new_fe);
-    FileEntry* old_fe = entry_at(log.old_fentry);
-    if (pools_.fentry->flags_of(log.old_fentry) != 0) {
-      pools_.fentry->set_flags(log.old_fentry, alloc::kObjDirty);
-      scrub_entry(old_fe);
-      pools_.fentry->finish_pending_free(log.old_fentry);
+    const std::uint32_t f = pools_.fentry->flags_of(old_fe);
+    if ((f & alloc::kObjValid) != 0) {
+      pools_.fentry->set_flags(old_fe, alloc::kObjDirty);
+      nvmm::fence();  // the source slot may still reach it
+      scrub_entry(entry_at(old_fe));
     }
-    // Scrub the stale source slot wherever it is.
-    for (unsigned ln = 0; ln < kLines; ++ln) repair_line_all(src_dir, ln);
   } else if (pools_.fentry->flags_of(new_fe) != 0) {
-    // Undo: the new entry never became visible; drop it.
-    pools_.fentry->set_flags(new_fe, alloc::kObjDirty);
-    scrub_entry(entry_at(new_fe));
-    pools_.fentry->finish_pending_free(new_fe);
+    // Undo: the new entry never became reachable; drop it.
+    pools_.fentry->free(new_fe);
   }
-  // Disarm, not arm: every cleanup helper above (commit / set_flags /
-  // finish_pending_free) ends in a persist_now, so the replayed state is
-  // durable before the log drops.
-  // pmlint: allow(fence-before-commit) helpers above persist+fence internally
+  // The replayed state is durable before the log disarms, and the disarm
+  // before the log lock can pass to a writer who rewrites the record.
+  nvmm::fence();
   log.state.store(0, std::memory_order_release);
   nvmm::persist_now(log.state);
 }
@@ -1192,6 +1237,8 @@ void DirOps::recover_directory(Inode& dir) {
   }
   anchor->busy.store(0, std::memory_order_release);
   anchor->rename_busy.store(0, std::memory_order_release);
+  anchor->log_lock.reset();
+  nvmm::persist_obj(anchor->log_lock);
   nvmm::persist_now(anchor->busy);
   if (d != 0) {
     const unsigned nb = 1u << (d > kMaxBucketBits ? kMaxBucketBits : d);

@@ -11,12 +11,15 @@
 // Slots pack a 16-bit tag of the name hash with the 48-bit file-entry
 // offset, so negative probes rarely dereference entries.
 //
-// Consistency rules (what recovery relies on):
-//  * A slot is published (store + persist) only after its file entry and
-//    inode are fully persisted — Fig. 5a order.
-//  * Deletion zeroes the entry before the slot, so a slot that points to a
-//    zeroed/invalid entry marks an interrupted delete; the next mutator of
-//    the line (lock-free readers only skip it) completes it — Fig. 5b.
+// Consistency rules (what recovery relies on; DESIGN.md "Persist budget"
+// says where each one fences):
+//  * A slot is published (store + persist + fence) only after one fence
+//    covers its file entry and inode — Fig. 5a order.
+//  * Deletion turns the entry 01 (fenced) and zeroes it before the slot, so
+//    a slot that points to a zeroed/invalid entry marks an interrupted
+//    delete; the next mutator of the line (lock-free readers only skip it)
+//    completes it — Fig. 5b.  The entry is freed only after its slot clear
+//    is fenced.
 //  * An intra-directory rename deliberately leaves the line "inconsistent"
 //    (the entry's name hashes to a different line) between its steps 5-8;
 //    that inconsistency plus the rename marker is the redo record — Fig. 5c.
@@ -44,6 +47,7 @@
 #include <utility>
 
 #include "common/hash.h"
+#include "common/lease.h"
 #include "common/thread_annotations.h"
 #include "core/inode.h"
 
@@ -130,7 +134,8 @@ struct DirLine {
 };
 static_assert(sizeof(DirLine) == 64);
 
-// Cross-directory rename log — one per directory, in the first block.
+// Cross-directory rename log — one per directory, in the first block,
+// written under DirBlock::log_lock.
 struct RenameLog {
   std::atomic<std::uint32_t> state{0};  // 0 idle, 1 pending (dirty)
   std::uint32_t _pad = 0;
@@ -186,6 +191,13 @@ struct CAPABILITY("dir_line_lease") DirBlock {
   nvmm::atomic_pptr<DirBlock> bucket_heads[kMaxDirBuckets];
   // ---- all blocks ----
   DirLine lines[kLines];
+  // ---- first block of a chain only ----
+  // One writer of `log` at a time (DirOps::rename_cross), held from the
+  // record's write through its fenced close; never persisted, reset by
+  // recovery.  It sits after every older field so images written before
+  // it read its zero bytes (the free scrub zeroes the whole payload) as an
+  // idle lock, and the layout version stays.
+  common::LeaseLock log_lock;
 };
 static_assert(sizeof(DirBlock) <= kDirBlockPayload);
 

@@ -626,23 +626,32 @@ Result<std::uint64_t> Process::create_file(const ResolveResult& where,
   if (!may_access(*parent, cred_, kMayWrite | kMayExec))
     return Errc::permission;
 
-  // Fig. 5a step 1: create and persist the inode.
+  // Fig. 5a step 1: create the inode (flushed; fenced with the entry).
   SIMURGH_ASSIGN_OR_RETURN(const std::uint64_t ino_off,
                            fs_.pool(kPoolInode).alloc());
   Inode* ino = fs_.inode_at(ino_off);
   // No placement-new: a recycled inode may still be read by walkers holding
   // a pre-delete offset, and constructing the atomic members would be a
-  // plain (racy) write.  The allocator's free scrub left every byte zero —
-  // exactly Inode's default state — so atomic stores of the nonzero fields
-  // suffice.
+  // plain (racy) write.  Nor is the free scrub's zero payload trusted: its
+  // flushes are unfenced, so after a crash a free inode may still hold the
+  // dead file's extents in the lines its header did not share.  Every field
+  // is stored here, the extent area word-wise like the scrub.
   ino->mode.store(type | (mode & kPermMask), std::memory_order_relaxed);
   ino->uid.store(cred_.euid, std::memory_order_relaxed);
   ino->gid.store(cred_.egid, std::memory_order_relaxed);
   ino->nlink.store(1, std::memory_order_relaxed);
+  ino->size.store(0, std::memory_order_relaxed);
   const std::uint64_t now = wall_ns();
-  ino->atime_ns = now;
-  ino->mtime_ns = now;
-  ino->ctime_ns = now;
+  ino->atime_ns.store(now, std::memory_order_relaxed);
+  ino->mtime_ns.store(now, std::memory_order_relaxed);
+  ino->ctime_ns.store(now, std::memory_order_relaxed);
+  ino->dir.store(nvmm::pptr<DirBlock>());
+  ino->ext_spill.store(nvmm::pptr<ExtentBlock>());
+  ino->ext_epoch.store(0, std::memory_order_relaxed);
+  static_assert(sizeof ino->extents % 8 == 0);
+  auto* ext_words = reinterpret_cast<std::atomic<std::uint64_t>*>(ino->extents);
+  for (std::size_t i = 0; i < sizeof ino->extents / 8; ++i)
+    ext_words[i].store(0, std::memory_order_relaxed);
   if (type == kModeDir) {
     auto db = fs_.dirops().create_dir_block();
     if (!db.is_ok()) {
@@ -681,7 +690,6 @@ Result<std::uint64_t> Process::create_file(const ResolveResult& where,
         std::memory_order_release);
   }
   nvmm::persist(ino, sizeof(Inode));
-  nvmm::fence();
   SIMURGH_FAILPOINT("fs.create.inode_persisted");
 
   // Fig. 5a step 2: file entry linked to the inode.
@@ -696,10 +704,13 @@ Result<std::uint64_t> Process::create_file(const ResolveResult& where,
                   std::memory_order_relaxed);
   fe->inode.store(nvmm::pptr<Inode>(ino_off));
   nvmm::persist(fe, sizeof(FileEntry));
+  // One fence for every new object: both claims, both payloads, and a new
+  // directory's hash block or a long symlink's target block.
   nvmm::fence();
   SIMURGH_FAILPOINT("fs.create.entry_persisted");
 
-  // Fig. 5a steps 3-5: publish in the directory hash map.
+  // Fig. 5a steps 3-5: publish in the directory hash map (the fenced slot
+  // claim is the commit point).
   Status st = fs_.dirops().insert(*parent, where.leaf(), *fe_off);
   if (!st.is_ok()) {
     fs_.pool(kPoolFileEntry).free(*fe_off);
@@ -708,7 +719,8 @@ Result<std::uint64_t> Process::create_file(const ResolveResult& where,
   }
   SIMURGH_FAILPOINT("fs.create.published");
 
-  // Fig. 5a step 6: clear the dirty bits.
+  // Fig. 5a step 6: clear the dirty bits.  They ride the next fence:
+  // recovery commits a reachable 11 object.
   fs_.pool(kPoolFileEntry).commit(*fe_off);
   fs_.pool(kPoolInode).commit(ino_off);
   parent->mtime_ns.store(now, std::memory_order_relaxed);
@@ -725,7 +737,11 @@ Status Process::drop_inode(std::uint64_t inode_off) {
   if (ino->nlink.fetch_sub(1, std::memory_order_acq_rel) != 1)
     return Status::ok();  // other hard links remain
   // Last link: the class binding dies with the file (the inode offset will
-  // be recycled), then release storage and the inode object itself.
+  // be recycled), then release storage and the inode object itself.  The
+  // caller fenced the store that unlinked the inode, so nothing below
+  // fences for the inode: its extent clears and frees ride the next fence
+  // (recovery reclaims an unreachable inode whatever landed).  Block frees
+  // fence their own free-list surgery.
   if (WriteBehind* wb = fs_.write_behind(); wb != nullptr)
     wb->forget(inode_off);
   if (ino->is_dir()) {
@@ -741,6 +757,11 @@ Status Process::drop_inode(std::uint64_t inode_off) {
         *ino, [&](DirBlock*, std::uint64_t off) { blocks.push_back(off); });
     ino->dir.store(nvmm::pptr<DirBlock>());
     for (const std::uint64_t off : blocks) fs_.pool(kPoolDirBlock).free(off);
+  } else if (ino->is_symlink()) {
+    // An inline target lives in the union over extents[] and owns no
+    // storage; only a long target's block is recorded in extents[0].
+    if (ino->size.load(std::memory_order_acquire) > kInlineSymlinkMax)
+      fs_.blocks().free(ino->extents[0].dev_off, ino->extents[0].n_blocks);
   } else {
     {
       ExtentEpochGuard guard(*ino);
@@ -957,8 +978,10 @@ Status Process::link(std::string_view existing, std::string_view newpath) {
   if (!may_access(*parent, cred_, kMayWrite | kMayExec))
     return Status(Errc::permission);
 
+  // The count and the new entry share the fence before the publish; an
+  // increment that lands without the entry is reconciled by recovery.
   ino->nlink.fetch_add(1, std::memory_order_acq_rel);
-  nvmm::persist_now(ino->nlink);
+  nvmm::persist_obj(ino->nlink);
   SIMURGH_ASSIGN_OR_RETURN(const std::uint64_t fe_off,
                            fs_.pool(kPoolFileEntry).alloc());
   auto* fe = reinterpret_cast<FileEntry*>(fs_.dev().at(fe_off));

@@ -86,7 +86,6 @@ void ExtentMap::free_spill_chain() {
   nvmm::pptr<ExtentBlock> b = ino_.ext_spill.load();
   ino_.ext_spill.store(nvmm::pptr<ExtentBlock>());
   nvmm::persist_obj(ino_.ext_spill);
-  nvmm::fence();
   while (b) {
     const nvmm::pptr<ExtentBlock> next = b.in(dev_)->next;
     pool_.free(b.raw());

@@ -145,6 +145,8 @@ class ExtentMap {
 
   // Number of mapped blocks at/after `from_block` (truncate support);
   // invokes fn(dev_off, n_blocks) for each removed run and unmaps them.
+  // The cleared extents are flushed, not fenced: an unlinked inode's clears
+  // ride the next fence, and truncate fences after its call.
   template <typename Fn>
   void drop_from(std::uint64_t from_block, Fn&& fn);
 
@@ -165,7 +167,8 @@ class ExtentMap {
     }
   }
 
-  // Releases every extent block back to the pool (unlink path).
+  // Releases every extent block back to the pool (unlink path: the inode
+  // is already unreachable in the durable image, so nothing is fenced).
   void free_spill_chain();
 
  private:
@@ -200,7 +203,6 @@ void ExtentMap::drop_from(std::uint64_t from_block, Fn&& fn) {
     nvmm::persist_obj(*eb);
     b = eb->next;
   }
-  nvmm::fence();
 }
 
 }  // namespace simurgh::core

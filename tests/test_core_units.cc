@@ -4,8 +4,10 @@
 // protocols.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <cstddef>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -425,15 +427,82 @@ TEST_F(MountRegistryTest, WaitRecoveryDoneNeverTakesOverFromLiveRecoverer) {
 
 // ---- persist ordering through the directory protocols ----
 
+// Records every flush with the number of fences retired before it.
+class FlushRecorder final : public nvmm::StoreTracer {
+ public:
+  struct Flush {
+    std::uintptr_t lo, hi;  // [lo, hi)
+    std::uint64_t fences_before;
+  };
+  void on_persist(const void* p, std::size_t len) override {
+    const auto lo = reinterpret_cast<std::uintptr_t>(p);
+    flushes.push_back({lo, lo + len, fences});
+  }
+  void on_nt_store(const void*, std::size_t) override {}
+  void on_fence(std::uint64_t) override { ++fences; }
+
+  std::vector<Flush> flushes;
+  std::uint64_t fences = 0;
+};
+
 TEST_F(CoreUnitTest, CreatePersistsEntryBeforePublishing) {
-  // Fig. 5a's order is enforced with fences; at minimum a create must
-  // issue several flush+fence pairs (inode, entry, slot, commits).
+  // Fig. 5a: the inode and the entry are durable before the slot that
+  // publishes them — flushed in an earlier fence epoch than the slot — and
+  // the slot itself is fenced before open() returns.
   auto proc = fs_->open_process(1000, 1000);
-  auto& ps = nvmm::persist_stats();
-  ps.reset();
-  ASSERT_TRUE(proc->open("/ordered", kOpenCreate | kOpenWrite).is_ok());
-  EXPECT_GE(ps.fences.load(), 4u);
-  EXPECT_GE(ps.flushed_lines.load(), 8u);
+  FlushRecorder rec;
+  nvmm::set_store_tracer(&rec);
+  const bool opened =
+      proc->open("/ordered", kOpenCreate | kOpenWrite).is_ok();
+  nvmm::set_store_tracer(nullptr);
+  ASSERT_TRUE(opened);
+
+  const std::uint64_t ino_off = proc->stat("/ordered")->inode;
+  DirBlock* root_blk =
+      fs_->inode_at(fs_->sb().root.load().raw())->dir.load().in(fs_->dev());
+  std::uint64_t fe_off = 0;
+  for (const DirLine& line : root_blk->lines)
+    for (const DirSlot& slot : line.slots) {
+      const std::uint64_t off = DirSlot::off_of(slot.v.load());
+      if (off != 0 && reinterpret_cast<FileEntry*>(fs_->dev().at(off))
+                          ->name_equals("ordered"))
+        fe_off = off;
+    }
+  ASSERT_NE(fe_off, 0u);
+  const auto addr = [&](std::uint64_t off) {
+    return reinterpret_cast<std::uintptr_t>(fs_->dev().at(off));
+  };
+  const auto blk_lo = reinterpret_cast<std::uintptr_t>(root_blk);
+  const std::uintptr_t blk_hi = blk_lo + sizeof(DirBlock);
+  // The slot publish is the create's first flush into the parent's block.
+  const auto slot_it = std::find_if(
+      rec.flushes.begin(), rec.flushes.end(), [&](const auto& f) {
+        return f.lo < blk_hi && f.hi > blk_lo;
+      });
+  ASSERT_NE(slot_it, rec.flushes.end()) << "the slot was never flushed";
+  const std::uint64_t slot_epoch = slot_it->fences_before;
+
+  // Every byte of the inode and of the entry's name is flushed before the
+  // slot, in an earlier fence epoch.
+  auto covered_before_slot = [&](std::uintptr_t lo, std::uintptr_t hi) {
+    std::vector<bool> seen(hi - lo, false);
+    for (auto f = rec.flushes.begin(); f != slot_it; ++f) {
+      if (f->hi <= lo || f->lo >= hi) continue;
+      EXPECT_LT(f->fences_before, slot_epoch)
+          << "flush shares the slot's fence epoch";
+      for (auto a = std::max(f->lo, lo); a < std::min(f->hi, hi); ++a)
+        seen[a - lo] = true;
+    }
+    return std::count(seen.begin(), seen.end(), false) == 0;
+  };
+  const std::uintptr_t ino = addr(ino_off);
+  const std::uintptr_t fe = addr(fe_off);
+  EXPECT_TRUE(covered_before_slot(ino, ino + sizeof(Inode)))
+      << "inode not fully flushed before the publish";
+  EXPECT_TRUE(covered_before_slot(
+      fe, fe + offsetof(FileEntry, name) + sizeof "ordered"))
+      << "entry not fully flushed before the publish";
+  EXPECT_GT(rec.fences, slot_epoch) << "the slot was not fenced";
 }
 
 TEST_F(CoreUnitTest, ReadPathIssuesNoPersists) {

@@ -256,6 +256,56 @@ TEST(CrashImages, SymlinkIsCrashAtomic) {
   expect_both_outcomes(h, "symlink");
 }
 
+TEST(CrashImages, LinkIsCrashAtomic) {
+  // The link count and the new entry share the fence before the publish;
+  // an increment that lands alone is reconciled by recovery.
+  CrashHarness h;
+  h.setup([](core::Process& p) {
+    ASSERT_TRUE(p.mkdir("/d").is_ok());
+    write_file(p, "/d/f", "one inode, two names");
+  });
+  h.run_op([](core::Process& p) {
+    ASSERT_TRUE(p.link("/d/f", "/d/g").is_ok());
+  });
+  h.explore("link /d/f -> /d/g");
+  expect_both_outcomes(h, "link");
+  EXPECT_EQ(h.stats().sampled_windows, 0u)
+      << "link windows should be small enough for exhaustive coverage";
+}
+
+TEST(CrashImages, UnlinkOneOfTwoLinksIsCrashAtomic) {
+  // The inode stays reachable through the other name: only the entry is
+  // retired, and the decremented count is reconciled either way.  The
+  // removed name spans several lines of its entry, so a scrub line that
+  // landed before the entry's 01 would leave a live entry with a torn name.
+  const std::string longname = "/d/" + std::string(100, 'f');
+  CrashHarness h;
+  h.setup([&](core::Process& p) {
+    ASSERT_TRUE(p.mkdir("/d").is_ok());
+    write_file(p, "/d/g", "still linked under a long name");
+    ASSERT_TRUE(p.link("/d/g", longname).is_ok());
+  });
+  h.run_op([&](core::Process& p) { ASSERT_TRUE(p.unlink(longname).is_ok()); });
+  h.explore("unlink /d/fff... (second link /d/g remains)");
+  expect_both_outcomes(h, "unlink-one-of-two-links");
+  EXPECT_EQ(h.stats().sampled_windows, 0u)
+      << "unlink windows should be small enough for exhaustive coverage";
+}
+
+TEST(CrashImages, UnlinkSymlinkIsCrashAtomic) {
+  // A 40-byte target lives inline, in the union over the extent array.
+  CrashHarness h;
+  h.setup([](core::Process& p) {
+    ASSERT_TRUE(p.mkdir("/d").is_ok());
+    ASSERT_TRUE(p.symlink(std::string(40, 't'), "/d/l").is_ok());
+  });
+  h.run_op([](core::Process& p) { ASSERT_TRUE(p.unlink("/d/l").is_ok()); });
+  h.explore("unlink /d/l (40-byte symlink)");
+  expect_both_outcomes(h, "unlink-symlink");
+  EXPECT_EQ(h.stats().sampled_windows, 0u)
+      << "unlink windows should be small enough for exhaustive coverage";
+}
+
 TEST(CrashImages, BucketSplitIsCrashAtomic) {
   // The giant-directory fan-out (DESIGN.md §10): a directory past the chain
   // threshold is split into 2^d bucket chains.  The split moves entries

@@ -172,6 +172,40 @@ INSTANTIATE_TEST_SUITE_P(XRenameSteps, FsCrashXRenameTest,
                                            "dir.xrename.dst_published",
                                            "dir.xrename.src_cleared"));
 
+TEST_F(FsCrashTest, CrossMovesOutOfOneDirectoryTakeTurnsOnItsLog) {
+  // Two moves out of /from, on different hash lines, share /from's one
+  // rename log.  Move A dies after publishing at the destination, its
+  // record still armed.  Move B must not overwrite that record: recovery
+  // would then find A's file under both names and reconcile it into a hard
+  // link.  B waits out A's lease on the log and replays A's record first.
+  ASSERT_TRUE(p().mkdir("/from").is_ok());
+  ASSERT_TRUE(p().mkdir("/to").is_ok());
+  std::string b = "b";
+  for (int i = 0; core::line_of(b) == core::line_of("a"); ++i)
+    b = "b" + std::to_string(i);
+  for (const std::string& name : {std::string("a"), b}) {
+    auto fd = p().open("/from/" + name, kOpenCreate | kOpenWrite);
+    ASSERT_TRUE(fd.is_ok());
+    ASSERT_TRUE(p().write(*fd, name.data(), name.size()).is_ok());
+    ASSERT_TRUE(p().close(*fd).is_ok());
+  }
+  const auto ino_a = p().stat("/from/a")->inode;
+  const auto ino_b = p().stat("/from/" + b)->inode;
+  crash_during("dir.xrename.dst_published",
+               [&] { (void)p().rename("/from/a", "/to/a"); });
+  auto survivor = fs_->open_process(1000, 1000);
+  ASSERT_TRUE(survivor->rename("/from/" + b, "/to/" + b).is_ok());
+  remount_after_crash();
+  for (const auto& [name, ino] :
+       {std::pair{std::string("a"), ino_a}, std::pair{b, ino_b}}) {
+    EXPECT_EQ(p().stat("/from/" + name).code(), Errc::not_found) << name;
+    const auto st = p().stat("/to/" + name);
+    ASSERT_TRUE(st.is_ok()) << name;
+    EXPECT_EQ(st->inode, ino) << name;
+    EXPECT_EQ(st->nlink, 1u) << name << " became a hard link";
+  }
+}
+
 // ---- allocator crash points through the FS ----
 
 TEST_F(FsCrashTest, CrashDuringObjectClaimIsReclaimed) {

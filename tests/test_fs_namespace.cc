@@ -185,6 +185,35 @@ TEST_F(FsTest, LongSymlinkTargetViaDataBlock) {
   EXPECT_EQ(*p().readlink("/longln"), long_target);
 }
 
+// A short target lives in the union over the inode's extent array, so
+// dropping a symlink must not read the target's bytes as extents.  Targets
+// of 17-143 bytes put nonzero bytes where extents[0].n_blocks sits; 144
+// bytes and more take a data block that extents[0] records.
+TEST_F(FsTest, DroppingASymlinkFreesOnlyItsOwnStorage) {
+  // Grow the metadata pools first: their segments never return to the
+  // block allocator, so the first create would skew the free count.
+  ASSERT_TRUE(p().symlink("warm", "/warm").is_ok());
+  for (const std::size_t n : {16u, 17u, 143u, 144u}) {
+    const std::uint64_t free_before = fs_->blocks().free_blocks();
+    ASSERT_TRUE(p().symlink(std::string(n, 'a'), "/ln").is_ok()) << n;
+    ASSERT_TRUE(p().unlink("/ln").is_ok()) << n;
+    EXPECT_EQ(fs_->blocks().free_blocks(), free_before) << n;
+    const core::CheckReport cr = core::check_fs(*fs_);
+    EXPECT_TRUE(cr.ok()) << "target of " << n << " bytes: " << cr.summary();
+  }
+  // A rename over a symlink drops it through the same path.
+  const std::uint64_t free_before = fs_->blocks().free_blocks();
+  ASSERT_TRUE(p().symlink(std::string(40, 'a'), "/ln").is_ok());
+  auto fd = p().open("/f", kOpenCreate | kOpenWrite);
+  ASSERT_TRUE(fd.is_ok());
+  ASSERT_TRUE(p().close(*fd).is_ok());
+  ASSERT_TRUE(p().rename("/f", "/ln").is_ok());
+  EXPECT_FALSE(p().lstat("/ln")->is_symlink());
+  EXPECT_EQ(fs_->blocks().free_blocks(), free_before);
+  const core::CheckReport cr = core::check_fs(*fs_);
+  EXPECT_TRUE(cr.ok()) << "rename over a symlink: " << cr.summary();
+}
+
 TEST_F(FsTest, DotAndDotDotResolution) {
   ASSERT_TRUE(p().mkdir("/pp").is_ok());
   ASSERT_TRUE(p().mkdir("/pp/qq").is_ok());

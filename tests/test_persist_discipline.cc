@@ -8,10 +8,13 @@
 //
 // These pin the two real bugs the pmlint raw-device-store rule surfaced:
 // the data path's fresh-block boundary zero-fill and the object pool's
-// grow-time segment scrub were both plain memsets with no flush.
+// grow-time segment scrub were both plain memsets with no flush.  The
+// rest pins the other side of the discipline: the namespace operations'
+// fence budget, and that nothing relies on a free object's zero payload.
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <iostream>
 #include <memory>
 #include <set>
 #include <string>
@@ -87,6 +90,149 @@ TEST_F(FsTest, FreshBlockZeroFillIsDurable) {
   ASSERT_EQ(*r, 100u);
   for (int i = 0; i < 100; ++i)
     ASSERT_EQ(buf[i], 0) << "stale byte resurfaced at offset " << i;
+}
+
+// A free's flushes are not fenced, so a crash can leave a free inode whose
+// header line (00, zeroed) landed while lines 1-3 still hold the dead
+// file's extents.  No consumer may rely on the zero payload: a create that
+// recycles such an inode stores every field itself and inherits nothing.
+TEST_F(FsTest, RecycledInodeInheritsNothingFromItsPreviousFile) {
+  auto fd = p().open("/old", core::kOpenCreate | core::kOpenWrite);
+  ASSERT_TRUE(fd.is_ok());
+  const std::string data(6000, 'o');
+  ASSERT_TRUE(p().write(*fd, data.data(), data.size()).is_ok());
+  ASSERT_TRUE(p().close(*fd).is_ok());
+  const std::uint64_t ino = p().stat("/old")->inode;
+  std::byte* obj = fs_->dev().at(ino - sizeof(alloc::ObjectHeader));
+  constexpr std::size_t kTail = 3 * nvmm::kCacheLine;  // object lines 1-3
+  std::byte saved[kTail];
+  std::memcpy(saved, obj + nvmm::kCacheLine, kTail);
+  ASSERT_TRUE(p().unlink("/old").is_ok());
+  // The torn free: put the dead file's lines back behind the 00 header.
+  std::memcpy(obj + nvmm::kCacheLine, saved, kTail);
+
+  auto nfd = p().open("/new", core::kOpenCreate | core::kOpenWrite);
+  ASSERT_TRUE(nfd.is_ok());
+  ASSERT_EQ(p().stat("/new")->inode, ino)
+      << "LIFO reuse did not hand back the freed inode";
+  EXPECT_EQ(p().stat("/new")->size, 0u);
+  core::CheckReport cr = core::check_fs(*fs_);
+  EXPECT_TRUE(cr.ok()) << "after the create: " << cr.summary();
+  ASSERT_TRUE(p().write(*nfd, "n", 1).is_ok());
+  ASSERT_TRUE(p().close(*nfd).is_ok());
+  cr = core::check_fs(*fs_);
+  EXPECT_TRUE(cr.ok()) << "after a one-byte write: " << cr.summary();
+}
+
+// ---- persist budget of the namespace operations ----
+//
+// Fences and flushed lines per operation on a direct mount, averaged over
+// kBudgetOps operations.  A fence is paid only where recovery cannot
+// reconstruct the state a crash leaves (DESIGN.md "Persist budget"): one
+// before a publish, one after it, and one after a reachable entry turns 01
+// and after its slot clears.  `max_fences` is the budget; `max_lines` is
+// the line count before the budget existed, which no operation may exceed.
+struct OpBudget {
+  const char* op;
+  double max_fences;
+  double max_lines;
+};
+
+constexpr int kBudgetOps = 64;
+
+class PersistBudgetTest : public FsTest {
+ protected:
+  // Runs `op(i)` for i in [0, kBudgetOps) and checks the mean persist work.
+  template <typename Fn>
+  void expect_within(const OpBudget& b, Fn&& op) {
+    auto& ps = nvmm::persist_stats();
+    const std::uint64_t f0 = ps.fences.load();
+    const std::uint64_t l0 = ps.flushed_lines.load();
+    for (int i = 0; i < kBudgetOps; ++i) op(i);
+    const double fences =
+        static_cast<double>(ps.fences.load() - f0) / kBudgetOps;
+    const double lines =
+        static_cast<double>(ps.flushed_lines.load() - l0) / kBudgetOps;
+    std::cout << "[persist-budget] " << b.op << ": " << fences
+              << " fences (budget " << b.max_fences << "), " << lines
+              << " lines (ceiling " << b.max_lines << ")\n";
+    EXPECT_LE(fences, b.max_fences) << b.op;
+    EXPECT_LE(lines, b.max_lines) << b.op;
+  }
+
+  void make_file(const std::string& path, std::size_t bytes) {
+    auto fd = p().open(path, core::kOpenCreate | core::kOpenWrite);
+    ASSERT_TRUE(fd.is_ok()) << path;
+    if (bytes != 0) {
+      const std::string data(bytes, 'b');
+      ASSERT_TRUE(p().write(*fd, data.data(), data.size()).is_ok());
+    }
+    ASSERT_TRUE(p().close(*fd).is_ok());
+  }
+
+  static std::string name(const char* dir, const char* stem, int i) {
+    return std::string(dir) + "/" + stem + std::to_string(i);
+  }
+};
+
+TEST_F(PersistBudgetTest, NamespaceOpsStayWithinTheirFenceBudget) {
+  for (const char* d : {"/c", "/u", "/r", "/x1", "/x2", "/o", "/y1", "/y2",
+                        "/m", "/l", "/s"})
+    ASSERT_TRUE(p().mkdir(d).is_ok());
+  for (int i = 0; i < kBudgetOps; ++i) {
+    make_file(name("/u", "f", i), 6000);
+    make_file(name("/r", "a", i), 0);
+    make_file(name("/x1", "a", i), 0);
+    make_file(name("/o", "s", i), 0);
+    make_file(name("/o", "t", i), 100);
+    make_file(name("/y1", "s", i), 0);
+    make_file(name("/y2", "t", i), 100);
+  }
+  make_file("/l/f", 0);
+
+  expect_within({"create", 4, 14}, [&](int i) {
+    auto fd = p().open(name("/c", "f", i), core::kOpenCreate |
+                                              core::kOpenWrite);
+    ASSERT_TRUE(fd.is_ok());
+    ASSERT_TRUE(p().close(*fd).is_ok());
+  });
+  expect_within({"unlink (6,000-byte file)", 4, 24.94}, [&](int i) {
+    ASSERT_TRUE(p().unlink(name("/u", "f", i)).is_ok());
+  });
+  expect_within({"rename, same directory", 5, 19}, [&](int i) {
+    ASSERT_TRUE(p().rename(name("/r", "a", i), name("/r", "b", i)).is_ok());
+  });
+  expect_within({"rename, across directories", 5, 25}, [&](int i) {
+    ASSERT_TRUE(
+        p().rename(name("/x1", "a", i), name("/x2", "a", i)).is_ok());
+  });
+  expect_within({"rename over an existing name, same directory", 9, 42},
+                [&](int i) {
+                  ASSERT_TRUE(p().rename(name("/o", "s", i),
+                                         name("/o", "t", i))
+                                  .is_ok());
+                });
+  expect_within({"rename over an existing name, across directories", 9, 48},
+                [&](int i) {
+                  ASSERT_TRUE(p().rename(name("/y1", "s", i),
+                                         name("/y2", "t", i))
+                                  .is_ok());
+                });
+  expect_within({"mkdir", 4, 145.05}, [&](int i) {
+    ASSERT_TRUE(p().mkdir(name("/m", "d", i)).is_ok());
+  });
+  expect_within({"rmdir", 4, 85}, [&](int i) {
+    ASSERT_TRUE(p().rmdir(name("/m", "d", i)).is_ok());
+  });
+  expect_within({"link", 3, 9}, [&](int i) {
+    ASSERT_TRUE(p().link("/l/f", name("/l", "h", i)).is_ok());
+  });
+  expect_within({"symlink (16-byte target)", 4, 14}, [&](int i) {
+    ASSERT_TRUE(
+        p().symlink("0123456789abcdef", name("/s", "l", i)).is_ok());
+  });
+  const core::CheckReport cr = core::check_fs(*fs_);
+  EXPECT_TRUE(cr.ok()) << cr.summary();
 }
 
 // grow() scrubs a recycled block run into a pool segment; the zeroed
