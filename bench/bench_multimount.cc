@@ -4,7 +4,9 @@
 // processes, §4).  Every mount runs one driver thread in its own
 // directory, so the numbers isolate the cost of the *shared* coordination
 // state — mount registry heartbeats, the striped shm block reservations,
-// the striped free-object stacks and the per-shard cache-generation poll.
+// the striped free-object stacks and the one cache-generation word every
+// operation polls.  `shard_invalidations` counts whole-cache drops after
+// that word moved (its name predates the single generation).
 //
 // Like bench_path_lookup, every mount count runs `reps` interleaved
 // repetitions and the scaling gate judges the MEDIAN per-rep ratio: the
@@ -65,7 +67,7 @@ std::uint64_t drive(core::FileSystem& fs, const std::string& dir, int iters) {
 
 // Shared-state contention telemetry summed over every mount of one run
 // (see FsStat in core/fs.h — all four should stay near zero when the
-// sharding does its job).
+// sharding does its job and no peer recovers or dies).
 struct Contention {
   std::uint64_t obj_cas_retries = 0;
   std::uint64_t obj_stripe_steals = 0;

@@ -92,9 +92,9 @@ void FileEntry::set_name(std::string_view n) noexcept {
 }
 
 void scrub_entry(FileEntry* fe) noexcept {
-  // Delete steps 3-4 with lock-free probes still possible: word-wise atomic
-  // zeroing instead of memset so a racing reader sees old-or-zero words,
-  // never torn bytes.  FileEntry is 8-aligned and padded to a multiple of 8.
+  // Lock-free probes are still possible: word-wise atomic zeroing instead
+  // of memset so a racing reader sees old-or-zero words, never torn bytes.
+  // FileEntry is 8-aligned and padded to a multiple of 8.
   static_assert(sizeof(FileEntry) % 8 == 0 && alignof(FileEntry) >= 8);
   auto* words = reinterpret_cast<std::atomic<std::uint64_t>*>(fe);
   for (std::size_t i = 0; i < sizeof(FileEntry) / 8; ++i)
@@ -439,25 +439,22 @@ Result<std::uint64_t> DirOps::remove_locked(Inode& dir, unsigned ln,
   const std::uint64_t inode_off = fe->inode.load().raw();
 
   // Step 2: invalidate the entry (valid off, dirty on).  Fenced before the
-  // scrub: the slot still reaches the entry, and a zeroed line landing
-  // without the 01 would leave a live entry with a torn name.
+  // slot clear: the durable 01 is what makes the entry dead to probes, line
+  // repair and recovery while the slot still reaches it.
   pools_.fentry->set_flags(fe_off, alloc::kObjDirty);
   nvmm::fence();
   SIMURGH_FAILPOINT("dir.remove.entry_invalidated");
-  // Steps 3-4: zero the entry payload.  (The inode itself is released by
-  // the caller once the last link drops; a crash in between leaves an
-  // unreachable inode that the full-recovery sweep reclaims — same final
-  // state as the paper's ordering.)  Any subset of the scrub and the slot
-  // clear recovers the same way: the entry is already dead.
-  scrub_entry(fe);
-  SIMURGH_FAILPOINT("dir.remove.entry_zeroed");
-  // Step 5: zero the slot (fenced: the unlinking store).
+  // Step 5: zero the slot (fenced: the unlinking store).  (The inode itself
+  // is released by the caller once the last link drops; a crash in between
+  // leaves an unreachable inode that the full-recovery sweep reclaims —
+  // same final state as the paper's ordering.)
   clear_slot(*ref.slot, v);
   SIMURGH_FAILPOINT("dir.remove.slot_cleared");
-  // Complete the object free (re-zero + dirty off) — after the fenced slot
-  // clear so a recycled entry can never be reached through the stale slot.
-  // It rides the next fence.
+  // Steps 3-4 and the object free: zero the entry and turn its dirty bit
+  // off — after the fenced slot clear so a recycled entry can never be
+  // reached through the stale slot.  It rides the next fence.
   pools_.fentry->finish_pending_free(fe_off);
+  SIMURGH_FAILPOINT("dir.remove.entry_zeroed");
   // Step 6 (optional in the paper): freeing emptied chain blocks is
   // deferred to full recovery, which compacts chains safely offline.
   return inode_off;
@@ -505,7 +502,7 @@ Result<std::uint64_t> DirOps::rename_local(Inode& dir,
   new_fe->flags.store(old_fe->flags.load(std::memory_order_acquire),
                       std::memory_order_release);
   new_fe->inode.store(old_fe->inode.load());
-  nvmm::persist(new_fe, sizeof(FileEntry));
+  nvmm::persist(new_fe, new_fe->used_bytes());
   // One fence before the swing publishes the shadow: its claim and payload.
   nvmm::fence();
   SIMURGH_FAILPOINT("dir.rename.shadow_created");
@@ -618,7 +615,7 @@ Result<std::uint64_t> DirOps::rename_cross(Inode& src_dir,
   new_fe->flags.store(old_fe->flags.load(std::memory_order_acquire),
                       std::memory_order_release);
   new_fe->inode.store(old_fe->inode.load());
-  nvmm::persist(new_fe, sizeof(FileEntry));
+  nvmm::persist(new_fe, new_fe->used_bytes());
 
   std::uint64_t replaced_inode = 0;
   SlotRef dst_ref = find_slot(dst_dir, l_dst, new_name, tag_new);
@@ -669,7 +666,6 @@ Result<std::uint64_t> DirOps::rename_cross(Inode& src_dir,
   // before the log lock is released.
   pools_.fentry->set_flags(old_fe_off, alloc::kObjDirty);
   nvmm::fence();
-  scrub_entry(old_fe);
   pools_.fentry->commit(new_fe_off);
   log.state.store(0, std::memory_order_release);
   nvmm::persist_obj(log.state);
@@ -733,7 +729,6 @@ void DirOps::repair_line_chain(Inode& dir, DirBlock* head, unsigned ln) {
     const std::uint64_t fe_off = DirSlot::off_of(vv);
     pools_.fentry->set_flags(fe_off, alloc::kObjDirty);
     nvmm::fence();
-    scrub_entry(entry_at(fe_off));
     clear_slot(victim, vv);
     pools_.fentry->finish_pending_free(fe_off);
   };

@@ -103,12 +103,21 @@ struct FileEntry {
     return {name, name_len.load(std::memory_order_relaxed)};
   }
   void set_name(std::string_view n) noexcept;
+  // Bytes that readers use: the header and the name through its NUL.  A
+  // new entry flushes only these; nothing reads past name_len.
+  [[nodiscard]] std::size_t used_bytes() const noexcept {
+    return offsetof(FileEntry, name) +
+           name_len.load(std::memory_order_relaxed) + 1;
+  }
 };
 static_assert(sizeof(FileEntry) <= kFileEntryPayload);
 
-// Atomically zeroes a *visible* entry (delete step 3-4): word-wise atomic
-// stores instead of memset, because lock-free probes may still be reading
-// it.  Includes the persist; the fence is the release for the zero stores.
+// Atomically zeroes an entry a slot may still reach (a replayed
+// cross-directory rename's source, whose slot clear is left to line
+// repair): word-wise atomic stores instead of memset, because lock-free
+// probes may still be reading it.  Includes the persist; the fence is the
+// release for the zero stores.  Deletes that clear the slot themselves
+// leave the zeroing to the object free after it.
 void scrub_entry(FileEntry* fe) noexcept;
 
 constexpr std::uint32_t kEntrySymlink = 1u;

@@ -63,12 +63,9 @@ class ExtentCache {
   // Drops the slot holding `ino_off` (unlink hygiene — epoch validation
   // already prevents stale hits; this just frees the memory eagerly).
   void invalidate(std::uint64_t ino_off) noexcept;
+  // Drops every view: recovery, and a moved cross-mount cache generation
+  // (FileSystem::poll_coordination).
   void clear() noexcept;
-
-  // Selective cross-mount invalidation: drops only views whose inode
-  // offset falls in a shard named by `shard_mask` (layout.h
-  // cache_shard_of).  Views elsewhere survive a peer's reclaim.
-  void invalidate_shards(std::uint64_t shard_mask) noexcept;
 
   [[nodiscard]] ExtentCacheStats stats() const noexcept;
   void reset_stats() noexcept;

@@ -251,10 +251,6 @@ void FileSystem::attach_components(bool formatted, const FormatOptions& opts) {
   // does not need the tier).
   wb_ = std::make_unique<WriteBehind>(*this);
   scrub_ = std::make_unique<Scrubber>(*this);  // crc_ is attached
-  for (unsigned i = 0; i < kCacheGenShards; ++i)
-    shard_gen_seen_[i].store(
-        s.cache_shards[i].gen.load(std::memory_order_acquire),
-        std::memory_order_relaxed);
   cache_gen_seen_.store(s.cache_gen.load(std::memory_order_acquire),
                         std::memory_order_relaxed);
   coord_ready_.store(true, std::memory_order_release);
@@ -304,40 +300,18 @@ void FileSystem::unmount() {
   unmounted_ = true;
 }
 
-void FileSystem::poll_coordination_slow(std::uint64_t gen) {
-  // A peer published an invalidation (recovery or lease reclaim).  Diff
-  // the per-shard generations against what this mount last consumed and
-  // drop only the DRAM views those shards could hold.  Serialised on a
-  // mount-private mutex: concurrent op threads that raced onto the slow
-  // path wait here, then see cache_gen_seen_ already caught up.
-  (void)gen;  // re-read under the mutex; the caller's load may be stale
+void FileSystem::poll_coordination_slow() {
+  // A peer published an invalidation (recovery or a lock-sweeping reap):
+  // drop every DRAM view.  Serialised on a mount-private mutex: concurrent
+  // op threads that raced onto the slow path wait here, then see
+  // cache_gen_seen_ already caught up.
   common::MutexLock lk(coord_mu_);
-  Superblock& s = sb();
-  const std::uint64_t cur = s.cache_gen.load(std::memory_order_acquire);
+  const std::uint64_t cur = sb().cache_gen.load(std::memory_order_acquire);
   if (cur == cache_gen_seen_.load(std::memory_order_relaxed)) return;
-  std::uint64_t mask = 0;
-  for (unsigned i = 0; i < kCacheGenShards; ++i) {
-    const std::uint64_t g =
-        s.cache_shards[i].gen.load(std::memory_order_acquire);
-    if (g != shard_gen_seen_[i].load(std::memory_order_relaxed)) {
-      mask |= 1ull << i;
-      shard_gen_seen_[i].store(g, std::memory_order_relaxed);
-    }
-  }
-  if (mask != 0) {
-    lookup_cache_->invalidate_shards(mask);
-    extent_cache_->invalidate_shards(mask);
-    // Whole-path entries chain through many directories, so any affected
-    // shard can poison a chain: the small table is dropped wholesale.
-    path_cache_->clear();
-    shard_invalidations_.fetch_add(
-        static_cast<std::uint64_t>(__builtin_popcountll(mask)),
-        std::memory_order_relaxed);
-  }
-  // An empty mask is a benign wake: a racing slow path on this mount
-  // already consumed the shard bumps, or a writer's shard bump was picked
-  // up early (shards move before the summary) — either way the caches are
-  // already consistent with everything `cur` announces.
+  lookup_cache_->clear();
+  path_cache_->clear();
+  extent_cache_->clear();
+  cache_drops_.fetch_add(1, std::memory_order_relaxed);
   cache_gen_seen_.store(cur, std::memory_order_relaxed);
 }
 
@@ -367,32 +341,24 @@ ReapReport FileSystem::reap_dead_mounts() {
     lock_sweep_due_ns_.compare_exchange_strong(due, 0,
                                                std::memory_order_relaxed);
   }
-  std::uint64_t mask = 0;
-  r.file_locks = locks_->sweep_expired(&mask);
+  r.file_locks = locks_->sweep_expired();
   r.segment_locks = blocks_->reap_expired_segment_locks();
+  // The dead peer may have died mid-mutation of the inodes whose locks we
+  // just swept, so every mount (ours included) drops its DRAM caches.
+  // Objects it touched WITHOUT a visible lock need no bump: directory walks
+  // are epoch-validated (a death mid-EpochGuard leaves the epoch odd, so
+  // cached entries stop validating), and its reservation blocks were never
+  // reachable.  Before the totals move: a reader of reap_totals() that
+  // sees the swept lock finds this mount's caches already dropped.
+  if (r.file_locks != 0) {
+    sb().cache_gen.fetch_add(1, std::memory_order_acq_rel);
+    nvmm::persist_now(sb().cache_gen);
+    poll_coordination_slow();  // catch our own caches up
+  }
   mount_reclaims_.fetch_add(r.mounts, std::memory_order_relaxed);
   reap_blocks_.fetch_add(r.reserved_blocks, std::memory_order_relaxed);
   reap_file_locks_.fetch_add(r.file_locks, std::memory_order_relaxed);
   reap_segment_locks_.fetch_add(r.segment_locks, std::memory_order_relaxed);
-  // The dead peer may have died mid-mutation of the inodes whose locks we
-  // just swept; name their shards so every mount (ours included) drops
-  // exactly the DRAM views that could hold them.  Objects it touched
-  // WITHOUT a visible lock need no bump: directory walks are epoch-
-  // validated (a death mid-EpochGuard leaves the epoch odd, so cached
-  // entries stop validating), and its reservation blocks were never
-  // reachable.  Shards first, summary second — a reader woken by the
-  // summary then provably sees every shard bump it announces.
-  if (mask != 0) {
-    Superblock& s = sb();
-    for (unsigned i = 0; i < kCacheGenShards; ++i) {
-      if ((mask & (1ull << i)) == 0) continue;
-      s.cache_shards[i].gen.fetch_add(1, std::memory_order_acq_rel);
-      nvmm::persist_now(s.cache_shards[i].gen);
-    }
-    s.cache_gen.fetch_add(1, std::memory_order_acq_rel);
-    nvmm::persist_now(s.cache_gen);
-    poll_coordination_slow(0);  // catch our own caches up, selectively
-  }
   return r;
 }
 
@@ -449,8 +415,7 @@ FsStat FileSystem::fsstat() {
   }
   st.reserve_slot_probes =
       blocks_->stats().reserve_slot_probes.load(std::memory_order_relaxed);
-  st.shard_invalidations =
-      shard_invalidations_.load(std::memory_order_relaxed);
+  st.shard_invalidations = cache_drops_.load(std::memory_order_relaxed);
   const DirOps::Stats ds = dirops_->stats();
   st.dir_splits = ds.splits;
   st.dir_block_probes = ds.block_probes;
@@ -684,9 +649,13 @@ Result<std::uint64_t> Process::create_file(const ResolveResult& where,
     ino->size.store(symlink_target.size(), std::memory_order_relaxed);
   } else if (type == kModeFile) {
     // Stamp the extent-map epoch: even, nonzero, mount-unique (ABA closure
-    // for the DRAM extent cache — see layout.h file_epoch_gen).
+    // for the DRAM extent cache — see layout.h file_epoch_gen).  The
+    // generation turns odd when drop_inode pushes it to the final epoch of
+    // a file whose writer died inside its ExtentEpochGuard, so round the
+    // stamp down to even: it still exceeds the generation it was read at.
     ino->ext_epoch.store(
-        fs_.sb().file_epoch_gen.fetch_add(2, std::memory_order_acq_rel) + 2,
+        (fs_.sb().file_epoch_gen.fetch_add(2, std::memory_order_acq_rel) +
+         2) & ~1ull,
         std::memory_order_release);
   }
   nvmm::persist(ino, sizeof(Inode));
@@ -703,7 +672,7 @@ Result<std::uint64_t> Process::create_file(const ResolveResult& where,
   fe->flags.store(type == kModeSymlink ? kEntrySymlink : 0,
                   std::memory_order_relaxed);
   fe->inode.store(nvmm::pptr<Inode>(ino_off));
-  nvmm::persist(fe, sizeof(FileEntry));
+  nvmm::persist(fe, fe->used_bytes());
   // One fence for every new object: both claims, both payloads, and a new
   // directory's hash block or a long symlink's target block.
   nvmm::fence();
@@ -988,7 +957,7 @@ Status Process::link(std::string_view existing, std::string_view newpath) {
   fe->set_name(dst.leaf());
   fe->flags.store(0, std::memory_order_relaxed);
   fe->inode.store(nvmm::pptr<Inode>(src.inode_off));
-  nvmm::persist(fe, sizeof(FileEntry));
+  nvmm::persist(fe, fe->used_bytes());
   nvmm::fence();
   Status st = fs_.dirops().insert(*parent, dst.leaf(), fe_off);
   if (!st.is_ok()) {

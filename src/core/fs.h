@@ -97,12 +97,14 @@ struct FsStat {
   std::uint64_t mounts_attached = 0;
   std::uint64_t mount_reclaims = 0;
   // Cross-mount contention telemetry (this mount's view).  All four should
-  // stay near zero on a well-sharded system; growth pinpoints which shared
-  // structure mounts are colliding on.
+  // stay near zero on a well-sharded system with no peer recovering or
+  // dying; growth pinpoints which shared structure mounts collide on.
   std::uint64_t obj_cas_retries = 0;      // lost object-claim CAS races
   std::uint64_t obj_stripe_steals = 0;    // free-obj pops off foreign stripes
   std::uint64_t reserve_slot_probes = 0;  // reservation-slot scan length
-  std::uint64_t shard_invalidations = 0;  // cache shards this mount dropped
+  // Times this mount dropped its DRAM caches whole because the superblock
+  // cache generation moved (the name predates the single generation).
+  std::uint64_t shard_invalidations = 0;
   // Giant-directory telemetry (this mount's view; see DirOps::Stats).
   // The epoch-bump split tells how selective invalidation is: scoped bumps
   // touch only the mutated bucket's epoch, full bumps invalidate every
@@ -193,26 +195,24 @@ class FileSystem {
   RecoveryReport recover();
 
   // ---- multi-mount coordination (§4 "fully decentralized") ----
-  // Called at the top of every Process operation: invalidates the DRAM
-  // caches (selectively, by shard) when the superblock's summary cache_gen
-  // moved — a peer ran recovery or a lease reclaim.  That is ALL the data
+  // Called at the top of every Process operation: drops the DRAM caches
+  // whole when the superblock's cache_gen moved — a peer ran recovery or a
+  // reap that released a dead peer's file locks.  That is ALL the data
   // path does now: heartbeats and dead-peer reaping are wall-clock-paced
   // on the background heartbeat thread (started at attach), so an idle or
   // slow mount never reads as dead to its peers and a busy one pays
   // exactly one acquire load of a read-mostly cache line per operation.
   void poll_coordination() {
     if (registry_ == nullptr || unmounted_) return;
-    const std::uint64_t gen = sb().cache_gen.load(std::memory_order_acquire);
-    if (gen != cache_gen_seen_.load(std::memory_order_relaxed))
-      poll_coordination_slow(gen);
+    if (sb().cache_gen.load(std::memory_order_acquire) !=
+        cache_gen_seen_.load(std::memory_order_relaxed))
+      poll_coordination_slow();
   }
   // Reclaims every peer whose heartbeat lease expired: its stranded block
   // reservations, expired file locks and segment leases return to service
-  // without a remount.  A victim that held file locks bumps the per-shard
-  // cache generations of the swept inodes (then the summary cache_gen), so
-  // every mount — this one included — drops exactly the DRAM views that
-  // could hold the affected objects; a victim that held nothing visible
-  // bumps nothing.
+  // without a remount.  A victim that held file locks bumps cache_gen, so
+  // every mount — this one included — drops its DRAM caches; a victim that
+  // held nothing visible bumps nothing.
   ReapReport reap_dead_mounts();
   // Cumulative totals of every reap this mount performed — explicit calls
   // AND the background heartbeat thread's periodic scans.  Tests assert on
@@ -375,7 +375,7 @@ class FileSystem {
   // scrubber.
   void attach_components(bool formatted, const FormatOptions& opts);
   void register_protected_functions();
-  void poll_coordination_slow(std::uint64_t gen);
+  void poll_coordination_slow();
   // Wall-clock heartbeat pacing (~lease/4): op-driven polling alone stops
   // when the mount goes idle, which must not read as death — peers would
   // reap the live mount and a fresh attacher would become first-in and run
@@ -402,17 +402,14 @@ class FileSystem {
   bool hb_stop_ GUARDED_BY(hb_mutex_) = false;
   // Bumped to re-pace the heartbeat thread.
   std::uint64_t hb_wake_gen_ GUARDED_BY(hb_mutex_) = 0;
-  // Last superblock cache_gen this mount synchronised its DRAM caches to,
-  // plus the per-shard generations consumed at that point.  The slow path
-  // (summary moved) serialises on coord_mu_, diffs the shard generations
-  // against shard_gen_seen_ and invalidates only the shards that moved.
-  // (The seen-generation fields stay atomic, not GUARDED_BY(coord_mu_):
-  // the lock serialises slow-path *invalidation* work, while the fast path
-  // reads cache_gen_seen_ lock-free on every operation.)
+  // Last superblock cache_gen this mount synchronised its DRAM caches to.
+  // The slow path (generation moved) serialises on coord_mu_ and clears the
+  // caches.  (The field stays atomic, not GUARDED_BY(coord_mu_): the lock
+  // serialises the slow-path clear, while the fast path reads
+  // cache_gen_seen_ lock-free on every operation.)
   std::atomic<std::uint64_t> cache_gen_seen_{0};
   common::Mutex coord_mu_;
-  std::atomic<std::uint64_t> shard_gen_seen_[kCacheGenShards] = {};
-  std::atomic<std::uint64_t> shard_invalidations_{0};
+  std::atomic<std::uint64_t> cache_drops_{0};
   std::atomic<std::uint64_t> mount_reclaims_{0};
   std::atomic<std::uint64_t> reap_blocks_{0};
   std::atomic<std::uint64_t> reap_file_locks_{0};

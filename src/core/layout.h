@@ -61,28 +61,6 @@ constexpr std::uint64_t kFileEntryPayload = 312;  // stride 320
 constexpr std::uint64_t kDirBlockPayload = 4088;  // stride 4096
 constexpr std::uint64_t kExtentPayload = 4088;    // stride 4096
 
-// Cross-mount cache-invalidation shards.  The single cache_gen counter was
-// one cache line every mount's hot path polled AND every reclaim RMWed —
-// and it shared that line with the epoch-generation counters below, which
-// are RMWed on every create/unlink.  Each shard now owns a cache line; an
-// invalidation names only the shards whose inode offsets it touched, so one
-// mount's reclaim no longer wipes caches that could not hold the affected
-// objects.
-constexpr unsigned kCacheGenShards = 8;
-
-struct alignas(64) CacheGenShard {
-  std::atomic<std::uint64_t> gen{0};
-};
-static_assert(sizeof(CacheGenShard) == 64);
-
-// Shard owning device offset `off` (inode identity IS its offset).  Bits
-// below 12 are intra-page and mostly constant across pool strides; the
-// page number spreads offsets evenly.
-inline unsigned cache_shard_of(std::uint64_t off) noexcept {
-  return static_cast<unsigned>((off >> 12) & (kCacheGenShards - 1));
-}
-constexpr std::uint64_t kAllCacheShards = (1ull << kCacheGenShards) - 1;
-
 struct Superblock {
   std::uint64_t magic = 0;
   std::uint32_t version = 0;
@@ -116,17 +94,15 @@ struct Superblock {
   // counter past the dead file's final epoch (Process::drop_inode), closing
   // the recycled-inode-offset ABA for the DRAM extent cache.
   alignas(64) std::atomic<std::uint64_t> file_epoch_gen{0};
-  // Cross-mount cache-invalidation summary generation.  recover() and a
-  // survivor's dead-mount reclaim bump it (those paths recycle objects
-  // without going through the per-directory / per-file epoch retirement);
-  // every mount polls it on entry to an operation (the ONLY cross-mount
-  // line the fast path reads) and, when it moved, consults the per-shard
-  // generations below to invalidate selectively.  Writers bump the
-  // affected cache_shards[] entries FIRST, then this summary — readers that
-  // observe the summary move therefore see every shard bump it announces.
-  // NVMM-resident so peer mounts — separate processes — observe the bumps.
+  // Cross-mount cache-invalidation generation.  recover() bumps it, and so
+  // does a survivor's reap that released a dead peer's file locks: both can
+  // leave objects changed behind the per-directory / per-file epochs the
+  // DRAM caches validate against.  Every mount polls it on entry to an
+  // operation (the ONLY cross-mount line the fast path reads) and, when it
+  // moved, drops its DRAM caches whole.  NVMM-resident so peer mounts —
+  // separate processes — observe the bumps.  Older layout-v2 images keep
+  // eight per-shard generation lines after it; nothing reads them.
   alignas(64) std::atomic<std::uint64_t> cache_gen{0};
-  CacheGenShard cache_shards[kCacheGenShards];
 };
 static_assert(sizeof(Superblock) <= 4096);
 

@@ -3,7 +3,6 @@
 #include <cstring>
 
 #include "common/hash.h"
-#include "core/layout.h"
 
 namespace simurgh::core {
 
@@ -159,37 +158,6 @@ void LookupCache::put(std::uint64_t parent_off, std::string_view name,
 void LookupCache::clear() noexcept {
   for (std::size_t i = 0; i < n_slots_; ++i) {
     Slot& s = slots_[i];
-    std::uint64_t seq = s.seq.load(std::memory_order_relaxed);
-    if ((seq & 1) != 0) continue;
-    if (!s.seq.compare_exchange_strong(seq, seq + 1,
-                                       std::memory_order_acquire,
-                                       std::memory_order_relaxed))
-      continue;
-    s.inode.store(0, std::memory_order_relaxed);
-    s.parent.store(0, std::memory_order_relaxed);
-    s.name_len.store(0, std::memory_order_relaxed);
-    s.seq.store(seq + 2, std::memory_order_release);
-  }
-}
-
-void LookupCache::invalidate_shards(std::uint64_t shard_mask) noexcept {
-  if (shard_mask == 0) return;
-  if ((shard_mask & kAllCacheShards) == kAllCacheShards) {
-    clear();
-    return;
-  }
-  for (std::size_t i = 0; i < n_slots_; ++i) {
-    Slot& s = slots_[i];
-    // Racy pre-check: a slot concurrently refilled with an in-mask key is
-    // fine to leave alone — the concurrent fill verified its binding
-    // against the hash blocks after the reclaim's mutations (same window
-    // clear() leaves open for fills it skips as mid-write).
-    const std::uint64_t parent = s.parent.load(std::memory_order_relaxed);
-    const std::uint64_t inode = s.inode.load(std::memory_order_relaxed);
-    if (inode == 0 && parent == 0) continue;  // already empty
-    const std::uint64_t slot_shards = (1ull << cache_shard_of(parent)) |
-                                      (1ull << cache_shard_of(inode));
-    if ((slot_shards & shard_mask) == 0) continue;
     std::uint64_t seq = s.seq.load(std::memory_order_relaxed);
     if ((seq & 1) != 0) continue;
     if (!s.seq.compare_exchange_strong(seq, seq + 1,

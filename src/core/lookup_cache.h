@@ -93,14 +93,9 @@ class LookupCache {
            std::uint64_t dir_epoch, std::uint64_t fentry_off,
            std::uint64_t inode_off) noexcept;
 
-  // Drops every entry (tests; also cheap enough for recovery paths).
+  // Drops every entry: recovery, and a moved cross-mount cache generation
+  // (FileSystem::poll_coordination).
   void clear() noexcept;
-
-  // Selective cross-mount invalidation (layout.h cache_shard_of): drops
-  // only entries whose parent directory OR bound inode falls in a shard
-  // named by `shard_mask` (bit i = shard i).  A peer's reclaim names the
-  // shards of the objects it recycled; entries provably elsewhere survive.
-  void invalidate_shards(std::uint64_t shard_mask) noexcept;
 
   [[nodiscard]] LookupCacheStats stats() const noexcept;
   void reset_stats() noexcept;

@@ -236,21 +236,12 @@ RecoveryReport FileSystem::recover() {
 
   // Peer mounts must drop their DRAM caches too: the sweep above recycles
   // objects without the per-directory / per-file epoch retirement those
-  // caches validate against.  Full recovery touches every pool, so every
-  // shard generation is bumped (then the summary — readers woken by the
-  // summary must see all of them; see layout.h), and this mount's own seen
-  // state is synchronised so it does not re-invalidate its fresh caches.
+  // caches validate against.  This mount cleared its own caches above, so
+  // it marks the new generation seen rather than dropping them again.
   {
-    Superblock& sbm = sb();
-    for (unsigned i = 0; i < kCacheGenShards; ++i) {
-      const std::uint64_t g =
-          sbm.cache_shards[i].gen.fetch_add(1, std::memory_order_acq_rel) + 1;
-      nvmm::persist_now(sbm.cache_shards[i].gen);
-      shard_gen_seen_[i].store(g, std::memory_order_relaxed);
-    }
     const std::uint64_t gen =
-        sbm.cache_gen.fetch_add(1, std::memory_order_acq_rel) + 1;
-    nvmm::persist_now(sbm.cache_gen);
+        sb().cache_gen.fetch_add(1, std::memory_order_acq_rel) + 1;
+    nvmm::persist_now(sb().cache_gen);
     cache_gen_seen_.store(gen, std::memory_order_relaxed);
   }
   if (registry_ && !registry_->heartbeat(attachment_))

@@ -51,11 +51,9 @@ class FileLockTable {
 
   // Survivor-side reclaim: releases every held lock whose stamp exceeded
   // the lease (its holder died mid-section; the two-bit object protocol
-  // keeps whatever it was doing recoverable).  Returns locks released.
-  // When `shard_mask` is non-null, ORs in the cache shard bit
-  // (layout.h cache_shard_of) of every released lock's inode offset, so
-  // the caller can invalidate peer caches selectively.
-  unsigned sweep_expired(std::uint64_t* shard_mask = nullptr);
+  // keeps whatever it was doing recoverable).  Returns locks released; a
+  // caller that released any bumps Superblock::cache_gen.
+  unsigned sweep_expired();
 
   FileLockStats& stats() noexcept { return *stats_; }
 

@@ -140,7 +140,7 @@ void FileLockTable::reset_all() {
   }
 }
 
-unsigned FileLockTable::sweep_expired(std::uint64_t* shard_mask) {
+unsigned FileLockTable::sweep_expired() {
   const std::uint64_t n = header().n_locks;
   FileLock* ls = locks();
   unsigned released = 0;
@@ -151,11 +151,6 @@ unsigned FileLockTable::sweep_expired(std::uint64_t* shard_mask) {
                                            std::memory_order_acq_rel)) {
       ++released;
       stats_->lease_steals.fetch_add(1, std::memory_order_relaxed);
-      if (shard_mask != nullptr) {
-        const std::uint64_t ino =
-            ls[i].inode_off.load(std::memory_order_relaxed);
-        *shard_mask |= 1ull << cache_shard_of(ino);
-      }
     }
   }
   return released;

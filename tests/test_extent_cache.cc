@@ -3,6 +3,7 @@
 // serves a stale mapping — any extent-map mutation (append, truncate,
 // unlink) bumps the inode's epoch and the next resolve re-probes — and a
 // cache-on file system is byte-for-byte identical to a cache-off one.
+#include <algorithm>
 #include <cstring>
 #include <string>
 #include <vector>
@@ -149,6 +150,36 @@ TEST_F(ExtentCacheTest, UnlinkRecreateNeverReplaysTheOldMapping) {
     ASSERT_EQ(std::memcmp(buf.data(), back.data(), buf.size()), 0);
     ASSERT_TRUE(p().close(fd).is_ok());
     ASSERT_TRUE(p().unlink("/recycle").is_ok());
+  }
+}
+
+TEST_F(ExtentCacheTest, NewFilesStayCacheableAfterAnOddEpochRetires) {
+  // A writer that dies inside ExtentEpochGuard leaves its file's epoch odd,
+  // and unlinking that file pushes file_epoch_gen to the odd final epoch.
+  // Files created afterwards must still be stamped even: a view is trusted
+  // only at an even epoch, so an odd stamp would never hit the cache.
+  const int dead = make_file("/dead");
+  std::vector<char> buf(4 * 4096, 'd');
+  ASSERT_TRUE(p().pwrite(dead, buf.data(), buf.size(), 0).is_ok());
+  ASSERT_TRUE(p().close(dead).is_ok());
+  const std::uint64_t gen = fs_->sb().file_epoch_gen.load();
+  fs_->inode_at(p().stat("/dead")->inode)->ext_epoch.store(gen + 3);
+  ASSERT_TRUE(p().unlink("/dead").is_ok());
+  ASSERT_EQ(fs_->sb().file_epoch_gen.load() % 2, 1u);
+
+  for (const char* path : {"/fresh1", "/fresh2"}) {
+    const int fd = make_file(path);
+    std::fill(buf.begin(), buf.end(), path[6]);
+    ASSERT_TRUE(p().pwrite(fd, buf.data(), buf.size(), 0).is_ok());
+    std::vector<char> back(buf.size());
+    ASSERT_EQ(*p().pread(fd, back.data(), back.size(), 0), back.size());
+    const std::uint64_t hits = fs_->extent_cache().stats().hits;
+    ASSERT_EQ(*p().pread(fd, back.data(), back.size(), 0), back.size());
+    EXPECT_EQ(back, buf) << path;
+    EXPECT_EQ(fs_->inode_at(p().stat(path)->inode)->ext_epoch.load() % 2, 0u)
+        << path;
+    EXPECT_GT(fs_->extent_cache().stats().hits, hits) << path;
+    ASSERT_TRUE(p().close(fd).is_ok());
   }
 }
 

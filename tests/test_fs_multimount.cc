@@ -248,10 +248,10 @@ TEST_F(MultiMountTest, RecoveryOnABumpsGenerationAndClearsBCaches) {
 
 TEST_F(MultiMountTest, LeaseReclaimWithoutHeldLocksKeepsSurvivorCaches) {
   // Three mounts: C dies dirty, A reaps it.  C finished its write before
-  // dying — it held no file locks — so the reclaim names NO cache shards
-  // and bumps no generation: B's warm caches survive the reap and keep
-  // serving validated hits (the selective-invalidation upside; a peer that
-  // DOES die mid-mutation is covered by the storm test below).
+  // dying — it held no file locks — so the reclaim bumps no cache
+  // generation: B's warm caches survive the reap and keep serving
+  // validated hits (a peer that DOES die mid-mutation is covered by the
+  // storm test below).
   auto fs_c = core::FileSystem::mount(*nvmm_, *shm_);
   auto pc = fs_c->open_process(1000, 1000);
   fs_a_->set_lease_ns(2'000'000);
@@ -274,7 +274,7 @@ TEST_F(MultiMountTest, LeaseReclaimWithoutHeldLocksKeepsSurvivorCaches) {
 
   const std::uint64_t h1 = fs_b_->fsstat().lookup_hits;
   ASSERT_TRUE(b().stat("/f").is_ok());
-  EXPECT_GT(fs_b_->fsstat().lookup_hits, h1);  // still warm: no shard moved
+  EXPECT_GT(fs_b_->fsstat().lookup_hits, h1);  // still warm: no bump
   EXPECT_EQ(fs_b_->fsstat().shard_invalidations, 0u);
   EXPECT_EQ(read_all(b(), "/f"), "from c");
 }
@@ -380,6 +380,11 @@ TEST_F(MultiMountTest, KillOneMountStormSurvivorReclaimsAndImageChecksClean) {
   });
   crasher.join();
   ASSERT_TRUE(crashed.load());
+  // B warms a path while A still lives (no reap can run yet) and after the
+  // crasher's last namespace change, so only the reap can cool it.
+  ASSERT_TRUE(b().stat("/w100").is_ok());
+  ASSERT_TRUE(b().stat("/w100").is_ok());
+  const core::FsStat warm = fs_b_->fsstat();
   pa_.reset();
   fs_a_.reset();  // the rest of "process A" dies with it; no unmount
 
@@ -395,6 +400,15 @@ TEST_F(MultiMountTest, KillOneMountStormSurvivorReclaimsAndImageChecksClean) {
   const core::FsStat sb = fs_b_->fsstat();
   EXPECT_GT(sb.lock_fallback_hits, 0u);  // the 8-slot table overflowed
   EXPECT_GE(sb.mount_reclaims, 1u);
+  // The swept lock bumped the cache generation, so B dropped its caches
+  // whole: the warm path misses once, then hits again.
+  EXPECT_GT(sb.shard_invalidations, warm.shard_invalidations);
+  ASSERT_TRUE(b().stat("/w100").is_ok());
+  const core::FsStat cold = fs_b_->fsstat();
+  EXPECT_EQ(cold.lookup_hits, sb.lookup_hits);
+  EXPECT_GT(cold.lookup_misses, sb.lookup_misses);
+  ASSERT_TRUE(b().stat("/w100").is_ok());
+  EXPECT_GT(fs_b_->fsstat().lookup_hits, cold.lookup_hits);
 
   // B keeps operating on the reclaimed resources.
   write_all(b(), "/after", std::string(256 << 10, 'b'));
