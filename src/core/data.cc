@@ -12,7 +12,9 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstring>
+#include <memory_resource>
 #include <optional>
+#include <vector>
 
 #include "common/failpoint.h"
 #include "core/fs.h"
@@ -31,7 +33,21 @@ Result<bool> FileSystem::ensure_allocated(ExtentResolver& res, Inode& ino,
                                           std::uint64_t n_blocks,
                                           std::uint64_t zero_a,
                                           std::uint64_t zero_b) {
-  std::optional<ExtentEpochGuard> guard;
+  // Allocate every missing run before mapping any: a run mapped ahead of a
+  // later no_space would stay in the file unwritten, holding the bytes of
+  // whichever file freed it.  The usual one or two runs fit the stack
+  // buffer, so the write path allocates nothing on the heap.
+  struct Run {
+    std::uint64_t file_block, dev_off, n_blocks;
+  };
+  alignas(Run) std::byte stack_buf[2 * sizeof(Run)];
+  std::pmr::monotonic_buffer_resource mem(stack_buf, sizeof stack_buf);
+  std::pmr::vector<Run> fresh(&mem);
+  fresh.reserve(2);
+  auto give_back = [&](std::size_t from) {
+    for (std::size_t i = from; i < fresh.size(); ++i)
+      blocks().free(fresh[i].dev_off, fresh[i].n_blocks);
+  };
   std::uint64_t b = first_block;
   const std::uint64_t end = first_block + n_blocks;
   while (b < end) {
@@ -49,34 +65,58 @@ Result<bool> FileSystem::ensure_allocated(ExtentResolver& res, Inode& ino,
       take /= 2;
       got = blocks().alloc(take, ino_off);
     }
-    SIMURGH_ASSIGN_OR_RETURN(const std::uint64_t dev_off, got);
+    if (!got.is_ok()) {
+      give_back(0);
+      return got.code();
+    }
+    fresh.push_back({b, *got, take});
+    b += take;
+  }
+  if (fresh.empty()) return false;
+  // Mark the map epoch odd and stop trusting the snapshot we found the
+  // holes through (it predates our own appends).
+  ExtentEpochGuard guard(ino);
+  res.invalidate_snapshot();
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    const Run& r = fresh[i];
     // Reset the run's checksum entries: a recycled block's stale entry must
     // not indict its new owner's bytes, and fallocate'd blocks stay
     // "no checksum recorded" until actually written.
-    crc_.clear(dev_off, take);
+    crc_.clear(r.dev_off, r.n_blocks);
     // A fresh block the write only partially covers must read back zeros
     // in its unwritten bytes; interior blocks are fully overwritten.  The
     // zeros must be *durable* before the size stamp can commit: the block
     // may be recycled and still hold a dead file's bytes, and the nt_copy
-    // below covers only [off, off+n) — so flush the zeroed lines here (the
-    // data fence preceding the size stamp orders them with the commit).
+    // covers only [off, off+n) — so flush the zeroed lines here (the data
+    // fence preceding the size stamp orders them with the commit).
     for (const std::uint64_t zb : {zero_a, zero_b}) {
-      if (zb >= b && zb < b + take) {
-        std::memset(dev().at(dev_off + (zb - b) * kBS), 0, kBS);
-        nvmm::persist(dev().at(dev_off + (zb - b) * kBS), kBS);
+      if (zb >= r.file_block && zb < r.file_block + r.n_blocks) {
+        std::byte* blk = dev().at(r.dev_off + (zb - r.file_block) * kBS);
+        std::memset(blk, 0, kBS);
+        nvmm::persist(blk, kBS);
       }
     }
-    if (!guard) {
-      // First mutation: mark the map epoch odd and stop trusting the
-      // snapshot we found the hole through (it predates our own append).
-      guard.emplace(ino);
-      res.invalidate_snapshot();
-    }
-    if (Status st = res.map().append(b, dev_off, take); !st.is_ok())
+    if (Status st = res.map().append(r.file_block, r.dev_off, r.n_blocks);
+        !st.is_ok()) {
+      // The extent pool ran dry part-way.  Give back the runs not mapped,
+      // zero the mapped ones so they read as the holes they filled, and
+      // trim any that lie past EOF.
+      give_back(i);
+      for (std::size_t j = 0; j < i; ++j) {
+        std::byte* p = dev().at(fresh[j].dev_off);
+        std::memset(p, 0, fresh[j].n_blocks * kBS);
+        nvmm::persist(p, fresh[j].n_blocks * kBS);
+      }
+      const std::uint64_t size = ino.size.load(std::memory_order_acquire);
+      res.map().drop_from((size + kBS - 1) / kBS,
+                          [&](std::uint64_t off, std::uint64_t n) {
+                            blocks().free(off, n);
+                          });
+      nvmm::fence();
       return st.code();
-    b += take;
+    }
   }
-  return guard.has_value();
+  return true;
 }
 
 Status FileSystem::write_file_bytes(Inode& ino, std::uint64_t ino_off,
@@ -358,7 +398,7 @@ Status Process::truncate_inode(std::uint64_t ino_off, std::uint64_t size) {
   // it leaves the new size with every byte in range unchanged.  Storage
   // release and tail zeroing follow the commit — they only touch bytes
   // beyond the (new) size, so interrupted cleanup is invisible and recovery
-  // finishes it (extent marking + tail re-zero).
+  // finishes it (it unmaps the blocks past EOF and re-zeroes the tail).
   ino->size.store(size, std::memory_order_release);
   ino->mtime_ns.store(wall_ns(), std::memory_order_relaxed);
   nvmm::persist(&ino->size, kSizeStampBytes);

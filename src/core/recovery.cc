@@ -5,13 +5,15 @@
 //      cross-directory rename log and fixes interrupted deletes / renames
 //      (the same per-line repairs a lease-stealing survivor performs).
 //   2. Mark: DFS from the root marks every reachable inode, file entry,
-//      directory hash block, extent block and data block.
+//      directory hash block, extent block and data block.  A file's blocks
+//      past EOF are unmapped instead, so the rebuild frees them.
 //   3. Sweep: each metadata pool is scanned; the two persistence bits give
 //      a unique decision per object — half-freed objects (01) finish their
 //      free, reachable in-flight objects (11) are committed, unreachable
 //      allocated objects are reclaimed.
 //   4. The block allocator's per-segment free lists are rebuilt from the
 //      mark bitmap, and the volatile shared-DRAM lock table is reset.
+#include <algorithm>
 #include <cstring>
 #include <unordered_map>
 #include <unordered_set>
@@ -127,10 +129,31 @@ RecoveryReport FileSystem::recover() {
       } else if (ino->is_file()) {
         ++report.files;
         ExtentMap map(*dev_, *pools_[kPoolExtent], *ino, ino_off);
+        const std::uint64_t fsize = ino->size.load(std::memory_order_relaxed);
+        // Mark only blocks below EOF.  An append that died before its size
+        // stamp, or a truncate that died between its size commit and
+        // drop_from, leaves blocks past it, and growth would expose their
+        // bytes where zeros are due: unmap them, and the rebuild below
+        // frees them.
+        const std::uint64_t keep =
+            (fsize + alloc::kBlockSize - 1) / alloc::kBlockSize;
+        bool past_eof = false;
         map.for_each([&](const Extent& e) {
-          mark_blocks(e.dev_off, e.n_blocks);
-          report.data_blocks_in_use += e.n_blocks;
+          const std::uint64_t n =
+              e.file_block >= keep
+                  ? 0
+                  : std::min<std::uint64_t>(e.n_blocks, keep - e.file_block);
+          mark_blocks(e.dev_off, n);
+          report.data_blocks_in_use += n;
+          past_eof |= n < e.n_blocks;
         });
+        if (past_eof) {
+          {
+            ExtentEpochGuard guard(*ino);
+            map.drop_from(keep, [](std::uint64_t, std::uint64_t) {});
+          }
+          nvmm::fence();
+        }
         // Re-derive the file's block checksums (integrity.h): an in-place
         // overwrite torn by the crash legitimately leaves bytes and entry
         // out of step, and the invariant must hold before any verifier
@@ -146,7 +169,6 @@ RecoveryReport FileSystem::recover() {
         // A crash between a truncate's size commit and its tail zeroing can
         // leave stale bytes beyond EOF in the final kept block; re-zero so
         // later growth exposes zeros (the runtime guarantee).
-        const std::uint64_t fsize = ino->size.load(std::memory_order_relaxed);
         const std::uint64_t tail = fsize % alloc::kBlockSize;
         if (tail != 0) {
           const std::uint64_t blk = map.find(fsize / alloc::kBlockSize);

@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <cstring>
 #include <map>
 #include <set>
 #include <thread>
+#include <vector>
 
 #include "common/failpoint.h"
 #include "common/hash.h"
@@ -64,6 +67,57 @@ TEST(Hash, Mix64SpreadsBits) {
   std::set<std::uint64_t> seen;
   for (std::uint64_t i = 0; i < 1000; ++i) seen.insert(mix64(i));
   EXPECT_EQ(seen.size(), 1000u);
+}
+
+// CRC32C known answers from RFC 3720 §B.4.  Every data block's checksum on
+// media is this function, so its output must never change.
+TEST(Hash, Crc32cKnownAnswers) {
+  std::uint8_t buf[32];
+  std::memset(buf, 0, sizeof buf);
+  EXPECT_EQ(crc32c(buf, sizeof buf), 0x8A9136AAu);
+  std::memset(buf, 0xff, sizeof buf);
+  EXPECT_EQ(crc32c(buf, sizeof buf), 0x62A8AB43u);
+  for (unsigned i = 0; i < sizeof buf; ++i)
+    buf[i] = static_cast<std::uint8_t>(i);
+  EXPECT_EQ(crc32c(buf, sizeof buf), 0x46DD794Eu);
+  EXPECT_EQ(crc32c("123456789", 9), 0xE3069283u);
+}
+
+// n + 1 pseudo-random bytes; the tests start one byte in, so every word
+// load is unaligned.
+std::vector<std::uint8_t> crc_input(std::size_t n) {
+  std::vector<std::uint8_t> buf(n + 1);
+  std::uint64_t x = 1;
+  for (auto& b : buf) b = static_cast<std::uint8_t>((x = mix64(x)) >> 56);
+  return buf;
+}
+
+// The public crc32c takes the crc32 instruction's path where the CPU has
+// it; it must agree with the table-driven path at every length, including
+// each side of the three-lane chunk (4,080 bytes) and of two chunks.
+TEST(Hash, Crc32cMatchesTheTableDrivenPath) {
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 0; n <= 64; ++n) lengths.push_back(n);
+  for (std::size_t n = 4070; n <= 4100; ++n) lengths.push_back(n);
+  for (std::size_t n = 8150; n <= 8200; ++n) lengths.push_back(n);
+  lengths.push_back(9000);
+  const std::vector<std::uint8_t> buf = crc_input(9000);
+  for (const std::uint32_t seed : {0x1u, 0x9e3779b9u, 0xffffffffu}) {
+    for (const std::size_t n : lengths) {
+      EXPECT_EQ(crc32c(buf.data() + 1, n, seed),
+                ~detail::crc32c_sw(buf.data() + 1, n, ~seed))
+          << "length " << n << " seed " << seed;
+    }
+  }
+}
+
+TEST(Hash, Crc32cChainsAcrossAChunkBoundary) {
+  const std::vector<std::uint8_t> buf = crc_input(9000);
+  const std::uint8_t* p = buf.data() + 1;
+  const std::uint32_t whole = crc32c(p, 9000);
+  for (const std::size_t split : {1u, 4000u, 4080u, 4081u, 5000u, 8999u})
+    EXPECT_EQ(crc32c(p + split, 9000 - split, crc32c(p, split)), whole)
+        << "split at " << split;
 }
 
 TEST(Rng, Deterministic) {

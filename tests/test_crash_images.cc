@@ -463,5 +463,20 @@ TEST_F(FsckCorruptionTest, DetectsStaleBytesBeyondEof) {
   EXPECT_TRUE(mentions) << r.summary();
 }
 
+TEST_F(FsckCorruptionTest, DetectsBlockMappedPastEof) {
+  write_file(*proc_, "/f", std::string(10000, 'x'));  // three blocks
+  core::Inode* f = fs_->inode_at(inode_of("/f"));
+  // Shrink the size to a block boundary without unmapping (the crash window
+  // recovery closes); no tail byte is stale, only the mapping.
+  f->size.store(4096, std::memory_order_relaxed);
+  const core::CheckReport r = core::check_fs(*fs_);
+  EXPECT_FALSE(r.ok());
+  bool mentions = false;
+  for (const std::string& e : r.errors)
+    mentions |= e.find("block mapped past EOF at file block 1") !=
+                std::string::npos;
+  EXPECT_TRUE(mentions) << r.summary();
+}
+
 }  // namespace
 }  // namespace simurgh::testing

@@ -1,6 +1,8 @@
 // Crash-injection tests for the Fig. 5 protocols: a process dies at each
 // labeled step boundary; the paper's claimed outcome must hold after either
 // helper completion (a survivor touching the same line) or full recovery.
+#include <string>
+
 #include "common/failpoint.h"
 #include "fs_fixture.h"
 
@@ -242,6 +244,56 @@ TEST_F(FsCrashTest, CrashDuringWriteKeepsSizeConsistent) {
                [&] { (void)p().pwrite(*fd, "0123456789", 10, 0); });
   remount_after_crash();
   EXPECT_EQ(p().stat("/wcrash")->size, 5u);
+}
+
+// ---- crashes that leave blocks mapped past EOF ----
+//
+// Recovery must unmap them: growing the file afterwards would otherwise
+// expose their bytes where zeros are due.
+
+TEST_F(FsCrashTest, AppendCrashBeforeSizeStampLeavesNoBlocksPastEof) {
+  auto fd = p().open("/app", kOpenCreate | kOpenWrite);
+  ASSERT_TRUE(fd.is_ok());
+  const std::string head(1000, 'h');
+  ASSERT_TRUE(p().pwrite(*fd, head.data(), head.size(), 0).is_ok());
+  // The appended bytes are durable; the size stamp is not.
+  const std::string lost(20000, 'y');
+  crash_during("fs.write.data_persisted", [&] {
+    (void)p().pwrite(*fd, lost.data(), lost.size(), head.size());
+  });
+  remount_after_crash();
+  EXPECT_EQ(p().stat("/app")->size, head.size());
+  const core::CheckReport cr = core::check_fs(*fs_);
+  EXPECT_TRUE(cr.ok()) << cr.summary();
+  EXPECT_EQ(cr.data_blocks_in_use, 1u);
+  auto rfd = p().open("/app", kOpenWrite | kOpenRead);
+  ASSERT_TRUE(rfd.is_ok());
+  ASSERT_TRUE(p().ftruncate(*rfd, head.size() + lost.size()).is_ok());
+  std::string back(lost.size(), '?');
+  ASSERT_EQ(*p().pread(*rfd, back.data(), back.size(), head.size()),
+            back.size());
+  EXPECT_EQ(back.find_first_not_of('\0'), std::string::npos);
+}
+
+TEST_F(FsCrashTest, TruncateCrashAfterSizeCommitLeavesNoBlocksPastEof) {
+  auto fd = p().open("/cut", kOpenCreate | kOpenWrite);
+  ASSERT_TRUE(fd.is_ok());
+  const std::string data(10000, 'x');
+  ASSERT_TRUE(p().pwrite(*fd, data.data(), data.size(), 0).is_ok());
+  // The new size is durable; drop_from never ran.
+  crash_during("fs.truncate.size_persisted",
+               [&] { (void)p().ftruncate(*fd, 3000); });
+  remount_after_crash();
+  EXPECT_EQ(p().stat("/cut")->size, 3000u);
+  const core::CheckReport cr = core::check_fs(*fs_);
+  EXPECT_TRUE(cr.ok()) << cr.summary();
+  EXPECT_EQ(cr.data_blocks_in_use, 1u);
+  auto rfd = p().open("/cut", kOpenWrite | kOpenRead);
+  ASSERT_TRUE(rfd.is_ok());
+  ASSERT_TRUE(p().ftruncate(*rfd, data.size()).is_ok());
+  std::string back(data.size() - 3000, '?');
+  ASSERT_EQ(*p().pread(*rfd, back.data(), back.size(), 3000), back.size());
+  EXPECT_EQ(back.find_first_not_of('\0'), std::string::npos);
 }
 
 TEST_F(FsCrashTest, SurvivorStealsAbandonedLineLock) {

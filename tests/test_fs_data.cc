@@ -1,7 +1,9 @@
 // Data-path tests: extents, large files, truncate, fallocate, persistence
 // ordering (§4.3 "Data operations").
+#include <algorithm>
 #include <cstring>
 #include <utility>
+#include <vector>
 
 #include "common/rng.h"
 #include "fs_fixture.h"
@@ -260,6 +262,63 @@ TEST_F(FsDataTest, WriteAndFallocateLargerThanASegment) {
   EXPECT_EQ(std::memcmp(data.data(), back.data(), kWrite), 0);
   const core::CheckReport cr = core::check_fs(*fs_);
   EXPECT_TRUE(cr.ok()) << cr.summary();
+}
+
+// A device small enough to fill: writes that run out of space part-way.
+// The filler file's last 64 KiB of 'z' bytes are freed, so any block a
+// failed write leaves mapped reads back as 'z' where zeros are due.
+class FsFullDeviceTest : public FsDataTest {
+ protected:
+  void SetUp() override {
+    nvmm_ = std::make_unique<nvmm::Device>(16ull << 20);
+    shm_ = std::make_unique<nvmm::Device>(kShmSize);
+    fs_ = core::FileSystem::format(*nvmm_, *shm_);
+    proc_ = fs_->open_process(1000, 1000);
+    const int fd = make_file("/filler");
+    const std::vector<char> z(4096, 'z');
+    std::uint64_t size = 0;
+    while (p().pwrite(fd, z.data(), z.size(), size).is_ok()) size += z.size();
+    ASSERT_GT(size, 64u << 10);
+    ASSERT_TRUE(p().ftruncate(fd, size - (64 << 10)).is_ok());
+  }
+
+  // Counts the bytes of [off, off + n) that do not read back as zero.
+  std::size_t nonzero_bytes(int fd, std::uint64_t off, std::size_t n) {
+    std::vector<char> buf(n, '?');
+    EXPECT_EQ(*p().pread(fd, buf.data(), n, off), n);
+    return n - static_cast<std::size_t>(std::count(buf.begin(), buf.end(), 0));
+  }
+};
+
+TEST_F(FsFullDeviceTest, FailedWriteIntoAHoleMapsNothing) {
+  constexpr std::size_t kLen = 1 << 20;
+  const int fd = make_file("/sparse");
+  ASSERT_TRUE(p().ftruncate(fd, kLen).is_ok());
+  const std::uint64_t free_before = fs_->blocks().free_blocks();
+  const std::vector<char> data(kLen, 'w');
+  EXPECT_EQ(p().pwrite(fd, data.data(), kLen, 0).code(), Errc::no_space);
+  EXPECT_EQ(nonzero_bytes(fd, 0, kLen), 0u);
+  // fallocate fills holes through the same allocator path.
+  EXPECT_EQ(p().fallocate(fd, 0, kLen).code(), Errc::no_space);
+  EXPECT_EQ(nonzero_bytes(fd, 0, kLen), 0u);
+  EXPECT_EQ(fs_->blocks().free_blocks(), free_before);
+  const core::CheckReport cr = core::check_fs(*fs_);
+  EXPECT_TRUE(cr.ok()) << cr.summary();
+}
+
+TEST_F(FsFullDeviceTest, FailedAppendLeavesNoBlocksPastEof) {
+  constexpr std::size_t kLen = 1 << 20;
+  const int fd = make_file("/small");
+  ASSERT_TRUE(p().pwrite(fd, "ab", 2, 0).is_ok());
+  const std::uint64_t free_before = fs_->blocks().free_blocks();
+  const std::vector<char> data(kLen, 'w');
+  EXPECT_EQ(p().pwrite(fd, data.data(), kLen, 2).code(), Errc::no_space);
+  EXPECT_EQ(fs_->blocks().free_blocks(), free_before);
+  const core::CheckReport cr = core::check_fs(*fs_);
+  EXPECT_TRUE(cr.ok()) << cr.summary();
+  // Growing the file must expose zeros, not the freed filler's bytes.
+  ASSERT_TRUE(p().ftruncate(fd, 200000).is_ok());
+  EXPECT_EQ(nonzero_bytes(fd, 2, 200000 - 2), 0u);
 }
 
 }  // namespace
