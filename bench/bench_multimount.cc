@@ -3,8 +3,8 @@
 // attached to one nvmm+shm device pair (the paper's N coordinator-free
 // processes, §4).  Every mount runs one driver thread in its own
 // directory, so the numbers isolate the cost of the *shared* coordination
-// state — mount registry heartbeats, the striped shm block reservations,
-// the striped free-object stacks and the one cache-generation word every
+// state — mount registry heartbeats, the shm block reservation slots, the
+// per-pool free-object stacks and the one cache-generation word every
 // operation polls.  `shard_invalidations` counts whole-cache drops after
 // that word moved (its name predates the single generation).
 //
@@ -66,11 +66,11 @@ std::uint64_t drive(core::FileSystem& fs, const std::string& dir, int iters) {
 }
 
 // Shared-state contention telemetry summed over every mount of one run
-// (see FsStat in core/fs.h — all four should stay near zero when the
-// sharding does its job and no peer recovers or dies).
+// (see FsStat in core/fs.h).  CAS retries and invalidations stay near zero
+// when no peer recovers or dies; slot probes grow with the mount count,
+// since each thread's first claim scans the slots claimed before it.
 struct Contention {
   std::uint64_t obj_cas_retries = 0;
-  std::uint64_t obj_stripe_steals = 0;
   std::uint64_t reserve_slot_probes = 0;
   std::uint64_t shard_invalidations = 0;
 };
@@ -108,7 +108,6 @@ Sample run_scale(unsigned n_mounts, int iters) {
   for (auto& fs : mounts) {
     const core::FsStat st = fs->fsstat();
     s.contention.obj_cas_retries += st.obj_cas_retries;
-    s.contention.obj_stripe_steals += st.obj_stripe_steals;
     s.contention.reserve_slot_probes += st.reserve_slot_probes;
     s.contention.shard_invalidations += st.shard_invalidations;
     fs->unmount();
@@ -162,12 +161,10 @@ int main() {
 
   for (const Point& pt : points)
     std::printf("%2u mount%s: %8.0f ops/s aggregate median (best %8.0f, "
-                "%7.0f per mount; cas_retries %llu steals %llu probes %llu "
-                "invals %llu)\n",
+                "%7.0f per mount; cas_retries %llu probes %llu invals %llu)\n",
                 pt.mounts, pt.mounts == 1 ? " " : "s", pt.ops_per_sec,
                 pt.best_ops_per_sec, pt.ops_per_sec / pt.mounts,
                 (unsigned long long)pt.contention.obj_cas_retries,
-                (unsigned long long)pt.contention.obj_stripe_steals,
                 (unsigned long long)pt.contention.reserve_slot_probes,
                 (unsigned long long)pt.contention.shard_invalidations);
   std::printf("1 -> 4 mount aggregate scaling: %.2fx median-rep "
@@ -193,12 +190,11 @@ int main() {
       std::fprintf(out,
                    "    {\"mounts\": %u, \"ops_per_sec\": %.0f, "
                    "\"best_ops_per_sec\": %.0f, \"obj_cas_retries\": %llu, "
-                   "\"obj_stripe_steals\": %llu, \"reserve_slot_probes\": "
-                   "%llu, \"shard_invalidations\": %llu}%s\n",
+                   "\"reserve_slot_probes\": %llu, "
+                   "\"shard_invalidations\": %llu}%s\n",
                    points[i].mounts, points[i].ops_per_sec,
                    points[i].best_ops_per_sec,
                    (unsigned long long)points[i].contention.obj_cas_retries,
-                   (unsigned long long)points[i].contention.obj_stripe_steals,
                    (unsigned long long)
                        points[i].contention.reserve_slot_probes,
                    (unsigned long long)

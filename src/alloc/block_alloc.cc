@@ -153,8 +153,7 @@ void BlockAllocator::attach_shared_state(ShmAllocShared* shared,
                                          std::uint64_t mount_token) noexcept {
   shared_ = shared;
   mount_token_ = mount_token;
-  // Spread mounts across the segment ring (same mix as the reservation
-  // home ranges so the whole allocator tier agrees on one affinity).
+  // Spread mounts across the segment ring (see segment_bias_).
   const unsigned n = n_segments();
   segment_bias_ = n > 0 ? static_cast<unsigned>(
                               (mount_token * 0x9e3779b97f4a7c15ull >> 40) % n)
@@ -186,14 +185,10 @@ ShmReservation* BlockAllocator::shm_thread_slot() {
     bindings.erase(it);  // slot was reclaimed or adopted; claim a fresh one
     break;
   }
-  // Claim scan: start inside this mount's home range so concurrent mounts
-  // probe (and CAS-collide over) disjoint slot ranges; wrap into foreign
-  // ranges only once the home range is exhausted.
-  const unsigned home_base =
-      shm_reserve_home(mount_token_) * kShmReserveHomeSlots;
+  // Claim scan from slot 0: it runs once per thread's first claim (and
+  // after a rebind), not per allocation.
   unsigned probes = 0;
-  for (unsigned j = 0; j < kShmReserveSlots; ++j) {
-    const unsigned i = (home_base + j) % kShmReserveSlots;
+  for (unsigned i = 0; i < kShmReserveSlots; ++i) {
     ShmReservation& slot = shared_->reservations[i];
     ++probes;
     const std::uint64_t owner = slot.mount.load(std::memory_order_relaxed);

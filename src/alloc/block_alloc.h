@@ -81,8 +81,8 @@ struct BlockAllocStats {
   std::atomic<std::uint64_t> reserve_refills{0};  // chunk carves
   std::atomic<std::uint64_t> reserve_drains{0};   // remainders returned
   // Shm reservation slots probed while claiming/rebinding a thread slot
-  // (shm_thread_slot).  Scan lengths near kShmReserveHomeSlots mean the
-  // home range is saturated and claims are spilling into foreign ranges.
+  // (shm_thread_slot, which scans from slot 0): about the number of slots
+  // already claimed, once per thread's first claim.
   std::atomic<std::uint64_t> reserve_slot_probes{0};
 };
 
@@ -180,9 +180,6 @@ class BlockAllocator {
   // before the first alloc().
   void attach_shared_state(ShmAllocShared* shared,
                            std::uint64_t mount_token) noexcept;
-  [[nodiscard]] std::uint64_t mount_token() const noexcept {
-    return mount_token_;
-  }
 
   // Survivor-side reclaim: frees every shm reservation slot owned by
   // `dead_mount_token` (its process is gone; lease-expired).  Returns the
@@ -303,10 +300,12 @@ class BlockAllocator {
       std::make_unique<std::atomic<CarveProxy*>>(nullptr);
   ShmAllocShared* shared_ = nullptr;  // null: no reservations
   std::uint64_t mount_token_ = 0;
-  // Segment affinity: alloc_direct rotates each mount's segment walk by
-  // this bias so two mounts with similar hints start on different segment
-  // locks (set by attach_shared_state from the mount token; 0 for raw
-  // single-mount allocators, preserving the historical placement).
+  // Segment placement: alloc_direct rotates each mount's segment walk by
+  // this bias, which decides where the mount's pool segments and file
+  // blocks land (set by attach_shared_state from the mount token; 0 for
+  // raw single-mount allocators).  It is kept for placement, not
+  // contention: without it smallfile's recovery and lookups got slower
+  // (DESIGN.md §9.3).
   unsigned segment_bias_ = 0;
 };
 

@@ -108,7 +108,6 @@ bool ObjectAllocator::refill() {
   // full stack ends the scan early: whatever did not fit is found again by
   // the next refill.
   const std::uint64_t self = common::thread_token();
-  const unsigned home = home_stripe();
   const std::uint64_t lease_ns = blocks_->lease_ns();
   std::uint64_t batch[64];
   unsigned pending = 0;
@@ -118,14 +117,13 @@ bool ObjectAllocator::refill() {
     if (full || flags != 0) return;
     batch[pending++] = payload_off;
     if (pending < std::size(batch)) return;
-    const unsigned put = stack_->push_batch(batch, pending, home, self,
-                                            lease_ns);
+    const unsigned put = stack_->push_batch(batch, pending, self, lease_ns);
     any |= put > 0;
     full = put < pending;
     pending = 0;
   });
   if (!full && pending > 0)
-    any |= stack_->push_batch(batch, pending, home, self, lease_ns) > 0;
+    any |= stack_->push_batch(batch, pending, self, lease_ns) > 0;
   return any;
 }
 
@@ -154,12 +152,8 @@ Result<std::uint64_t> ObjectAllocator::alloc() {
       stats_->claim_cas_retries.fetch_add(1, std::memory_order_relaxed);
     }
     std::uint64_t batch[kMagazineBatch];
-    std::uint64_t steals = 0;
     const unsigned got =
-        stack_->pop_batch(batch, kMagazineBatch, home_stripe(), self,
-                          blocks_->lease_ns(), &steals);
-    if (steals > 0)
-      stats_->stripe_steals.fetch_add(steals, std::memory_order_relaxed);
+        stack_->pop_batch(batch, kMagazineBatch, self, blocks_->lease_ns());
     if (got > 0) {
       // batch[0] is the most recently freed; append in reverse so the
       // magazine's back keeps the LIFO order.
@@ -213,7 +207,7 @@ void ObjectAllocator::finish_pending_free(std::uint64_t payload_off) {
   Magazine& mag = magazine_for(stack_);
   mag.hints.push_back(payload_off);
   if (mag.hints.size() > kMagazineMax) {
-    stack_->push_batch(mag.hints.data(), kMagazineBatch, home_stripe(),
+    stack_->push_batch(mag.hints.data(), kMagazineBatch,
                        common::thread_token(), blocks_->lease_ns());
     mag.hints.erase(mag.hints.begin(), mag.hints.begin() + kMagazineBatch);
   }
@@ -228,18 +222,6 @@ void ObjectAllocator::set_flags(std::uint64_t payload_off,
   ObjectHeader& hdr = header_of(payload_off);
   hdr.flags.store(flags, std::memory_order_release);
   nvmm::persist_obj(hdr.flags);
-}
-
-bool ObjectAllocator::owns_block(std::uint64_t block_off) const {
-  nvmm::pptr<PoolSegment> seg = pool().seg_head.load();
-  while (seg) {
-    const PoolSegment* s = seg.in(*dev_);
-    if (block_off >= seg.raw() &&
-        block_off < seg.raw() + s->n_blocks * kBlockSize)
-      return true;
-    seg = s->next;
-  }
-  return false;
 }
 
 void ObjectAllocator::drop_volatile_cache() {

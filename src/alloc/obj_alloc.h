@@ -33,8 +33,8 @@
 //
 // A volatile free-object cache holds offsets of free objects so the hot
 // path is O(1), falling back to scanning pool segments on refill.  The
-// cache is a striped LIFO stack in the shm device, shared by every mount of
-// the pool (alloc/shm_state.h), under a thread-local magazine.  Its entries
+// cache is one LIFO stack in the shm device, shared by every mount of the
+// pool (alloc/shm_state.h), under a thread-local magazine.  Its entries
 // are *hints* — the on-media flag CAS is the only claim authority — so a
 // hint another mount already claimed costs one failed CAS, never a double
 // allocation.  LIFO end to end: a just-freed object is the next one handed
@@ -56,10 +56,10 @@ constexpr std::uint32_t kObjValid = 1u;
 constexpr std::uint32_t kObjDirty = 2u;
 
 // Per-process DRAM contention counters, bumped relaxed (lost increments
-// acceptable, like BlockAllocStats).  These diagnose cross-mount pressure
-// from stats alone: claim_cas_retries counts hints another mount claimed
-// first (the on-media flag CAS lost), stripe_steals counts pops the home
-// stripe could not serve.
+// acceptable, like BlockAllocStats).  claim_cas_retries counts hints
+// another mount (or thread) claimed first: the on-media flag CAS lost.
+// stripe_steals is never incremented (the stack has no stripes); it stays
+// because perfbench's tracer still reads it.
 struct ObjAllocStats {
   std::atomic<std::uint64_t> claim_cas_retries{0};
   std::atomic<std::uint64_t> stripe_steals{0};
@@ -90,8 +90,8 @@ class ObjectAllocator {
  public:
   // Formats/attaches a pool with objects of `payload_size` bytes.  `cache`
   // is the pool's free-object stack (one per pool, never shared between
-  // pools) and must outlive the allocator.  The home stripe and the stripe
-  // lease come from `blocks`: its mount token and its lease.
+  // pools) and must outlive the allocator.  The stack's lease is `blocks`'s
+  // lease.
   static ObjectAllocator format(nvmm::Device& dev, BlockAllocator& blocks,
                                 ObjCacheStack& cache,
                                 std::uint64_t pool_header_off,
@@ -144,9 +144,6 @@ class ObjectAllocator {
     }
   }
 
-  // True if `off` lies inside one of this pool's segments (sweep helper).
-  [[nodiscard]] bool owns_block(std::uint64_t block_off) const;
-
   // Iterates pool segments: fn(segment_dev_off, n_blocks).  Recovery marks
   // these blocks as in use before rebuilding the block allocator.
   template <typename Fn>
@@ -182,15 +179,6 @@ class ObjectAllocator {
   [[nodiscard]] ObjectHeader& header_of(std::uint64_t payload_off) const {
     return *reinterpret_cast<ObjectHeader*>(
         dev_->at(payload_off - sizeof(ObjectHeader)));
-  }
-
-  // This mount's stripe of the stack (the others are touched only to steal
-  // or spill), mixed from the block allocator's mount token the same way
-  // as the reservation home ranges.
-  [[nodiscard]] unsigned home_stripe() const noexcept {
-    return static_cast<unsigned>(
-        (blocks_->mount_token() * 0x9e3779b97f4a7c15ull >> 56) %
-        kObjCacheStripes);
   }
 
   Status grow();

@@ -25,16 +25,9 @@
 //     the object again later); an empty one sends the caller to the refill
 //     scan.
 //
-// Sharding (NOVA-style per-CPU partitioning, ported to the cross-mount
-// tier): one spinlocked LIFO per pool serialises every mount behind a
-// single cache line, so the per-pool stack is striped into kObjCacheStripes
-// independent, cache-line-aligned stripes.  Each mount homes on one stripe
-// (chosen from its attachment token) and touches the others only to steal
-// on a miss or spill on overflow — two mounts on different stripes never
-// share an allocator cache line on the hot path.  Reservation slots get the
-// same treatment: the slot array is carved into per-mount home ranges so
-// slot claims scan (and CAS-collide over) kShmReserveSlots/kShmReserveHomes
-// slots instead of the whole table.
+// Neither is partitioned by mount: a stack lock is taken once per
+// magazine batch of hints and the slot table is scanned once per thread's
+// first claim, so neither sits on the per-operation path (DESIGN.md §9.3).
 //
 // Everything here is volatile: a fresh boot reformats the shm device and
 // recovery re-derives all of it from NVMM.
@@ -73,21 +66,8 @@ static_assert(sizeof(ShmReservation) == 64);
 static_assert(offsetof(ShmReservation, mount) == 16);
 
 constexpr unsigned kShmReserveSlots = 256;
-// Home ranges: slot claims start inside the mount's own 1/kShmReserveHomes
-// of the table and wrap only when it is exhausted, so mounts stop scanning
-// (and CAS-colliding over) one shared prefix of the array.
-constexpr unsigned kShmReserveHomes = 8;
-constexpr unsigned kShmReserveHomeSlots = kShmReserveSlots / kShmReserveHomes;
-static_assert(kShmReserveSlots % kShmReserveHomes == 0);
 
-inline unsigned shm_reserve_home(std::uint64_t mount_token) noexcept {
-  // Attachment tokens are clock-derived odd numbers; mix before reducing so
-  // near-simultaneous attaches do not pile onto one home range.
-  return static_cast<unsigned>((mount_token * 0x9e3779b97f4a7c15ull >> 56) %
-                               kShmReserveHomes);
-}
-
-// The critical sections behind slot and stripe locks are a handful of
+// The critical sections behind slot and stack locks are a handful of
 // loads/stores, so a holder whose lease expired can only be a process that
 // died inside one: the steal needs no repair beyond taking the lock.
 //
@@ -107,46 +87,43 @@ inline void unlock_reservation(ShmReservation& r, std::uint64_t self) noexcept
   r.lock.unlock(self);
 }
 
-// One stripe of a pool's free-object cache: a bounded LIFO guarded by its
-// own lease lock, aligned so stripes never share a cache line.
+// A pool's free-object cache: one bounded LIFO guarded by a lease lock.
 // Entries are hints: the popper must still win the on-media flag CAS, so
 // the worst a lease steal from a *stalled* (not dead) holder can do is
 // duplicate or drop a hint — pops additionally discard zero reads so a torn
 // `n` can never surface offset 0 as an object.
-constexpr unsigned kObjCacheStripes = 8;
-constexpr std::uint32_t kObjCacheStripeSlots = 512;  // per stripe
-// Total capacity matches the pre-striping single stack (4096 per pool).
-constexpr std::uint32_t kObjCacheSlots =
-    kObjCacheStripes * kObjCacheStripeSlots;
+//
+// The stack is a capability like ShmReservation, but its lock never
+// escapes: pop_batch()/push_batch() acquire and release internally
+// (balanced on every path), so no REQUIRES contracts exist for callers to
+// satisfy.  The attribute documents that `n`/`slots` mutation is
+// lock-serialised.
+constexpr std::uint32_t kObjCacheSlots = 4096;  // per pool
 
-// The stripe is a capability like ShmReservation, but its lock never
-// escapes: pop_some()/push_some() acquire and release internally (balanced
-// on every path), so no REQUIRES contracts exist for callers to satisfy and
-// the member functions need no acquire/release annotations.  The attribute
-// documents that `n`/`slots` mutation is lock-serialised; looks_empty()
-// and looks_full() read `n` lock-free by design (hints, see above).
-struct alignas(64) CAPABILITY("obj_cache_stripe_lease") ObjCacheStripe {
-  common::LeaseLock lock;
+struct alignas(64) CAPABILITY("obj_cache_stack_lease") ObjCacheStack {
+  // Identity stamp, renewed on every reset.  Thread-local magazines
+  // (obj_alloc.cc) remember it and self-invalidate when it moves — both
+  // after recovery and when a torn-down file system's heap address is
+  // reused by a fresh one, where stale DRAM hints would otherwise point
+  // into an unrelated device image.  Every alloc and free reads it, so it
+  // keeps a cache line apart from the lock word each batch CASes.
+  std::atomic<std::uint64_t> epoch{0};
+  alignas(64) common::LeaseLock lock;
   std::atomic<std::uint32_t> n{0};
-  std::atomic<std::uint64_t> slots[kObjCacheStripeSlots];
+  std::atomic<std::uint64_t> slots[kObjCacheSlots];
 
+  // Quiescent re-initialisation (shm format, recovery).
   void reset() noexcept {
     lock.reset();
     n.store(0, std::memory_order_relaxed);
     for (auto& s : slots) s.store(0, std::memory_order_relaxed);
+    epoch.store(common::monotonic_ns(), std::memory_order_release);
+    std::atomic_thread_fence(std::memory_order_release);
   }
 
-  // Unsynchronised peek; callers treat the answer as a hint (a stripe can
-  // drain or fill between the load and the lock).
-  [[nodiscard]] bool looks_empty() const noexcept {
-    return n.load(std::memory_order_relaxed) == 0;
-  }
-  [[nodiscard]] bool looks_full() const noexcept {
-    return n.load(std::memory_order_relaxed) >= kObjCacheStripeSlots;
-  }
-
-  unsigned pop_some(std::uint64_t* out, unsigned max, std::uint64_t self,
-                    std::uint64_t lease_ns) noexcept {
+  // Pops up to `max` hints, most recently pushed first.
+  unsigned pop_batch(std::uint64_t* out, unsigned max, std::uint64_t self,
+                     std::uint64_t lease_ns) noexcept {
     lock.lock(self, lease_ns);
     std::uint32_t i = n.load(std::memory_order_relaxed);
     unsigned got = 0;
@@ -159,86 +136,21 @@ struct alignas(64) CAPABILITY("obj_cache_stripe_lease") ObjCacheStripe {
     return got;
   }
 
-  unsigned push_some(const std::uint64_t* in, unsigned count,
-                     std::uint64_t self, std::uint64_t lease_ns) noexcept {
+  // Pushes up to `count` hints and returns how many fit; the rest is
+  // dropped — a refill scan finds those objects again.
+  unsigned push_batch(const std::uint64_t* in, unsigned count,
+                      std::uint64_t self, std::uint64_t lease_ns) noexcept {
     lock.lock(self, lease_ns);
     std::uint32_t i = n.load(std::memory_order_relaxed);
     unsigned put = 0;
-    while (put < count && i < kObjCacheStripeSlots)
+    while (put < count && i < kObjCacheSlots)
       slots[i++].store(in[put++], std::memory_order_relaxed);
     n.store(i, std::memory_order_relaxed);
     lock.unlock(self);
     return put;
   }
 };
-static_assert(offsetof(ObjCacheStripe, n) == 16);
-
-// A pool's striped free-object cache: kObjCacheStripes independent LIFOs.
-// Every operation names a *home* stripe (the caller's mount affinity); the
-// other stripes are touched only to steal on a miss or spill on overflow,
-// in ascending distance from home so neighbours absorb imbalance first.
-// LIFO order is preserved within a stripe, which is where it matters — a
-// mount recycles through its own home stripe, so its just-freed object is
-// still the next one it is handed.
-struct ObjCacheStack {
-  // Identity stamp, renewed on every reset.  Thread-local magazines
-  // (obj_alloc.cc) remember it and self-invalidate when it moves — both
-  // after recovery and when a torn-down file system's heap address is
-  // reused by a fresh one, where stale DRAM hints would otherwise point
-  // into an unrelated device image.  Set-level: a reset quiesces every
-  // stripe at once.
-  std::atomic<std::uint64_t> epoch{0};
-  ObjCacheStripe stripes[kObjCacheStripes];
-
-  // Quiescent re-initialisation (shm format, recovery).
-  void reset() noexcept {
-    for (auto& s : stripes) s.reset();
-    epoch.store(common::monotonic_ns(), std::memory_order_release);
-    std::atomic_thread_fence(std::memory_order_release);
-  }
-
-  // Pops up to `max` hints, home stripe first, stealing from the others in
-  // ring order on a miss.  `steals` (optional) counts pops that had to
-  // leave the home stripe.
-  unsigned pop_batch(std::uint64_t* out, unsigned max, unsigned home,
-                     std::uint64_t self, std::uint64_t lease_ns,
-                     std::uint64_t* steals = nullptr) noexcept {
-    for (unsigned d = 0; d < kObjCacheStripes; ++d) {
-      ObjCacheStripe& s = stripes[(home + d) % kObjCacheStripes];
-      if (d > 0 && s.looks_empty()) continue;  // skip the lock on a dry peer
-      const unsigned got = s.pop_some(out, max, self, lease_ns);
-      if (got > 0) {
-        if (d > 0 && steals != nullptr) *steals += got;
-        return got;
-      }
-    }
-    return 0;
-  }
-
-  bool pop(std::uint64_t& off_v, unsigned home, std::uint64_t self,
-           std::uint64_t lease_ns, std::uint64_t* steals = nullptr) noexcept {
-    return pop_batch(&off_v, 1, home, self, lease_ns, steals) == 1;
-  }
-
-  // Pushes up to `count` hints into the home stripe, spilling overflow to
-  // the neighbours.  Returns how many were accepted; the rest is dropped —
-  // a refill scan finds those objects again.
-  unsigned push_batch(const std::uint64_t* in, unsigned count, unsigned home,
-                      std::uint64_t self, std::uint64_t lease_ns) noexcept {
-    unsigned put = 0;
-    for (unsigned d = 0; d < kObjCacheStripes && put < count; ++d) {
-      ObjCacheStripe& s = stripes[(home + d) % kObjCacheStripes];
-      if (s.looks_full()) continue;
-      put += s.push_some(in + put, count - put, self, lease_ns);
-    }
-    return put;
-  }
-
-  bool push(std::uint64_t off_v, unsigned home, std::uint64_t self,
-            std::uint64_t lease_ns) noexcept {
-    return push_batch(&off_v, 1, home, self, lease_ns) == 1;
-  }
-};
+static_assert(offsetof(ObjCacheStack, n) == 64 + 16);
 
 constexpr unsigned kShmNumPools = 4;  // mirrors core::kNumPools
 

@@ -3,9 +3,9 @@
 // Simurgh's concurrency story is a zoo of lock shapes: std::mutex for
 // mount-private state (write-behind staging, the shadow log, allocator
 // caches), {owner, stamp} lease locks in shared memory and NVMM (the
-// WbJournal lock, the mount-registry lock, per-reservation, per-stripe and
-// per-segment locks), per-file reader/writer lease locks, and per-line busy
-// bits in directory blocks.  All of them follow a "who guards what" map
+// WbJournal lock, the mount-registry lock, per-reservation, per-pool-stack
+// and per-segment locks), per-file reader/writer lease locks, and per-line
+// busy bits in directory blocks.  All of them follow a "who guards what" map
 // that used to live only in comments.  This header turns that map into
 // compiler-checked annotations:
 //
@@ -26,9 +26,9 @@
 //
 //   2. Lease locks (common/lease.h) — the lock *is* a persistent or
 //      shm-resident struct (WbJournal, FileLock, ShmReservation,
-//      ObjCacheStripe, SegmentHeader, DirBlock's busy word).  Those structs are annotated
-//      CAPABILITY(...) directly (an attribute, not a member: layout is
-//      untouched), and their lock/unlock entry points are annotated
+//      ObjCacheStack, SegmentHeader, DirBlock's busy word).  Those structs
+//      are annotated CAPABILITY(...) directly (an attribute, not a member:
+//      layout is untouched), and their lock/unlock entry points are annotated
 //      ACQUIRE(obj)/RELEASE(obj), so "requires the journal lock" is
 //      expressible as REQUIRES(j) on the functions that assume it.  The
 //      lease-steal path (a survivor displacing a dead holder) is just an
@@ -132,7 +132,6 @@ class SCOPED_CAPABILITY MutexLock {
     held_ = false;
     mu_.unlock();
   }
-  [[nodiscard]] bool owns_lock() const noexcept { return held_; }
 
  private:
   Mutex& mu_;

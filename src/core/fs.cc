@@ -191,8 +191,8 @@ void FileSystem::attach_components(bool formatted, const FormatOptions& opts) {
   // Heartbeats start before the recovery decision: a long recover() below
   // (or a long wait on a peer's) must not read as a dead mount.
   start_heartbeat_thread();
-  // Block reservations live in shm slots from here on; the pools pick
-  // their home stripes from the same token.
+  // Block reservations live in shm slots from here on, and the token sets
+  // this mount's segment bias.
   blocks_->attach_shared_state(&shm_hdr->alloc_shared, attachment_.token);
 
   Superblock& s = sb();
@@ -411,7 +411,6 @@ FsStat FileSystem::fsstat() {
     const alloc::ObjAllocStats& os = p->stats();
     st.obj_cas_retries +=
         os.claim_cas_retries.load(std::memory_order_relaxed);
-    st.obj_stripe_steals += os.stripe_steals.load(std::memory_order_relaxed);
   }
   st.reserve_slot_probes =
       blocks_->stats().reserve_slot_probes.load(std::memory_order_relaxed);

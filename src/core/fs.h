@@ -96,11 +96,11 @@ struct FsStat {
   // peers THIS mount has lease-reclaimed.
   std::uint64_t mounts_attached = 0;
   std::uint64_t mount_reclaims = 0;
-  // Cross-mount contention telemetry (this mount's view).  All four should
-  // stay near zero on a well-sharded system with no peer recovering or
-  // dying; growth pinpoints which shared structure mounts collide on.
+  // Cross-mount contention telemetry (this mount's view).  CAS retries
+  // stay near zero unless mounts race for the same free objects; slot
+  // probes grow by about the number of claimed slots once per thread's
+  // first reservation.
   std::uint64_t obj_cas_retries = 0;      // lost object-claim CAS races
-  std::uint64_t obj_stripe_steals = 0;    // free-obj pops off foreign stripes
   std::uint64_t reserve_slot_probes = 0;  // reservation-slot scan length
   // Times this mount dropped its DRAM caches whole because the superblock
   // cache generation moved (the name predates the single generation).

@@ -47,9 +47,6 @@ class Scrubber {
   // Background loop: pass, sleep, repeat.  Idempotent.
   void start(std::uint64_t pass_interval_ms = 1000);
   void stop();
-  [[nodiscard]] bool running() const noexcept {
-    return thread_.joinable();
-  }
 
   [[nodiscard]] std::uint64_t passes() const noexcept {
     return passes_.load(std::memory_order_relaxed);

@@ -68,19 +68,6 @@ std::vector<SweepSeries> sweep_fxmark(FxOp op, FxConfig base,
   return out;
 }
 
-std::vector<SweepPoint> per_backend(const std::vector<Backend>& backends,
-                                    const SingleFn& fn,
-                                    std::vector<std::string>* names) {
-  std::vector<SweepPoint> out;
-  for (Backend b : backends) {
-    sim::SimWorld world;
-    auto fs = make_backend(b, world);
-    if (names != nullptr) names->push_back(backend_name(b));
-    out.push_back({0, fn(*fs)});
-  }
-  return out;
-}
-
 Table sweep_table(const std::string& title,
                   const std::vector<SweepSeries>& series,
                   const std::vector<int>& threads) {

@@ -5,7 +5,6 @@
 
 #include <chrono>
 #include <cstdint>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -54,12 +53,6 @@ std::vector<int> sweep_threads();
 std::vector<SweepSeries> sweep_fxmark(FxOp op, FxConfig base,
                                       const std::vector<Backend>& backends,
                                       const std::vector<int>& threads);
-
-// Runs fn once per backend with a fresh world; fn returns the metric.
-using SingleFn = std::function<double(FsBackend&)>;
-std::vector<SweepPoint> per_backend(const std::vector<Backend>& backends,
-                                    const SingleFn& fn,
-                                    std::vector<std::string>* names);
 
 // Renders a sweep as a table: one row per backend, one column per count.
 Table sweep_table(const std::string& title,

@@ -50,10 +50,6 @@ StoreTracer* set_store_tracer(StoreTracer* t) noexcept {
   return g_tracer.exchange(t, std::memory_order_acq_rel);
 }
 
-StoreTracer* store_tracer() noexcept {
-  return g_tracer.load(std::memory_order_acquire);
-}
-
 std::uint64_t persist(const void* p, std::size_t len) noexcept {
   auto& s = persist_stats();
   const auto addr = reinterpret_cast<std::uintptr_t>(p);

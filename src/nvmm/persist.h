@@ -89,7 +89,6 @@ class StoreTracer {
 // previous tracer.  Tracing is strictly opt-in: with no tracer installed the
 // primitives pay exactly one relaxed pointer load.
 StoreTracer* set_store_tracer(StoreTracer* t) noexcept;
-StoreTracer* store_tracer() noexcept;
 
 // Write back the cache lines covering [p, p+len).  Returns the epoch at
 // which the flush was issued.

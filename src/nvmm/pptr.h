@@ -37,11 +37,6 @@ class pptr {
     return reinterpret_cast<T*>(dev.at(off_));
   }
 
-  template <typename U>
-  [[nodiscard]] constexpr pptr<U> cast() const noexcept {
-    return pptr<U>(off_);
-  }
-
   friend constexpr auto operator<=>(pptr, pptr) noexcept = default;
 
  private:

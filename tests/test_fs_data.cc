@@ -2,6 +2,7 @@
 // ordering (§4.3 "Data operations").
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -23,6 +24,13 @@ class FsDataTest : public FsTest {
     auto fd = p().open(path, kOpenCreate | kOpenWrite | kOpenRead);
     EXPECT_TRUE(fd.is_ok());
     return *fd;
+  }
+
+  // Counts the bytes of [off, off + n) that do not read back as zero.
+  std::size_t nonzero_bytes(int fd, std::uint64_t off, std::size_t n) {
+    std::vector<char> buf(n, '?');
+    EXPECT_EQ(*p().pread(fd, buf.data(), n, off), n);
+    return n - static_cast<std::size_t>(std::count(buf.begin(), buf.end(), 0));
   }
 };
 
@@ -281,13 +289,6 @@ class FsFullDeviceTest : public FsDataTest {
     ASSERT_GT(size, 64u << 10);
     ASSERT_TRUE(p().ftruncate(fd, size - (64 << 10)).is_ok());
   }
-
-  // Counts the bytes of [off, off + n) that do not read back as zero.
-  std::size_t nonzero_bytes(int fd, std::uint64_t off, std::size_t n) {
-    std::vector<char> buf(n, '?');
-    EXPECT_EQ(*p().pread(fd, buf.data(), n, off), n);
-    return n - static_cast<std::size_t>(std::count(buf.begin(), buf.end(), 0));
-  }
 };
 
 TEST_F(FsFullDeviceTest, FailedWriteIntoAHoleMapsNothing) {
@@ -319,6 +320,85 @@ TEST_F(FsFullDeviceTest, FailedAppendLeavesNoBlocksPastEof) {
   // Growing the file must expose zeros, not the freed filler's bytes.
   ASSERT_TRUE(p().ftruncate(fd, 200000).is_ok());
   EXPECT_EQ(nonzero_bytes(fd, 2, 200000 - 2), 0u);
+}
+
+// A small device filled with one-block files of 'z' bytes, every other one
+// then unlinked: no file ever needed a spill block, so the extent pool has
+// no segment, and no free run reaches the 65 blocks it needs to grow one.
+// Single free blocks remain, so a write whose runs need a spill block runs
+// the extent pool dry while data blocks are still free.
+class FsExtentPoolDryTest : public FsDataTest {
+ protected:
+  static constexpr std::uint64_t kBlock = 4096;
+
+  void SetUp() override {
+    nvmm_ = std::make_unique<nvmm::Device>(16ull << 20);
+    shm_ = std::make_unique<nvmm::Device>(kShmSize);
+    fs_ = core::FileSystem::format(*nvmm_, *shm_);
+    proc_ = fs_->open_process(1000, 1000);
+    const std::vector<char> z(kBlock, 'z');
+    int n = 0;
+    for (;; ++n) {
+      auto fd = p().open("/f" + std::to_string(n), kOpenCreate | kOpenWrite);
+      if (!fd.is_ok()) break;
+      const bool wrote = p().pwrite(*fd, z.data(), kBlock, 0).is_ok();
+      ASSERT_TRUE(p().close(*fd).is_ok());
+      if (!wrote) break;
+    }
+    ASSERT_GT(n, 1000);
+    for (int i = 0; i < n; i += 2)
+      ASSERT_TRUE(p().unlink("/f" + std::to_string(i)).is_ok());
+    std::uint64_t longest = 0;
+    fs_->blocks().for_each_free_range(
+        [&](unsigned, std::uint64_t, std::uint64_t len) {
+          longest = std::max(longest, len);
+        });
+    ASSERT_LT(longest, 65u);
+  }
+
+  // A file with five one-block extents at file blocks 0, 2, 4, 6 and 8:
+  // the sixth inline slot is the last before a spill block.
+  int five_extent_file(const std::string& path) {
+    const int fd = make_file(path);
+    const std::vector<char> w(kBlock, 'w');
+    for (std::uint64_t b = 0; b < 10; b += 2)
+      EXPECT_EQ(*p().pwrite(fd, w.data(), kBlock, b * kBlock), kBlock);
+    return fd;
+  }
+};
+
+TEST_F(FsExtentPoolDryTest, FailedWriteIntoAHoleZeroesWhatItMapped) {
+  const int fd = five_extent_file("/holes");
+  ASSERT_TRUE(p().ftruncate(fd, 20 * kBlock).is_ok());
+  const std::uint64_t free_before = fs_->blocks().free_blocks();
+  // Only single blocks are free: the first maps into the sixth inline slot
+  // and the second needs a spill block the extent pool cannot grow.
+  const std::vector<char> data(3 * kBlock, 'x');
+  EXPECT_EQ(p().pwrite(fd, data.data(), data.size(), 10 * kBlock).code(),
+            Errc::no_space);
+  EXPECT_GE(fs_->blocks().free_blocks(), 3u);  // the pool ran dry, not data
+  // The mapped block stays in the file as the zeros of the hole it filled.
+  EXPECT_EQ(fs_->blocks().free_blocks(), free_before - 1);
+  EXPECT_EQ(nonzero_bytes(fd, 10 * kBlock, 3 * kBlock), 0u);
+  EXPECT_EQ(p().stat("/holes")->size, 20 * kBlock);
+  const core::CheckReport cr = core::check_fs(*fs_);
+  EXPECT_TRUE(cr.ok()) << cr.summary();
+}
+
+TEST_F(FsExtentPoolDryTest, FailedAppendUnmapsWhatItMappedPastEof) {
+  const int fd = five_extent_file("/append");
+  const std::uint64_t free_before = fs_->blocks().free_blocks();
+  const std::vector<char> data(3 * kBlock, 'x');
+  EXPECT_EQ(p().pwrite(fd, data.data(), data.size(), 9 * kBlock).code(),
+            Errc::no_space);
+  EXPECT_GE(fs_->blocks().free_blocks(), 3u);  // the pool ran dry, not data
+  EXPECT_EQ(fs_->blocks().free_blocks(), free_before);
+  EXPECT_EQ(p().stat("/append")->size, 9 * kBlock);
+  const core::CheckReport cr = core::check_fs(*fs_);
+  EXPECT_TRUE(cr.ok()) << cr.summary();
+  // Growing the file must expose zeros, not the freed files' bytes.
+  ASSERT_TRUE(p().ftruncate(fd, 12 * kBlock).is_ok());
+  EXPECT_EQ(nonzero_bytes(fd, 9 * kBlock, 3 * kBlock), 0u);
 }
 
 }  // namespace

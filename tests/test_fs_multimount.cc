@@ -11,6 +11,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <iterator>
 #include <memory>
 #include <string>
 #include <thread>
@@ -425,20 +426,25 @@ TEST_F(MultiMountTest, KillOneMountStormSurvivorReclaimsAndImageChecksClean) {
   EXPECT_EQ(pc->stat("/after")->size, 256u << 10);
 }
 
-// ---- striped free-object cache ----
+// ---- shared free-object stack ----
 
-TEST_F(MultiMountTest, StripeStealsKeepServingUniqueInodesAfterPeerDeath) {
+TEST_F(MultiMountTest, SharedHintsKeepServingUniqueInodesAfterPeerDeath) {
   fs_a_->set_lease_ns(2'000'000);
   fs_b_->set_lease_ns(2'000'000);
   // Peer churn on its own thread (thread-local hint magazines die with
-  // it): create+unlink pushes ~10 magazine spills of freed inodes onto B's
-  // home stripe, where they sit when B is killed.
+  // it): create+unlink pushes ~10 magazine spills of freed inodes onto the
+  // pool's shared stack, where they sit when B is killed.
   std::atomic<bool> failed{false};
+  std::vector<std::uint64_t> freed;
   std::thread churn([&] {
     auto p = fs_b_->open_process(1000, 1000);
     for (int i = 0; i < 200 && !failed; ++i) {
-      auto fd = p->open("/c" + std::to_string(i), kOpenCreate | kOpenWrite);
+      const std::string path = "/c" + std::to_string(i);
+      auto fd = p->open(path, kOpenCreate | kOpenWrite);
       if (!fd.is_ok() || !p->close(*fd).is_ok()) failed = true;
+      auto st = p->stat(path);
+      if (!st.is_ok()) failed = true;
+      else freed.push_back(st->inode);
     }
     for (int i = 0; i < 200 && !failed; ++i)
       if (!p->unlink("/c" + std::to_string(i)).is_ok()) failed = true;
@@ -451,17 +457,15 @@ TEST_F(MultiMountTest, StripeStealsKeepServingUniqueInodesAfterPeerDeath) {
   (void)fs_a_->reap_dead_mounts();
   EXPECT_GE(fs_a_->reap_totals().mounts, 1u);
 
-  // The survivor allocates far past its own home stripe (512 slots): pops
-  // spill over into neighbor stripes — the dead peer's among them — and
+  // The survivor pops the dead peer's hints off the shared stack, and
   // every claim still goes through the on-media flag CAS, so no inode can
-  // ever be double-served no matter whose stripe served the hint.
+  // ever be double-served no matter which mount pushed the hint.
   constexpr int kFiles = 700;
   for (int i = 0; i < kFiles; ++i) {
     auto fd = a().open("/s" + std::to_string(i), kOpenCreate | kOpenWrite);
     ASSERT_TRUE(fd.is_ok());
     ASSERT_TRUE(a().close(*fd).is_ok());
   }
-  EXPECT_GT(fs_a_->fsstat().obj_stripe_steals, 0u);
   auto entries = a().readdir("/");
   ASSERT_TRUE(entries.is_ok());
   EXPECT_EQ(entries->size(), static_cast<std::size_t>(kFiles));
@@ -469,14 +473,19 @@ TEST_F(MultiMountTest, StripeStealsKeepServingUniqueInodesAfterPeerDeath) {
   for (const auto& e : *entries) inodes.push_back(e.inode);
   std::sort(inodes.begin(), inodes.end());
   EXPECT_EQ(std::unique(inodes.begin(), inodes.end()), inodes.end());
+  std::sort(freed.begin(), freed.end());
+  std::vector<std::uint64_t> reused;
+  std::set_intersection(inodes.begin(), inodes.end(), freed.begin(),
+                        freed.end(), std::back_inserter(reused));
+  EXPECT_FALSE(reused.empty());  // a dead peer's hints still serve
   const core::CheckReport cr = core::check_fs(*fs_a_);
   EXPECT_TRUE(cr.ok()) << cr.summary();
 }
 
-TEST_F(MultiMountTest, RecoveryRebuildsStripedFreeListsToSameAccounting) {
+TEST_F(MultiMountTest, RecoveryRebuildsFreeListsToSameAccounting) {
   // Two mounts with different segment biases churn allocations, one dies
   // dirty; full recovery must rebuild the per-segment free lists to
-  // exactly the block accounting the survivors agreed on — the bias only
+  // exactly the block accounting the survivor agreed on — the bias only
   // rotates where a mount *starts* carving, never what is free.
   fs_a_->set_lease_ns(2'000'000);
   fs_b_->set_lease_ns(2'000'000);
