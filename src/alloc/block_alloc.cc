@@ -1,6 +1,8 @@
 #include "alloc/block_alloc.h"
 
 #include <algorithm>
+#include <bit>
+#include <cstring>
 #include <vector>
 
 #include "common/failpoint.h"
@@ -10,42 +12,66 @@ namespace simurgh::alloc {
 
 namespace {
 
-constexpr std::uint64_t kMagic = 0x53494d5f424c4b31ull;  // "SIM_BLK1"
+constexpr std::uint64_t kMagic = 0x53494d5f424c4b32ull;  // "SIM_BLK2"
+constexpr std::uint64_t kBitsPerBlock = kBlockSize * 8;
+
+// First block in [b, end) whose bit reads `used`, or end.
+std::uint64_t find_bit(const std::atomic<std::uint64_t>* words,
+                       std::uint64_t b, std::uint64_t end, bool used) {
+  while (b < end) {
+    std::uint64_t w = words[b / 64].load();
+    if (!used) w = ~w;
+    w &= ~0ull << (b % 64);  // bits below b do not count
+    if (w != 0) return std::min(end, b / 64 * 64 + std::countr_zero(w));
+    b = b / 64 * 64 + 64;
+  }
+  return end;
+}
+
+// Sets (or clears) the bits of blocks [first, first+n) and flushes the
+// bitmap lines they sit in; the caller fences.
+void set_bits(std::atomic<std::uint64_t>* words, std::uint64_t first,
+              std::uint64_t n, bool used) {
+  const std::uint64_t last = first + n - 1;
+  for (std::uint64_t w = first / 64; w <= last / 64; ++w) {
+    const std::uint64_t lo = std::max(first, w * 64) % 64;
+    const std::uint64_t hi = std::min(last, w * 64 + 63) % 64;
+    const std::uint64_t mask = (~0ull >> (63 - hi)) & (~0ull << lo);
+    if (used)
+      words[w].fetch_or(mask);
+    else
+      words[w].fetch_and(~mask);
+  }
+  nvmm::persist(&words[first / 64],
+                (last / 64 - first / 64 + 1) * sizeof(std::uint64_t));
+}
 
 }  // namespace
 
 BlockAllocator BlockAllocator::format(nvmm::Device& dev,
                                       std::uint64_t header_off,
-                                      std::uint64_t data_off,
-                                      std::uint64_t data_len,
+                                      std::uint64_t area_off,
+                                      std::uint64_t area_len,
                                       unsigned n_segments) {
   SIMURGH_CHECK(n_segments > 0);
-  SIMURGH_CHECK(data_off % kBlockSize == 0);
+  SIMURGH_CHECK(area_off % kBlockSize == 0);
+  const std::uint64_t total = area_len / kBlockSize;
+  const std::uint64_t map_blocks = (total + kBitsPerBlock - 1) / kBitsPerBlock;
+  SIMURGH_CHECK(map_blocks < total);
   BlockAllocator a(dev, header_off);
   auto& h = a.header();
   h.magic = kMagic;
   h.n_segments = n_segments;
-  h.data_off = data_off;
-  h.n_blocks = data_len / kBlockSize;
-  nvmm::persist_now(h);
-
+  h.bitmap_off = area_off;
+  h.data_off = area_off + map_blocks * kBlockSize;
+  h.n_blocks = total - map_blocks;
+  nvmm::persist_obj(h);
+  // Every block starts free; the range may hold a previous owner's bytes.
+  std::memset(dev.at(area_off), 0, map_blocks * kBlockSize);
+  nvmm::persist(dev.at(area_off), map_blocks * kBlockSize);
   SegmentHeader* segs = a.segments();
-  const std::uint64_t per_seg = (h.n_blocks + n_segments - 1) / n_segments;
   for (unsigned s = 0; s < n_segments; ++s) {
     new (&segs[s]) SegmentHeader();
-    const std::uint64_t first = std::min<std::uint64_t>(
-        static_cast<std::uint64_t>(s) * per_seg, h.n_blocks);
-    const std::uint64_t count = std::min<std::uint64_t>(
-        per_seg, h.n_blocks - first);
-    if (count > 0) {
-      const std::uint64_t range_off = data_off + first * kBlockSize;
-      auto* range = reinterpret_cast<FreeRange*>(dev.at(range_off));
-      range->next = nvmm::pptr<FreeRange>();
-      range->n_blocks = count;
-      nvmm::persist_obj(*range);
-      segs[s].free_head.store(nvmm::pptr<FreeRange>(range_off));
-      segs[s].free_blocks.store(count, std::memory_order_relaxed);
-    }
     nvmm::persist_obj(segs[s]);
   }
   nvmm::fence();
@@ -59,12 +85,26 @@ BlockAllocator BlockAllocator::attach(nvmm::Device& dev,
   return a;
 }
 
-unsigned BlockAllocator::segment_of(std::uint64_t block_off) const noexcept {
+std::uint64_t BlockAllocator::per_segment() const noexcept {
   const BlockAllocHeader& h = header();
-  const std::uint64_t idx = (block_off - h.data_off) / kBlockSize;
-  const std::uint64_t per_seg =
-      (h.n_blocks + h.n_segments - 1) / h.n_segments;
-  return static_cast<unsigned>(idx / per_seg);
+  return (h.n_blocks + h.n_segments - 1) / h.n_segments;
+}
+
+unsigned BlockAllocator::segment_of(std::uint64_t block_off) const noexcept {
+  return static_cast<unsigned>((block_off - header().data_off) / kBlockSize /
+                               per_segment());
+}
+
+BlockAllocator::BlockRange BlockAllocator::segment_blocks(
+    unsigned s) const noexcept {
+  const std::uint64_t n = header().n_blocks;
+  return {std::min(s * per_segment(), n), std::min((s + 1) * per_segment(), n)};
+}
+
+BlockAllocator::BlockRange BlockAllocator::next_free_run(
+    std::uint64_t b, std::uint64_t end) const noexcept {
+  const std::uint64_t first = find_bit(bitmap(), b, end, false);
+  return {first, find_bit(bitmap(), first, end, true)};
 }
 
 // NO_THREAD_SAFETY_ANALYSIS on the three lock-word bodies: acquisition is a
@@ -111,8 +151,8 @@ Result<std::uint64_t> BlockAllocator::alloc_direct(std::uint64_t n_blocks,
   SegmentHeader* segs = segments();
   // Mount affinity: rotate the walk by this mount's segment bias so peers
   // with similar hints (e.g. both hammering pool growth off low pool-header
-  // offsets) start on different segment locks and free-list heads.  Within
-  // one mount the hint still clusters a file's blocks in one segment.
+  // offsets) start on different segment locks.  Within one mount the hint
+  // still clusters a file's blocks in one segment.
   const unsigned start = static_cast<unsigned>(
       (segment_bias_ + hint / kBlockSize) % h.n_segments);
 
@@ -330,8 +370,8 @@ unsigned BlockAllocator::reap_expired_segment_locks() {
     std::uint64_t owner = l.owner.load(std::memory_order_acquire);
     if (owner == 0 || !common::lease_expired(l.stamp_ns, lease_ns_)) continue;
     // Clearing straight to 0 is steal + immediate release: the holder died
-    // inside a critical section that alloc_from/free_into keep crash-
-    // consistent (recovery's rebuild sweeps any half-carved range).
+    // inside a critical section that leaves at worst bits set for blocks
+    // nobody references (recovery's rebuild_bitmap frees them).
     if (l.owner.compare_exchange_strong(owner, 0,
                                         std::memory_order_acq_rel)) {
       ++cleared;
@@ -343,39 +383,16 @@ unsigned BlockAllocator::reap_expired_segment_locks() {
 
 Result<std::uint64_t> BlockAllocator::alloc_from(SegmentHeader& seg,
                                                  std::uint64_t n) {
-  // First-fit over the address-ordered free-range list.
-  nvmm::pptr<FreeRange> prev;
-  nvmm::pptr<FreeRange> cur = seg.free_head.load();
-  while (cur) {
-    FreeRange* range = cur.in(*dev_);
-    if (range->n_blocks >= n) {
-      const std::uint64_t remaining = range->n_blocks - n;
-      // Carve from the *tail* so the list node stays in place unless the
-      // range is consumed entirely.
-      if (remaining > 0) {
-        range->n_blocks = remaining;
-        nvmm::persist_obj(*range);
-        SIMURGH_FAILPOINT("blockalloc.split");
-        seg.free_blocks.fetch_sub(n, std::memory_order_relaxed);
-        nvmm::fence();
-        return cur.raw() + remaining * kBlockSize;
-      }
-      // Unlink the whole range.
-      const nvmm::pptr<FreeRange> next = range->next;
-      if (prev) {
-        prev.in(*dev_)->next = next;
-        nvmm::persist_obj(*prev.in(*dev_));
-      } else {
-        seg.free_head.store(next);
-        nvmm::persist_obj(seg.free_head);
-      }
-      SIMURGH_FAILPOINT("blockalloc.unlink");
-      seg.free_blocks.fetch_sub(n, std::memory_order_relaxed);
-      nvmm::fence();
-      return cur.raw();
-    }
-    prev = cur;
-    cur = range->next;
+  // First fit over the segment's free runs in address order, carved from
+  // the run's tail.
+  const BlockRange s = segment_blocks(static_cast<unsigned>(&seg - segments()));
+  for (BlockRange r = next_free_run(s.first, s.end); r.first < s.end;
+       r = next_free_run(r.end, s.end)) {
+    if (r.end - r.first < n) continue;
+    set_bits(bitmap(), r.end - n, n, true);
+    SIMURGH_FAILPOINT("blockalloc.bits_set");
+    nvmm::fence();
+    return header().data_off + (r.end - n) * kBlockSize;
   }
   return Errc::no_space;
 }
@@ -384,54 +401,11 @@ void BlockAllocator::free(std::uint64_t block_off, std::uint64_t n_blocks) {
   SIMURGH_CHECK(n_blocks > 0);
   SegmentHeader& seg = segments()[segment_of(block_off)];
   lock_segment(seg);
-  free_into(seg, block_off, n_blocks);
+  set_bits(bitmap(), (block_off - header().data_off) / kBlockSize, n_blocks,
+           false);
+  nvmm::fence();
   unlock_segment(seg);
   stats_->frees.fetch_add(1, std::memory_order_relaxed);
-}
-
-void BlockAllocator::free_into(SegmentHeader& seg, std::uint64_t block_off,
-                               std::uint64_t n) {
-  // Address-ordered insert with two-sided coalescing.
-  nvmm::pptr<FreeRange> prev;
-  nvmm::pptr<FreeRange> cur = seg.free_head.load();
-  while (cur && cur.raw() < block_off) {
-    prev = cur;
-    cur = cur.in(*dev_)->next;
-  }
-  auto* node = reinterpret_cast<FreeRange*>(dev_->at(block_off));
-  node->next = cur;
-  node->n_blocks = n;
-
-  bool merged_prev = false;
-  if (prev) {
-    FreeRange* p = prev.in(*dev_);
-    if (prev.raw() + p->n_blocks * kBlockSize == block_off) {
-      p->n_blocks += n;
-      // Forward-merge with cur if now adjacent.
-      if (cur && prev.raw() + p->n_blocks * kBlockSize == cur.raw()) {
-        p->n_blocks += cur.in(*dev_)->n_blocks;
-        p->next = cur.in(*dev_)->next;
-      }
-      nvmm::persist_obj(*p);
-      merged_prev = true;
-    }
-  }
-  if (!merged_prev) {
-    if (cur && block_off + n * kBlockSize == cur.raw()) {
-      node->n_blocks += cur.in(*dev_)->n_blocks;
-      node->next = cur.in(*dev_)->next;
-    }
-    nvmm::persist_obj(*node);
-    if (prev) {
-      prev.in(*dev_)->next = nvmm::pptr<FreeRange>(block_off);
-      nvmm::persist_obj(*prev.in(*dev_));
-    } else {
-      seg.free_head.store(nvmm::pptr<FreeRange>(block_off));
-      nvmm::persist_obj(seg.free_head);
-    }
-  }
-  seg.free_blocks.fetch_add(n, std::memory_order_relaxed);
-  nvmm::fence();
 }
 
 void BlockAllocator::drain_reservations(bool drain_all) {
@@ -443,7 +417,7 @@ void BlockAllocator::drain_reservations(bool drain_all) {
 void BlockAllocator::invalidate_reservations() noexcept {
   if (shared_ == nullptr) return;
   // Forget the ranges but keep slot claims: live peer threads rebind via
-  // revalidation; the caller is about to rebuild the free lists.
+  // revalidation; the caller is about to rebuild the bitmap.
   const std::uint64_t self = common::thread_token();
   for (ShmReservation& slot : shared_->reservations) {
     lock_reservation(slot, self, lease_ns_);
@@ -475,14 +449,14 @@ void BlockAllocator::for_each_reservation(
 }
 
 std::uint64_t BlockAllocator::free_blocks() const noexcept {
-  const BlockAllocHeader& h = header();
-  const SegmentHeader* segs = segments();
-  std::uint64_t total = 0;
-  for (unsigned s = 0; s < h.n_segments; ++s)
-    total += segs[s].free_blocks.load(std::memory_order_relaxed);
-  // Reserved-but-unused blocks are still free space — they are just parked
-  // in a thread's reservation slot rather than on a segment list.
-  return total + reserved_unused_blocks();
+  const std::uint64_t n_blocks = header().n_blocks;
+  const std::atomic<std::uint64_t>* words = bitmap();
+  std::uint64_t used = 0;
+  for (std::uint64_t w = 0; w < (n_blocks + 63) / 64; ++w)
+    used += static_cast<std::uint64_t>(std::popcount(words[w].load()));
+  // Reserved-but-unused blocks are still free space — their bits are set,
+  // but they are parked in a thread's reservation slot, not handed out.
+  return n_blocks - used + reserved_unused_blocks();
 }
 
 unsigned BlockAllocator::n_segments() const noexcept {

@@ -1,23 +1,28 @@
 // Segmented concurrent block allocator (§4.2 "Block allocation").
 //
 // The device's data area is divided into `2 x n_cores` segments, each owning
-// a contiguous block range with its own free list, so concurrent threads
-// rarely collide (Hoard-style).  Each segment is guarded by a lease lock
+// a contiguous block range, so concurrent threads rarely collide
+// (Hoard-style).  Each segment is guarded by a lease lock
 // (common/lease.h): a waiter that observes the lease expired concludes the
 // holder crashed and steals the lock — the decentralized crash-detection
 // rule of the paper (no kernel, no daemon).
 //
-// Free space is kept as an address-ordered linked list of free *ranges*
-// threaded through the free blocks themselves (a free range's first block
-// stores {next, n_blocks}), allocated first-fit and coalesced on free.
-// Allocation picks the segment `(hint / align) % n_segments` so blocks of
-// one file cluster in one segment and files spread across segments; a busy
-// segment is skipped in favor of the next (paper's contention-avoidance
-// hop).
+// Free space is one NVMM allocation bitmap, 1 bit per data block (set = in
+// use), laid out at the start of the range format() is given; the data
+// blocks follow it.  An allocation takes the first free run of the segment,
+// in address order, that fits and carves from the run's tail; it sets the
+// run's bits, a free clears them, and each flushes the bitmap lines it
+// touched and fences once.  The bits are updated with atomic word RMWs
+// because one word can hold the bits of two segments.  Nothing else is
+// stored: a segment's free count is a popcount of its bits, so no shutdown
+// can leave a stale counter behind.  Allocation picks the segment
+// `(hint / align) % n_segments` so blocks of one file cluster in one segment
+// and files spread across segments; a busy segment is skipped in favor of
+// the next (paper's contention-avoidance hop).
 #pragma once
 
+#include <algorithm>
 #include <atomic>
-#include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -27,45 +32,35 @@
 #include "common/status.h"
 #include "nvmm/device.h"
 #include "nvmm/persist.h"
-#include "nvmm/pptr.h"
 
 namespace simurgh::alloc {
 
 constexpr std::uint64_t kBlockSize = 4096;
 
-// Persistent per-segment state.  One segment header IS a free-list head —
-// the striping unit of the block tier — so each gets its own cache line:
-// the lock word is CASed on every direct allocation and free, and without
-// the padding two mounts working disjoint segments still ping-pong the
-// line holding both headers.
+// Persistent per-segment state: the segment's lease lock, on a cache line
+// of its own — the lock word is CASed on every direct allocation and free,
+// and without the padding two mounts working disjoint segments still
+// ping-pong the line holding both headers.
 //
 // The header doubles as the lock-discipline capability: its embedded
 // lease lock is the runtime lock, and lock_segment()/
 // unlock_segment() below are the only acquire/release points, so
-// alloc_from()/free_into() can state REQUIRES(seg) and the analysis proves
-// no free-list mutation happens outside the segment lock.  The attribute is
+// alloc_from() can state REQUIRES(seg) and the analysis proves no
+// allocation scans a segment's bits outside its lock.  The attribute is
 // compile-time only — sizeof stays 64 (static_assert below).
 struct alignas(64) CAPABILITY("segment_lease") SegmentHeader {
   common::LeaseLock lock;
-  nvmm::atomic_pptr<struct FreeRange> free_head;
-  std::atomic<std::uint64_t> free_blocks{0};
 };
 static_assert(sizeof(SegmentHeader) == 64);
-static_assert(offsetof(SegmentHeader, free_head) == 16);
-
-// Stored in the first block of every free range.
-struct FreeRange {
-  nvmm::pptr<FreeRange> next;
-  std::uint64_t n_blocks = 0;
-};
 
 // Persistent allocator header (lives where the caller says, typically right
 // after the superblock).
 struct BlockAllocHeader {
   std::uint64_t magic = 0;
   std::uint64_t n_segments = 0;
-  std::uint64_t data_off = 0;   // first block, device offset
-  std::uint64_t n_blocks = 0;   // total blocks in the data area
+  std::uint64_t data_off = 0;    // first data block, device offset
+  std::uint64_t n_blocks = 0;    // data blocks after the bitmap
+  std::uint64_t bitmap_off = 0;  // 1 bit per data block, 1 = in use
   // SegmentHeader[n_segments] follows at the next 64-byte boundary (the
   // headers are cache-line aligned; see SegmentHeader).
 };
@@ -94,7 +89,7 @@ struct BlockAllocStats {
 // The proxy returning busy (service shutting down / owner unreachable with
 // no seat to take) makes the allocator fall back to the direct path: a
 // grant the owner never saw is still crash-safe (recovery's
-// rebuild_free_lists sweep), just unarbitrated.
+// rebuild_bitmap), just unarbitrated.
 class CarveProxy {
  public:
   virtual ~CarveProxy() = default;
@@ -105,10 +100,11 @@ class CarveProxy {
 
 class BlockAllocator {
  public:
-  // Formats the allocator over device blocks [data_off, data_off+len) with
-  // its persistent header at `header_off`.
+  // Formats the allocator over device blocks [area_off, area_off+len) with
+  // its persistent header at `header_off`.  The bitmap takes the first
+  // blocks of the range; data_off() and n_blocks_total() describe the rest.
   static BlockAllocator format(nvmm::Device& dev, std::uint64_t header_off,
-                               std::uint64_t data_off, std::uint64_t data_len,
+                               std::uint64_t area_off, std::uint64_t area_len,
                                unsigned n_segments);
   // Attaches to an already formatted allocator (normal mount).
   static BlockAllocator attach(nvmm::Device& dev, std::uint64_t header_off);
@@ -118,7 +114,8 @@ class BlockAllocator {
   // the starting segment.
   Result<std::uint64_t> alloc(std::uint64_t n_blocks, std::uint64_t hint);
 
-  // Returns blocks to the segment that owns their address range.
+  // Clears the blocks' bits under the lock of the segment that owns the
+  // first block.
   void free(std::uint64_t block_off, std::uint64_t n_blocks);
 
   [[nodiscard]] std::uint64_t free_blocks() const noexcept;
@@ -163,14 +160,14 @@ class BlockAllocator {
   //
   // Each reservation is a fixed shm slot stamped with the {mount, thread}
   // tokens of its owner, so N concurrent mounts share the accounting, and a
-  // survivor can return a dead mount's carved remainders to the free lists
-  // via reclaim_mount_reservations() without a remount (the decentralized
+  // survivor can free a dead mount's carved remainders via
+  // reclaim_mount_reservations() without a remount (the decentralized
   // crash rule, §4.2).  A slot whose lock nobody took for a whole lease
   // (its thread exited, or sat idle that long) is adopted, remainder
   // included, by the next thread that claims a slot.  Reservations are
-  // volatile: the carve durably removes the chunk from a free list, but the
-  // remainder is referenced by no inode, so after a crash recovery's
-  // rebuild_free_lists sweep returns it.
+  // volatile: the carve durably sets the chunk's bits, but the remainder is
+  // referenced by no inode, so after a crash recovery's rebuild_bitmap
+  // returns it.
   static constexpr std::uint64_t kReserveChunk = 64;  // 256 KB
   static constexpr std::uint64_t kReserveServeMax = 8;
   static_assert(kReserveServeMax < kReserveChunk);
@@ -183,7 +180,7 @@ class BlockAllocator {
 
   // Survivor-side reclaim: frees every shm reservation slot owned by
   // `dead_mount_token` (its process is gone; lease-expired).  Returns the
-  // number of blocks returned to the free lists.
+  // number of blocks freed.
   std::uint64_t reclaim_mount_reservations(std::uint64_t dead_mount_token);
 
   // Survivor-side reclaim: clears segment locks whose holder's lease
@@ -191,13 +188,12 @@ class BlockAllocator {
   // of locks cleared.
   unsigned reap_expired_segment_locks();
 
-  // Clean shutdown: returns the unused remainder of every slot this mount
-  // owns to the free lists (including slots of exited threads).  Peers'
-  // chunks are still live; last-out can sweep stragglers with
-  // drain_all=true.
+  // Clean shutdown: frees the unused remainder of every slot this mount
+  // owns (including slots of exited threads).  Peers' chunks are still
+  // live; last-out can sweep stragglers with drain_all=true.
   void drain_reservations(bool drain_all = false);
   // Recovery: forget all reservations WITHOUT touching the device — the
-  // caller is about to rebuild_free_lists, which reclaims the blocks.
+  // caller is about to rebuild_bitmap, which reclaims the blocks.
   void invalidate_reservations() noexcept;
   // Blocks carved into reservations but not yet handed out; counted as free
   // by free_blocks() so accounting stays exact.
@@ -207,31 +203,23 @@ class BlockAllocator {
   void for_each_reservation(
       const std::function<void(std::uint64_t, std::uint64_t)>& fn) const;
 
-  // Recovery: rebuild every segment's free list from a caller-provided
-  // "block in use" predicate (mark phase done by the FS sweep).
+  // Recovery: rewrites the bitmap from a caller-provided "block in use"
+  // predicate (mark phase done by the FS sweep) and persists it with one
+  // fence.
   template <typename InUseFn>
-  void rebuild_free_lists(InUseFn&& in_use);
+  void rebuild_bitmap(InUseFn&& in_use);
 
-  // Read-only walk of every free range: fn(segment_index, range_dev_off,
-  // n_blocks).  Quiescent-state inspection only (fsck); does not lock.
+  // Read-only walk of every maximal free run within a segment, in address
+  // order: fn(run_dev_off, n_blocks).  Quiescent-state inspection only
+  // (fsck); does not lock.
   template <typename Fn>
   void for_each_free_range(Fn&& fn) const {
-    const BlockAllocHeader& h = header();
-    const SegmentHeader* segs = segments();
-    for (unsigned s = 0; s < h.n_segments; ++s) {
-      nvmm::pptr<FreeRange> cur = segs[s].free_head.load();
-      while (cur) {
-        const FreeRange* range = cur.in(*dev_);
-        fn(s, cur.raw(), range->n_blocks);
-        cur = range->next;
-      }
+    for (unsigned s = 0; s < n_segments(); ++s) {
+      const BlockRange seg = segment_blocks(s);
+      for (BlockRange r = next_free_run(seg.first, seg.end); r.first < seg.end;
+           r = next_free_run(r.end, seg.end))
+        fn(data_off() + r.first * kBlockSize, r.end - r.first);
     }
-  }
-
-  // Free-block counter of one segment (fsck cross-checks it against the
-  // segment's actual free-range list).
-  [[nodiscard]] std::uint64_t segment_free_blocks(unsigned s) const noexcept {
-    return segments()[s].free_blocks.load(std::memory_order_acquire);
   }
 
  private:
@@ -251,7 +239,20 @@ class BlockAllocator {
         (header_off_ + sizeof(BlockAllocHeader) + 63) / 64 * 64;
     return reinterpret_cast<SegmentHeader*>(dev_->at(base));
   }
+  [[nodiscard]] std::uint64_t per_segment() const noexcept;  // in blocks
   [[nodiscard]] unsigned segment_of(std::uint64_t block_off) const noexcept;
+  [[nodiscard]] std::atomic<std::uint64_t>* bitmap() const noexcept {
+    return reinterpret_cast<std::atomic<std::uint64_t>*>(
+        dev_->at(header().bitmap_off));
+  }
+  // Data blocks [first, end), as block indices.
+  struct BlockRange {
+    std::uint64_t first, end;
+  };
+  [[nodiscard]] BlockRange segment_blocks(unsigned s) const noexcept;
+  // The first maximal free run in [b, end), or {end, end}.
+  [[nodiscard]] BlockRange next_free_run(std::uint64_t b,
+                                         std::uint64_t end) const noexcept;
 
   // Spin-acquire with lease stealing; returns true if the lock was stolen.
   // (A lease steal IS an acquisition by the thief: the previous holder died
@@ -260,20 +261,9 @@ class BlockAllocator {
   void unlock_segment(SegmentHeader& seg) noexcept RELEASE(seg);
   bool try_lock_segment(SegmentHeader& seg) TRY_ACQUIRE(true, seg);
 
-  // Free-list mutation: callers must hold the segment lock.
+  // First fit in the segment's bits: callers must hold the segment lock.
   Result<std::uint64_t> alloc_from(SegmentHeader& seg, std::uint64_t n)
       REQUIRES(seg);
-  void free_into(SegmentHeader& seg, std::uint64_t block_off, std::uint64_t n)
-      REQUIRES(seg);
-
-  // Recovery runs single-threaded before any peer can allocate (the mount
-  // registry serialises it behind the recovering token), so
-  // rebuild_free_lists legitimately rebuilds free lists without taking the
-  // per-segment locks it just reset.  ASSERT_CAPABILITY tells the analysis
-  // this quiescence is equivalent to holding the lock; it emits no code.
-  static void assume_quiescent(SegmentHeader& seg) ASSERT_CAPABILITY(seg) {
-    (void)seg;
-  }
 
   // The pre-reservation allocation path (two-pass segment walk).
   Result<std::uint64_t> alloc_direct(std::uint64_t n_blocks,
@@ -287,7 +277,7 @@ class BlockAllocator {
   // every slot is owned and in use (caller falls back to the direct path).
   ShmReservation* shm_thread_slot();
   // Frees every shm slot matching `tok` (0 = every claimed slot); returns
-  // blocks returned to the free lists.
+  // the number of blocks freed.
   std::uint64_t reclaim_shm_slots(std::uint64_t tok, bool match_all);
 
   nvmm::Device* dev_;
@@ -310,42 +300,28 @@ class BlockAllocator {
 };
 
 template <typename InUseFn>
-void BlockAllocator::rebuild_free_lists(InUseFn&& in_use) {
-  // Reservations reference blocks that are about to re-enter the free
-  // lists (no inode references them, so in_use() says free); forget them
-  // first so nothing double-hands them out afterwards.
+void BlockAllocator::rebuild_bitmap(InUseFn&& in_use) {
+  // Reservations reference blocks that are about to read free (no inode
+  // references them, so in_use() says free); forget them first so nothing
+  // double-hands them out afterwards.
   invalidate_reservations();
-  BlockAllocHeader& h = header();
+  // Recovery runs single-threaded before any peer can allocate (the mount
+  // registry serialises it behind the recovering token), so it resets the
+  // segment locks and rewrites the bits without taking them.
+  const BlockAllocHeader& h = header();
   SegmentHeader* segs = segments();
-  const std::uint64_t per_seg =
-      (h.n_blocks + h.n_segments - 1) / h.n_segments;
-  for (unsigned s = 0; s < h.n_segments; ++s) {
+  for (unsigned s = 0; s < h.n_segments; ++s)
     segs[s].lock.owner.store(0, std::memory_order_relaxed);
-    segs[s].free_head.store(nvmm::pptr<FreeRange>());
-    segs[s].free_blocks.store(0, std::memory_order_relaxed);
+  std::atomic<std::uint64_t>* words = bitmap();
+  const std::uint64_t n_words = (h.n_blocks + 63) / 64;
+  for (std::uint64_t w = 0; w < n_words; ++w) {
+    std::uint64_t bits = 0;
+    for (std::uint64_t b = w * 64; b < std::min(h.n_blocks, w * 64 + 64); ++b)
+      if (in_use(h.data_off + b * kBlockSize)) bits |= 1ull << (b % 64);
+    words[w].store(bits);
   }
-  // Sweep the data area, accumulating maximal free runs per segment.
-  std::uint64_t run_start = 0, run_len = 0;
-  auto flush_run = [&] {
-    while (run_len > 0) {
-      const std::uint64_t seg_idx = run_start / per_seg;
-      const std::uint64_t seg_end = (seg_idx + 1) * per_seg;
-      const std::uint64_t take = std::min(run_len, seg_end - run_start);
-      assume_quiescent(segs[seg_idx]);  // recovery is single-threaded
-      free_into(segs[seg_idx], h.data_off + run_start * kBlockSize, take);
-      run_start += take;
-      run_len -= take;
-    }
-  };
-  for (std::uint64_t b = 0; b < h.n_blocks; ++b) {
-    if (in_use(h.data_off + b * kBlockSize)) {
-      flush_run();
-    } else {
-      if (run_len == 0) run_start = b;
-      ++run_len;
-    }
-  }
-  flush_run();
+  nvmm::persist(words, n_words * sizeof(std::uint64_t));
+  nvmm::fence();
 }
 
 }  // namespace simurgh::alloc

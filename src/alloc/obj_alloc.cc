@@ -71,11 +71,20 @@ ObjectAllocator ObjectAllocator::attach(nvmm::Device& dev,
 
 Status ObjectAllocator::grow() {
   PoolHeader& p = pool();
-  const std::uint64_t seg_bytes =
-      first_obj_off(0) + p.objs_per_segment * p.stride;
-  const std::uint64_t n_blocks = (seg_bytes + kBlockSize - 1) / kBlockSize;
-  SIMURGH_ASSIGN_OR_RETURN(const std::uint64_t seg_off,
-                           blocks_->alloc(n_blocks, pool_off_));
+  // A fragmented device may hold no free run as long as a full segment:
+  // halve the segment until one fits, down to one object.  Each segment
+  // records its own size.
+  std::uint64_t n_objects = p.objs_per_segment;
+  std::uint64_t n_blocks = 0;
+  Result<std::uint64_t> r = Errc::no_space;
+  for (;;) {
+    n_blocks = (first_obj_off(0) + n_objects * p.stride + kBlockSize - 1) /
+               kBlockSize;
+    r = blocks_->alloc(n_blocks, pool_off_);
+    if (r.is_ok() || r.code() != Errc::no_space || n_objects == 1) break;
+    n_objects /= 2;
+  }
+  SIMURGH_ASSIGN_OR_RETURN(const std::uint64_t seg_off, r);
   std::memset(dev_->at(seg_off), 0, n_blocks * kBlockSize);
   // The zeroed object headers must be durable before the head can publish
   // the segment: these blocks are recycled, and a crash image holding a
@@ -84,7 +93,7 @@ Status ObjectAllocator::grow() {
   // orders this flush before the head store.
   nvmm::persist(dev_->at(seg_off), n_blocks * kBlockSize);
   auto* seg = reinterpret_cast<PoolSegment*>(dev_->at(seg_off));
-  seg->n_objects = p.objs_per_segment;
+  seg->n_objects = n_objects;
   seg->n_blocks = n_blocks;
   // Publish with a CAS push; the segment list is only ever prepended.  The
   // header must be durable *before* the head can point at it, and the head

@@ -49,6 +49,7 @@
 #include "alloc/block_alloc.h"
 #include "alloc/shm_state.h"
 #include "common/status.h"
+#include "nvmm/pptr.h"
 
 namespace simurgh::alloc {
 

@@ -6,9 +6,9 @@
 // *survivor* of a crashed mount — can see it.  Two pieces qualify:
 //
 //   * Block reservations (block_alloc.h "per-thread block reservations"):
-//     a chunk carved out of a segment's persistent free list and handed out
+//     a chunk carved out of a segment's persistent bitmap and handed out
 //     lock-free.  If the carving mount dies, the unused remainder is
-//     referenced by no inode and sits on no free list; survivors must be
+//     referenced by no inode and its bits stay set; survivors must be
 //     able to find it and give it back without a full remount.  Each
 //     reservation is a fixed shm slot stamped with the owning mount's
 //     token, guarded by a slot lease lock (common/lease.h, the same

@@ -50,7 +50,7 @@ class Checker {
     walk_namespace();
     check_link_counts();
     check_leaked_objects();
-    check_free_lists();
+    check_free_blocks();
     check_block_coverage();
     fill_census();
     return std::move(r_);
@@ -475,42 +475,17 @@ class Checker {
                " unreachable from the root (leak)");
   }
 
-  void check_free_lists() {
+  // The block census's free side: every maximal free run of the bitmap.
+  void check_free_blocks() {
     alloc::BlockAllocator& blocks = fs_.blocks();
-    const std::uint64_t data_off = blocks.data_off();
-    const std::uint64_t n_blocks = blocks.n_blocks_total();
-    const unsigned n_seg = blocks.n_segments();
-    const std::uint64_t per_seg = (n_blocks + n_seg - 1) / n_seg;
-    std::vector<std::uint64_t> seg_free(n_seg, 0);
-    std::vector<std::uint64_t> last_end(n_seg, 0);
-    blocks.for_each_free_range(
-        [&](unsigned s, std::uint64_t off, std::uint64_t count) {
-          claim(off, count, kOwnerFreeList, "free range");
-          seg_free[s] += count;
-          r_.free_blocks += count;
-          if (count == 0 || off < data_off) return;  // claim() reported it
-          const std::uint64_t first = (off - data_off) / alloc::kBlockSize;
-          if (first / per_seg != s ||
-              (first + count - 1) / per_seg != s)
-            fail("free range @", off, " (", count,
-                 " blocks) not contained in segment ", s);
-          if (last_end[s] != 0 && off < last_end[s])
-            fail("segment ", s, ": free list not address-ordered at @",
-                 off);
-          else if (last_end[s] != 0 && off == last_end[s])
-            fail("segment ", s, ": adjacent free ranges not coalesced at @",
-                 off);
-          last_end[s] = off + count * alloc::kBlockSize;
-        });
-    for (unsigned s = 0; s < n_seg; ++s)
-      if (seg_free[s] != blocks.segment_free_blocks(s))
-        fail("segment ", s, ": free_blocks counter ",
-             blocks.segment_free_blocks(s), " != ", seg_free[s],
-             " blocks actually on the free list");
+    blocks.for_each_free_range([&](std::uint64_t off, std::uint64_t count) {
+      claim(off, count, kOwnerFreeList, "free range");
+      r_.free_blocks += count;
+    });
     // On a live mount, blocks carved into thread-local reservations are
-    // still free space — they sit in a thread's DRAM allotment rather than
-    // on a segment list.  (Crash images never reach here with reservations:
-    // recovery invalidates them and the rebuild returns the blocks.)
+    // still free space — their bits are set, but they sit in a thread's shm
+    // slot rather than in any file.  (Crash images never reach here with
+    // reservations: recovery invalidates them and the rebuild frees them.)
     blocks.for_each_reservation([&](std::uint64_t off, std::uint64_t count) {
       claim(off, count, kOwnerReservation, "thread reservation");
       r_.free_blocks += count;

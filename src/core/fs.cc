@@ -113,7 +113,6 @@ std::unique_ptr<FileSystem> FileSystem::format(nvmm::Device& nvmm,
   sb.magic = kSuperblockMagic;
   sb.version = kLayoutVersion;
   sb.device_size = nvmm.size();
-  sb.data_off = kDataAreaOff;
   sb.n_cores = kFormatCores;
   sb.clean_shutdown.store(0, std::memory_order_relaxed);  // mounted
   nvmm::persist(&sb, sizeof(sb));
@@ -123,6 +122,7 @@ std::unique_ptr<FileSystem> FileSystem::format(nvmm::Device& nvmm,
       alloc::BlockAllocator::format(nvmm, kBlockAllocOff, kDataAreaOff,
                                     nvmm.size() - kDataAreaOff,
                                     2 * kFormatCores));
+  sb.data_off = fs->blocks_->data_off();
   // Integrity table (layout v2): one CRC32C word per data-area block,
   // carved from the data area itself right at format so it lands first.
   {
@@ -136,7 +136,7 @@ std::unique_ptr<FileSystem> FileSystem::format(nvmm::Device& nvmm,
     std::memset(nvmm.at(*t), 0, tblocks * alloc::kBlockSize);
     nvmm::persist(nvmm.at(*t), tblocks * alloc::kBlockSize);
     nvmm::fence();
-    fs->crc_.attach(nvmm, *t, tblocks, kDataAreaOff);
+    fs->crc_.attach(nvmm, *t, tblocks, sb.data_off);
   }
   const std::uint64_t payloads[kNumPools] = {
       kInodePayload, kFileEntryPayload, kDirBlockPayload, kExtentPayload};
@@ -274,9 +274,9 @@ void FileSystem::unmount() {
   // Stop heartbeating first: once the slot is released below, a stale
   // heartbeat would fail and reattach — resurrecting the mount mid-detach.
   stop_heartbeat_thread();
-  // Return this mount's unused reservation remainders to the free lists
-  // before detaching (a clean mount skips the rebuild_free_lists sweep
-  // that would otherwise reclaim them).
+  // Free this mount's unused reservation remainders before detaching (a
+  // clean mount skips the rebuild_bitmap sweep that would otherwise
+  // reclaim them).
   blocks_->drain_reservations();
   registry_->detach_mount(
       attachment_,
@@ -709,7 +709,7 @@ Status Process::drop_inode(std::uint64_t inode_off) {
   // caller fenced the store that unlinked the inode, so nothing below
   // fences for the inode: its extent clears and frees ride the next fence
   // (recovery reclaims an unreachable inode whatever landed).  Block frees
-  // fence their own free-list surgery.
+  // fence their own bitmap updates.
   if (WriteBehind* wb = fs_.write_behind(); wb != nullptr)
     wb->forget(inode_off);
   if (ino->is_dir()) {

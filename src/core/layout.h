@@ -4,9 +4,13 @@
 //   [0]              Superblock (one 4 KB page): magic, geometry, the four
 //                    metadata pool headers, and the root inode pointer.
 //   [4 KB]           Block-allocator header + per-segment headers.
-//   [sb.data_off]    Block area — everything else: pool segments (inodes,
-//                    file entries, directory hash blocks, extent-spill
-//                    blocks) and file data blocks.
+//   [60 KB]          Write-behind epoch journal (one page).
+//   [64 KB]          Block-allocator bitmap (layout v3): 1 bit per data
+//                    block, set = in use; 12 KB at 384 MB, 128 KB at 4 GB.
+//   [sb.data_off]    Block area — everything else, right after the bitmap:
+//                    the CRC table, pool segments (inodes, file entries,
+//                    directory hash blocks, extent-spill blocks) and file
+//                    data blocks.
 //
 // Shared-DRAM device (volatile, shared by all client processes):
 //   [0]              ShmHeader — magic/geometry, the mount registry
@@ -34,11 +38,13 @@
 namespace simurgh::core {
 
 constexpr std::uint64_t kSuperblockMagic = 0x53494d5552474831ull;  // SIMURGH1
-constexpr std::uint32_t kLayoutVersion = 2;
+constexpr std::uint32_t kLayoutVersion = 3;
 
 constexpr std::uint64_t kSuperblockOff = 0;
 constexpr std::uint64_t kBlockAllocOff = 4096;
-// Block-allocator header + up to kMaxSegments segment headers fit here.
+// Block-allocator header + up to kMaxSegments segment headers fit below
+// this; the allocator's bitmap starts here and the data blocks follow it
+// (sb.data_off).
 constexpr std::uint64_t kDataAreaOff = 64 * 1024;
 constexpr unsigned kMaxSegments = 256;
 // Write-behind epoch journal: the last 4 KB page of the metadata area

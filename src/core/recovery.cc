@@ -11,8 +11,8 @@
 //      a unique decision per object — half-freed objects (01) finish their
 //      free, reachable in-flight objects (11) are committed, unreachable
 //      allocated objects are reclaimed.
-//   4. The block allocator's per-segment free lists are rebuilt from the
-//      mark bitmap, and the volatile shared-DRAM lock table is reset.
+//   4. The block allocator's bitmap is rewritten from the mark, and the
+//      volatile shared-DRAM lock table is reset.
 #include <algorithm>
 #include <cstring>
 #include <unordered_map>
@@ -32,7 +32,7 @@ RecoveryReport FileSystem::recover() {
   // Long recoveries must not look like a dead mount: a peer blocked in
   // MountRegistry::wait_recovery_done watches our heartbeat, and if it
   // expires mid-sweep it CAS-steals the recovering token and runs a second
-  // recover() concurrently with this one — two free-list rebuilds on the
+  // recover() concurrently with this one — two bitmap rebuilds on the
   // same image corrupt allocator state.  The background heartbeat thread
   // paces this in wall-clock time; the explicit beats threaded through the
   // scan loops below keep recover() safe on its own as well (tests and the
@@ -60,9 +60,9 @@ RecoveryReport FileSystem::recover() {
   // inodes without going through drop_inode's epoch retirement.
   extent_cache_->clear();
   // Thread-local block reservations reference carved-out blocks that no
-  // inode uses; forget them so the rebuild below returns those blocks to
-  // the free lists exactly once (rebuild_free_lists also does this
-  // defensively, but the intent belongs here with the other caches).
+  // inode uses; forget them so the rebuild below frees those blocks
+  // exactly once (rebuild_bitmap also does this defensively, but the
+  // intent belongs here with the other caches).
   blocks_->invalidate_reservations();
   // Write-behind tier: staged DRAM epochs model page-cache state a crash
   // loses — discard them with accounting (the relaxed-class contract).  An
@@ -250,7 +250,7 @@ RecoveryReport FileSystem::recover() {
   // The integrity table is a permanent data-area resident (layout v2).
   if (s.crc_table_blocks != 0)
     mark_blocks(s.crc_table_off, s.crc_table_blocks);
-  blocks_->rebuild_free_lists([&](std::uint64_t dev_off) {
+  blocks_->rebuild_bitmap([&](std::uint64_t dev_off) {
     beat(16384);  // per data block
     const std::uint64_t idx = (dev_off - data_off) / alloc::kBlockSize;
     return idx < n_blocks && block_used[idx];

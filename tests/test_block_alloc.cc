@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <iostream>
 #include <memory>
 #include <set>
 #include <thread>
@@ -41,7 +42,11 @@ class BlockAllocTest : public ::testing::Test {
 
 TEST_F(BlockAllocTest, FormatExposesAllBlocks) {
   EXPECT_EQ(alloc_.n_segments(), 8u);
-  EXPECT_EQ(alloc_.free_blocks(), (dev_.size() - kDataOff) / kBlockSize);
+  // The bitmap takes the range's first block (1 bit per data block); every
+  // block after it is free.
+  EXPECT_EQ(alloc_.data_off(), kDataOff + kBlockSize);
+  EXPECT_EQ(alloc_.n_blocks_total(), (dev_.size() - kDataOff) / kBlockSize - 1);
+  EXPECT_EQ(alloc_.free_blocks(), alloc_.n_blocks_total());
 }
 
 TEST_F(BlockAllocTest, AllocReturnsAlignedInRangeBlocks) {
@@ -80,7 +85,8 @@ TEST_F(BlockAllocTest, HintClustersIntoSegments) {
   ASSERT_TRUE(b.is_ok());
   const std::uint64_t per_seg =
       (alloc_.n_blocks_total() + 7) / 8 * kBlockSize;
-  EXPECT_NE((*a - kDataOff) / per_seg, (*b - kDataOff) / per_seg);
+  EXPECT_NE((*a - alloc_.data_off()) / per_seg,
+            (*b - alloc_.data_off()) / per_seg);
 }
 
 TEST_F(BlockAllocTest, CoalescingAllowsLargeRealloc) {
@@ -97,14 +103,87 @@ TEST_F(BlockAllocTest, CoalescingAllowsLargeRealloc) {
   EXPECT_TRUE(big.is_ok());
 }
 
+// The placement rule: the first free run of the hinted segment, in address
+// order, that fits the request, carved from the run's tail; freed neighbours
+// merge into one run; a segment with no fitting run hands the request to
+// the next one.
+TEST_F(BlockAllocTest, FirstFitInAddressOrderCarvesTheRunsTail) {
+  const std::uint64_t d = alloc_.data_off();
+  const std::uint64_t per_seg = (alloc_.n_blocks_total() + 7) / 8;
+  auto blk = [&](std::uint64_t i) { return d + i * kBlockSize; };
+  auto a = alloc_.alloc(4, 0);
+  ASSERT_TRUE(a.is_ok());
+  EXPECT_EQ(*a, blk(per_seg - 4));  // the tail of segment 0's one run
+  alloc_.free(*a, 4);
+  auto all = alloc_.alloc(per_seg, 0);  // all of segment 0
+  ASSERT_TRUE(all.is_ok());
+  ASSERT_EQ(*all, blk(0));
+  alloc_.free(blk(10), 3);  // free runs: [10,13) [20,28) [40,45)
+  alloc_.free(blk(20), 8);
+  alloc_.free(blk(40), 5);
+  EXPECT_EQ(*alloc_.alloc(4, 0), blk(24));  // [10,13) is too short
+  EXPECT_EQ(*alloc_.alloc(5, 0), blk(40));  // exact fit, past [20,24)
+  EXPECT_EQ(*alloc_.alloc(2, 0), blk(11));
+  EXPECT_EQ(*alloc_.alloc(4, 0), blk(20));
+  alloc_.free(blk(11), 2);  // merges with block 10
+  EXPECT_EQ(*alloc_.alloc(3, 0), blk(10));
+  alloc_.free(blk(60), 1);  // three single frees merge into [60,63)
+  alloc_.free(blk(62), 1);
+  alloc_.free(blk(61), 1);
+  EXPECT_EQ(*alloc_.alloc(3, 0), blk(60));
+  // No run of segment 0 fits: the tail of segment 1.
+  alloc_.free(blk(70), 8);
+  EXPECT_EQ(*alloc_.alloc(9, 0), blk(2 * per_seg - 9));
+  EXPECT_EQ(*alloc_.alloc(8, 0), blk(70));
+}
+
+// Persist budget of the allocator itself: a direct allocation and a free
+// each fence once and flush the bitmap lines the run's bits sit in (one
+// line of 512 blocks' bits, or two when the run straddles a line).
+TEST_F(BlockAllocTest, AllocAndFreeFlushOnlyTheRunsBitmapLines) {
+  constexpr std::uint64_t kRun = 16;  // over kReserveServeMax: direct path
+  constexpr int kOps = 64;
+  auto& ps = nvmm::persist_stats();
+  auto lines_of = [&](std::uint64_t off) -> std::uint64_t {
+    const std::uint64_t bit = (off - alloc_.data_off()) / kBlockSize;
+    return (bit + kRun - 1) / 512 - bit / 512 + 1;
+  };
+  std::vector<std::uint64_t> runs;
+  double fences = 0, lines = 0;
+  for (int i = 0; i < kOps; ++i) {
+    const std::uint64_t f0 = ps.fences.load(), l0 = ps.flushed_lines.load();
+    auto r = alloc_.alloc(kRun, 0);
+    ASSERT_TRUE(r.is_ok());
+    EXPECT_EQ(ps.fences.load() - f0, 1u);
+    EXPECT_EQ(ps.flushed_lines.load() - l0, lines_of(*r)) << i;
+    fences += static_cast<double>(ps.fences.load() - f0);
+    lines += static_cast<double>(ps.flushed_lines.load() - l0);
+    runs.push_back(*r);
+  }
+  std::cout << "[persist-budget] block alloc (16 blocks, direct): "
+            << fences / kOps << " fences, " << lines / kOps << " lines\n";
+  fences = lines = 0;
+  for (const std::uint64_t off : runs) {
+    const std::uint64_t f0 = ps.fences.load(), l0 = ps.flushed_lines.load();
+    alloc_.free(off, kRun);
+    EXPECT_EQ(ps.fences.load() - f0, 1u);
+    EXPECT_EQ(ps.flushed_lines.load() - l0, lines_of(off));
+    fences += static_cast<double>(ps.fences.load() - f0);
+    lines += static_cast<double>(ps.flushed_lines.load() - l0);
+  }
+  std::cout << "[persist-budget] block free (16 blocks): " << fences / kOps
+            << " fences, " << lines / kOps << " lines\n";
+}
+
 TEST_F(BlockAllocTest, ExhaustionReturnsNoSpace) {
   nvmm::Device small(1 << 20);
   auto a = BlockAllocator::format(small, 4096, 64 * 1024,
                                   small.size() - 64 * 1024, 2);
   // Free space is split across two segments; drain each segment's
-  // contiguous range, then any further request must fail.
+  // contiguous range, then any further request must fail.  The first
+  // segment holds the rounded-up half.
   const std::uint64_t total = a.free_blocks();
-  const std::uint64_t half = total / 2;
+  const std::uint64_t half = (total + 1) / 2;
   ASSERT_TRUE(a.alloc(half, 0).is_ok());
   ASSERT_TRUE(a.alloc(total - half, 0).is_ok());
   EXPECT_EQ(a.alloc(1, 0).code(), Errc::no_space);
@@ -182,7 +261,7 @@ TEST_F(BlockAllocTest, RebuildFreeListsFromMark) {
   auto lose = alloc_.alloc(4, 0);
   ASSERT_TRUE(keep.is_ok());
   ASSERT_TRUE(lose.is_ok());
-  alloc_.rebuild_free_lists([&](std::uint64_t off) {
+  alloc_.rebuild_bitmap([&](std::uint64_t off) {
     return off >= *keep && off < *keep + 4 * kBlockSize;
   });
   EXPECT_EQ(alloc_.free_blocks(), alloc_.n_blocks_total() - 4);
@@ -218,7 +297,7 @@ TEST_F(BlockAllocTest, ReservationsKeepFreeAccountingExact) {
   alloc_.free(*a, 1);
   alloc_.free(*b, 2);
   EXPECT_EQ(alloc_.free_blocks(), total);
-  // Draining folds the remainder back into the persistent lists.
+  // Draining frees the remainder for good.
   alloc_.drain_reservations();
   EXPECT_EQ(alloc_.reserved_unused_blocks(), 0u);
   EXPECT_EQ(alloc_.free_blocks(), total);
@@ -259,8 +338,8 @@ TEST_F(BlockAllocTest, InvalidateAndRebuildReclaimsReservedBlocks) {
   ASSERT_TRUE(a.is_ok());
   ASSERT_GT(alloc_.reserved_unused_blocks(), 0u);
   // Crash: the DRAM reservation vanishes; recovery's sweep sees only the
-  // one block actually referenced and rebuilds the lists around it.
-  alloc_.rebuild_free_lists(
+  // one block actually referenced and rebuilds the bitmap around it.
+  alloc_.rebuild_bitmap(
       [&](std::uint64_t off) { return off == *a; });
   EXPECT_EQ(alloc_.reserved_unused_blocks(), 0u);
   EXPECT_EQ(alloc_.free_blocks(), alloc_.n_blocks_total() - 1);
@@ -276,7 +355,7 @@ TEST_F(BlockAllocTest, ExitedThreadsReservationIsAdoptedOrDrained) {
   });
   t.join();
   // The exited thread's remainder is still tracked (counted free), and a
-  // drain returns it to the lists for good.
+  // drain frees it for good.
   EXPECT_EQ(alloc_.free_blocks(), total);
   EXPECT_GT(alloc_.reserved_unused_blocks(), 0u);
   alloc_.drain_reservations();

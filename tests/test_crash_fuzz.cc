@@ -47,11 +47,12 @@ class OpMixer {
   }
 
   void step() {
-    switch (files_.empty() ? 0 : rng_.below(5)) {
+    switch (files_.empty() ? 0 : rng_.below(6)) {
       case 0: do_create(); break;
       case 1: do_unlink(); break;
       case 2: do_rename(); break;
       case 3: do_append(); break;
+      case 4: do_append_blocks(); break;
       default: do_truncate(); break;
     }
   }
@@ -89,6 +90,15 @@ class OpMixer {
     auto fd = p_.open(pick_file(), core::kOpenWrite | core::kOpenAppend);
     ASSERT_TRUE(fd.is_ok());
     const std::string data(1 + rng_.below(3000), 'z');
+    ASSERT_TRUE(p_.write(*fd, data.data(), data.size()).is_ok());
+    ASSERT_TRUE(p_.close(*fd).is_ok());
+  }
+  // 9-16 new blocks: over the reservation's 8-block limit, so the run is a
+  // direct allocation from a segment's bitmap.
+  void do_append_blocks() {
+    auto fd = p_.open(pick_file(), core::kOpenWrite | core::kOpenAppend);
+    ASSERT_TRUE(fd.is_ok());
+    const std::string data((9 + rng_.below(8)) * 4096, 'y');
     ASSERT_TRUE(p_.write(*fd, data.data(), data.size()).is_ok());
     ASSERT_TRUE(p_.close(*fd).is_ok());
   }

@@ -172,13 +172,58 @@ TEST(CrashImages, MultiBlockAppendIsCrashAtomic) {
   EXPECT_GT(h.stats().sampled_windows, 0u);
 }
 
+TEST(CrashImages, DirectAppendIsCrashAtomic) {
+  // 16 fresh blocks are over kReserveServeMax: the run comes straight from
+  // a segment's bitmap under its lock, not from a reservation.
+  CrashHarness h;
+  h.setup([](core::Process& p) {
+    ASSERT_TRUE(p.mkdir("/d").is_ok());
+    write_file(p, "/d/f", std::string(4096, 'a'));
+  });
+  const alloc::BlockAllocStats& st = h.fs().blocks().stats();
+  const std::uint64_t allocs = st.allocs.load();
+  const std::uint64_t served =
+      st.reserve_hits.load() + st.reserve_refills.load();
+  h.run_op([](core::Process& p) {
+    auto fd = p.open("/d/f", kOpenWrite | core::kOpenAppend);
+    ASSERT_TRUE(fd.is_ok());
+    const std::string more(64 * 1024, 'b');
+    ASSERT_TRUE(p.write(*fd, more.data(), more.size()).is_ok());
+    ASSERT_TRUE(p.close(*fd).is_ok());
+  });
+  EXPECT_GT(st.allocs.load(), allocs);
+  EXPECT_EQ(st.reserve_hits.load() + st.reserve_refills.load(), served)
+      << "the append was served from a reservation";
+  h.explore("append 64 KiB (16 blocks, direct allocation)");
+  expect_both_outcomes(h, "append-direct");
+}
+
+TEST(CrashImages, UnlinkMultiExtentFileIsCrashAtomic) {
+  // Three extents, freed one run at a time: a reserved block, a direct
+  // 16-block run and another reserved block.
+  CrashHarness h;
+  h.setup([](core::Process& p) {
+    ASSERT_TRUE(p.mkdir("/d").is_ok());
+    auto fd = p.open("/d/f", kOpenCreate | kOpenWrite);
+    ASSERT_TRUE(fd.is_ok());
+    const std::string one(4096, 'x'), run(16 * 4096, 'y');
+    ASSERT_TRUE(p.pwrite(*fd, one.data(), one.size(), 0).is_ok());
+    ASSERT_TRUE(p.pwrite(*fd, run.data(), run.size(), 2 * 4096).is_ok());
+    ASSERT_TRUE(p.pwrite(*fd, one.data(), one.size(), 20 * 4096).is_ok());
+    ASSERT_TRUE(p.close(*fd).is_ok());
+  });
+  h.run_op([](core::Process& p) { ASSERT_TRUE(p.unlink("/d/f").is_ok()); });
+  h.explore("unlink /d/f (3 extents, 18 blocks)");
+  expect_both_outcomes(h, "unlink-multi-extent");
+}
+
 TEST(CrashImages, StrandedReservationLeaksNoBlocks) {
   // The first allocating append carves a whole reservation chunk out of
-  // the persistent free list under one segment lock; only one block of it
-  // is referenced by the inode.  A crash anywhere after the carve strands
-  // the remainder — referenced by nothing, owned by no free list.  Every
-  // materialized image runs recovery (rebuild_free_lists) and then fsck,
-  // whose block-coverage pass reports any unowned block as a leak; a clean
+  // the persistent bitmap under one segment lock; only one block of it is
+  // referenced by the inode.  A crash anywhere after the carve strands the
+  // remainder — referenced by nothing, its bits set.  Every materialized
+  // image runs recovery (rebuild_bitmap) and then fsck, whose
+  // block-coverage pass reports any unowned block as a leak; a clean
   // explore() is the proof that stranded reservations are reclaimed.
   CrashHarness h;
   h.setup([](core::Process& p) {
@@ -422,6 +467,22 @@ TEST_F(FsckCorruptionTest, DetectsArmedRenameLog) {
   for (const std::string& e : r.errors)
     mentions |= e.find("rename log still armed") != std::string::npos;
   EXPECT_TRUE(mentions) << r.summary();
+}
+
+TEST_F(FsckCorruptionTest, DetectsBlockFreedWhileMapped) {
+  write_file(*proc_, "/f", std::string(4096, 'f'));
+  core::Inode* f = fs_->inode_at(inode_of("/f"));
+  ASSERT_NE(f->extents[0].dev_off, 0u);
+  // Free the block behind the file's back: its bit clears while the
+  // extent still maps it.
+  fs_->blocks().free(f->extents[0].dev_off, 1);
+  const core::CheckReport r = core::check_fs(*fs_);
+  EXPECT_FALSE(r.ok());
+  bool doubly = false;
+  for (const std::string& e : r.errors)
+    doubly |= e.find("claimed by both file extent and free range") !=
+              std::string::npos;
+  EXPECT_TRUE(doubly) << r.summary();
 }
 
 TEST_F(FsckCorruptionTest, DetectsLinkCountMismatch) {

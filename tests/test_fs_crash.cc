@@ -317,12 +317,12 @@ namespace {
 // ---- block-allocator crash points reached through the FS ----
 
 TEST_F(FsCrashTest, CrashDuringBlockSplitLosesNoSpace) {
-  // Die between carving a free range and returning it: the blocks are
-  // neither in the free list (range already shrunk) nor reachable from any
-  // inode — full recovery's sweep must return them.
+  // Die between setting a carved run's bits and returning it: the blocks
+  // read allocated but no inode reaches them — full recovery's rebuild
+  // must free them.
   auto fd = p().open("/bs", kOpenCreate | kOpenWrite);
   ASSERT_TRUE(fd.is_ok());
-  crash_during("blockalloc.split",
+  crash_during("blockalloc.bits_set",
                [&] { (void)p().pwrite(*fd, "x", 1, 0); });
   remount_after_crash();
   const std::uint64_t free_after = fs_->blocks().free_blocks();

@@ -323,10 +323,11 @@ TEST_F(FsFullDeviceTest, FailedAppendLeavesNoBlocksPastEof) {
 }
 
 // A small device filled with one-block files of 'z' bytes, every other one
-// then unlinked: no file ever needed a spill block, so the extent pool has
-// no segment, and no free run reaches the 65 blocks it needs to grow one.
-// Single free blocks remain, so a write whose runs need a spill block runs
-// the extent pool dry while data blocks are still free.
+// (by block address) then unlinked: no file ever needed a spill block, so
+// the extent pool has no segment, and no free run reaches the 2 blocks even
+// its smallest segment (one object) needs.  Single free blocks remain, so a
+// write whose runs need a spill block runs the extent pool dry while data
+// blocks are still free.
 class FsExtentPoolDryTest : public FsDataTest {
  protected:
   static constexpr std::uint64_t kBlock = 4096;
@@ -346,14 +347,28 @@ class FsExtentPoolDryTest : public FsDataTest {
       if (!wrote) break;
     }
     ASSERT_GT(n, 1000);
-    for (int i = 0; i < n; i += 2)
+    // Unlink every other file in the address order of their blocks, never
+    // the one right after a freed block, so every free run is one block.
+    std::vector<std::pair<std::uint64_t, int>> by_block;
+    for (int i = 0; i < n; ++i) {
+      const auto st = p().stat("/f" + std::to_string(i));
+      ASSERT_TRUE(st.is_ok());
+      core::ExtentMap map(fs_->dev(), fs_->pool(core::kPoolExtent),
+                          *fs_->inode_at(st->inode), st->inode);
+      by_block.emplace_back(map.find(0), i);
+    }
+    std::sort(by_block.begin(), by_block.end());
+    std::uint64_t freed_end = 0;
+    for (const auto& [off, i] : by_block) {
+      if (off == 0 || off == freed_end) continue;
       ASSERT_TRUE(p().unlink("/f" + std::to_string(i)).is_ok());
+      freed_end = off + kBlock;
+    }
     std::uint64_t longest = 0;
-    fs_->blocks().for_each_free_range(
-        [&](unsigned, std::uint64_t, std::uint64_t len) {
-          longest = std::max(longest, len);
-        });
-    ASSERT_LT(longest, 65u);
+    fs_->blocks().for_each_free_range([&](std::uint64_t, std::uint64_t len) {
+      longest = std::max(longest, len);
+    });
+    ASSERT_EQ(longest, 1u);
   }
 
   // A file with five one-block extents at file blocks 0, 2, 4, 6 and 8:
@@ -399,6 +414,51 @@ TEST_F(FsExtentPoolDryTest, FailedAppendUnmapsWhatItMappedPastEof) {
   // Growing the file must expose zeros, not the freed files' bytes.
   ASSERT_TRUE(p().ftruncate(fd, 12 * kBlock).is_ok());
   EXPECT_EQ(nonzero_bytes(fd, 9 * kBlock, 3 * kBlock), 0u);
+}
+
+// A small device filled with 8-block files, every other one then unlinked:
+// more than a third of the device is free, but in runs far shorter than a
+// full pool segment (65 blocks for the extent pool).  A pool that needs
+// space grows a shorter segment instead of failing.
+TEST_F(FsDataTest, PoolsGrowIntoAFragmentedDevice) {
+  constexpr std::uint64_t kBlock = 4096;
+  nvmm_ = std::make_unique<nvmm::Device>(16ull << 20);
+  shm_ = std::make_unique<nvmm::Device>(kShmSize);
+  proc_.reset();
+  fs_ = core::FileSystem::format(*nvmm_, *shm_);
+  proc_ = fs_->open_process(1000, 1000);
+  const std::vector<char> z(8 * kBlock, 'z');
+  int n = 0;
+  for (;; ++n) {
+    auto fd = p().open("/f" + std::to_string(n), kOpenCreate | kOpenWrite);
+    if (!fd.is_ok()) break;
+    const bool wrote = p().pwrite(*fd, z.data(), z.size(), 0).is_ok();
+    ASSERT_TRUE(p().close(*fd).is_ok());
+    if (!wrote) break;
+  }
+  ASSERT_GT(n, 100);
+  for (int i = 0; i < n; i += 2)
+    ASSERT_TRUE(p().unlink("/f" + std::to_string(i)).is_ok());
+  std::uint64_t longest = 0;
+  fs_->blocks().for_each_free_range([&](std::uint64_t, std::uint64_t len) {
+    longest = std::max(longest, len);
+  });
+  ASSERT_LT(longest, 65u);
+  ASSERT_GT(fs_->blocks().free_blocks(), 1000u);
+  // Seven one-block extents: the seventh needs the extent pool's first
+  // spill block, so the pool grows its first segment.
+  const int fd = make_file("/seven");
+  const std::vector<char> w(kBlock, 'w');
+  for (std::uint64_t b = 0; b < 14; b += 2) {
+    const auto r = p().pwrite(fd, w.data(), kBlock, b * kBlock);
+    ASSERT_TRUE(r.is_ok()) << "extent " << b / 2 + 1 << ": "
+                           << static_cast<int>(r.code());
+  }
+  std::vector<char> back(kBlock);
+  ASSERT_EQ(*p().pread(fd, back.data(), kBlock, 12 * kBlock), kBlock);
+  EXPECT_EQ(back, w);
+  const core::CheckReport cr = core::check_fs(*fs_);
+  EXPECT_TRUE(cr.ok()) << cr.summary();
 }
 
 }  // namespace

@@ -187,7 +187,7 @@ TEST_F(MultiMountTest, FsStatConvergesAcrossMounts) {
     write_all(b(), "/g" + std::to_string(i), std::string(20000, 'd'));
   const core::FsStat sa = fs_a_->fsstat();
   const core::FsStat sb = fs_b_->fsstat();
-  // Shared accounting (NVMM free lists + shm reserve_unused) must agree
+  // Shared accounting (NVMM bitmap + shm reserve_unused) must agree
   // exactly; nothing is squirreled away in mount-private DRAM.
   EXPECT_EQ(sa.free_blocks, sb.free_blocks);
   EXPECT_EQ(sa.live_inodes, sb.live_inodes);
@@ -296,7 +296,7 @@ TEST_F(MultiMountTest, SurvivorReclaimsDeadMountsBlockReservations) {
   const core::ReapReport r = fs_b_->reap_totals();
   EXPECT_GE(r.mounts, 1u);  // >=: a falsely reaped, reattached A dies twice
   EXPECT_GT(r.reserved_blocks, 0u);
-  // The stranded blocks went back to the free lists; accounting is exact
+  // The stranded blocks were freed; accounting is exact
   // (free_blocks already counted reserve_unused, so the total is stable
   // and the blocks are now actually allocatable).
   EXPECT_EQ(fs_b_->fsstat().free_blocks, free_before);
@@ -361,18 +361,19 @@ TEST_F(MultiMountTest, KillOneMountStormSurvivorReclaimsAndImageChecksClean) {
 
   // Phase 2: one thread of mount A dies mid-allocation, holding its file's
   // exclusive lock and a block-allocator segment lock (the fail point sits
-  // inside the free-range split, lease stamps still ticking).
+  // between a carve's bit update and its fence, lease stamps still
+  // ticking).
   std::atomic<bool> crashed{false};
   std::thread crasher([&] {
     auto p = fs_a_->open_process(1000, 1000);
     auto fd = p->open("/doomed", kOpenCreate | kOpenWrite);
     if (!fd.is_ok()) return;
-    FailPoint::arm("blockalloc.split");
+    FailPoint::arm("blockalloc.bits_set");
     char buf[4096];
     std::memset(buf, 'd', sizeof buf);
     try {
       // A fresh thread's first allocation refills its reservation, which
-      // carves from a segment free list and hits the split fail point.
+      // carves from a segment's bitmap and hits the fail point.
       (void)p->write(*fd, buf, sizeof buf);
     } catch (const CrashedException&) {
       crashed = true;
@@ -397,7 +398,7 @@ TEST_F(MultiMountTest, KillOneMountStormSurvivorReclaimsAndImageChecksClean) {
   EXPECT_GE(r.mounts, 1u);  // >=: a falsely reaped, reattached A dies twice
   EXPECT_GT(r.reserved_blocks, 0u);   // stranded reservation chunks
   EXPECT_GE(r.file_locks, 1u);        // /doomed's exclusive lock
-  EXPECT_GE(r.segment_locks, 1u);     // the lock held across the split
+  EXPECT_GE(r.segment_locks, 1u);     // the lock held across the carve
   const core::FsStat sb = fs_b_->fsstat();
   EXPECT_GT(sb.lock_fallback_hits, 0u);  // the 8-slot table overflowed
   EXPECT_GE(sb.mount_reclaims, 1u);
@@ -484,7 +485,7 @@ TEST_F(MultiMountTest, SharedHintsKeepServingUniqueInodesAfterPeerDeath) {
 
 TEST_F(MultiMountTest, RecoveryRebuildsFreeListsToSameAccounting) {
   // Two mounts with different segment biases churn allocations, one dies
-  // dirty; full recovery must rebuild the per-segment free lists to
+  // dirty; full recovery must rebuild the allocation bitmap to
   // exactly the block accounting the survivor agreed on — the bias only
   // rotates where a mount *starts* carving, never what is free.
   fs_a_->set_lease_ns(2'000'000);

@@ -150,7 +150,7 @@ TEST_F(MultiProcessTest, KilledChildIsRecoveredByLeaseSteal) {
 }
 
 TEST_F(MultiProcessTest, AllocatorSurvivesDuplicateVolatileCaches) {
-  // Each child inherits a copy of the parent's volatile free-list cache;
+  // Each child inherits a copy of the parent's volatile free-object cache;
   // the on-media CAS claim must still hand every object to exactly one
   // process.  Detect double-allocation as two files resolving to the same
   // inode offset.

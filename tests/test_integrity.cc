@@ -216,6 +216,46 @@ TEST_F(IntegrityTest, ChecksumsSurviveACleanShutdown) {
   EXPECT_EQ(buf, std::string(kBytes, 'b'));
 }
 
+// The same durable image for the block allocator: a clean mount runs no
+// recovery and trusts the allocator state on the media, so a clean
+// unmount must leave it exactly as the live mount saw it.  A 40-block
+// write takes the direct path, the block after it a reservation carve.
+TEST_F(IntegrityTest, FreeSpaceSurvivesACleanShutdown) {
+  make_file("/old", std::string(20 * 4096, 'o'));
+  proc_.reset();
+  fs_->unmount();
+  fs_.reset();
+
+  nvmm::ShadowLog log(*nvmm_);  // baseline: the first mount's image
+  log.start();
+  std::uint64_t live_free = 0;
+  {
+    auto fs = core::FileSystem::mount(*nvmm_, *shm_);
+    auto proc = fs->open_process(1000, 1000);
+    ASSERT_TRUE(proc->unlink("/old").is_ok());
+    const auto fd = proc->open("/new", kOpenCreate | kOpenWrite);
+    ASSERT_TRUE(fd.is_ok());
+    const std::string bytes(41 * 4096, 'n');
+    ASSERT_TRUE(proc->write(*fd, bytes.data(), 40 * 4096).is_ok());
+    ASSERT_TRUE(proc->write(*fd, bytes.data(), 4096).is_ok());
+    ASSERT_TRUE(proc->close(*fd).is_ok());
+    proc.reset();
+    fs->unmount();
+    live_free = fs->blocks().free_blocks();
+  }
+  log.stop();
+  log.seal();
+
+  nvmm::Device img(nvmm_->size());
+  log.materialize(log.n_windows(), {}, img);
+  nvmm::Device shm(kShmSize);
+  auto fs = core::FileSystem::mount(img, shm);
+  EXPECT_EQ(fs->last_recovery().directories, 0u) << "recovery ran";
+  const core::CheckReport cr = core::check_fs(*fs);
+  EXPECT_TRUE(cr.ok()) << cr.summary();
+  EXPECT_EQ(fs->blocks().free_blocks(), live_free);
+}
+
 TEST_F(IntegrityTest, RecycledBlocksDoNotInheritStaleChecksums) {
   // Delete a stamped file, then create a new one.  Whether or not the
   // allocator hands back the same run, ensure_allocated clears every entry

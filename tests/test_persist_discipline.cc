@@ -198,7 +198,7 @@ TEST_F(PersistBudgetTest, NamespaceOpsStayWithinTheirFenceBudget) {
     ASSERT_TRUE(fd.is_ok());
     ASSERT_TRUE(p().close(*fd).is_ok());
   });
-  expect_within({"unlink (6,000-byte file)", 4, 19.94}, [&](int i) {
+  expect_within({"unlink (6,000-byte file)", 4, 19}, [&](int i) {
     ASSERT_TRUE(p().unlink(name("/u", "f", i)).is_ok());
   });
   expect_within({"rename, same directory", 5, 15}, [&](int i) {
@@ -243,9 +243,9 @@ TEST_F(PersistBudgetTest, NamespaceOpsStayWithinTheirFenceBudget) {
 TEST(PersistDisciplinePool, GrowFlushesZeroedObjectHeaders) {
   nvmm::Device dev(16ull << 20);
   // Recycled-media model: the data area durably holds a dead owner's bytes.
-  // Dirty it *before* format — the free-range nodes live inside the free
-  // blocks themselves, so format must write them over the garbage — and
-  // before the log snapshots, so the garbage IS the durable baseline.
+  // Dirty it *before* format — the allocation bitmap lives at the start of
+  // the area, so format must write it over the garbage — and before the
+  // log snapshots, so the garbage IS the durable baseline.
   std::memset(dev.base() + 64 * 1024, 0xab, dev.size() - 64 * 1024);
   auto blocks = alloc::BlockAllocator::format(dev, 4096, 64 * 1024,
                                               dev.size() - 64 * 1024, 1);
