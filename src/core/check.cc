@@ -393,10 +393,11 @@ class Checker {
       if (runs[i - 1].first + runs[i - 1].second > runs[i].first)
         fail("inode @", ino_off, ": extents overlap at file block ",
              runs[i].first);
-    // Beyond-EOF discipline, so growth never exposes stale bytes.  No block
-    // is mapped past EOF in a quiescent image: a write stamps the size after
-    // mapping, fallocate grows the size over what it maps, a failed write
-    // maps nothing, and recovery unmaps what a crash left there.
+    // No block is mapped past EOF in a quiescent image: a write stamps the
+    // size after mapping, fallocate grows the size over what it maps, a
+    // failed write maps nothing, and recovery unmaps what a crash left
+    // there.  Bytes past EOF inside the last block are undefined (§13.4):
+    // each growth path zeroes what it exposes, so they are not checked.
     const std::uint64_t size = ino.size.load(std::memory_order_relaxed);
     const std::uint64_t eof_blocks =
         (size + alloc::kBlockSize - 1) / alloc::kBlockSize;
@@ -405,24 +406,6 @@ class Checker {
         fail("inode @", ino_off, ": block mapped past EOF at file block ",
              std::max(first, eof_blocks), " (size ", size, ")");
         break;
-      }
-    }
-    // And the tail of the final partial block must be zero (truncate zeroes
-    // it; recovery re-zeroes after a crash mid-truncate).  Caveat: fallocate
-    // (§5.2) deliberately leaves contents undefined, so images built with
-    // unwritten non-aligned fallocations are out of scope.
-    const std::uint64_t tail = size % alloc::kBlockSize;
-    if (tail != 0) {
-      const std::uint64_t blk = map.find(size / alloc::kBlockSize);
-      if (blk != 0) {
-        const auto* p =
-            reinterpret_cast<const std::byte*>(dev_.at(blk)) + tail;
-        for (std::uint64_t i = 0; i < alloc::kBlockSize - tail; ++i)
-          if (p[i] != std::byte{0}) {
-            fail("inode @", ino_off, ": stale byte beyond EOF at block @",
-                 blk, "+", tail + i);
-            break;
-          }
       }
     }
     std::unordered_set<std::uint64_t> seen;

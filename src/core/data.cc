@@ -24,35 +24,37 @@ namespace simurgh::core {
 
 namespace {
 constexpr std::uint64_t kBS = alloc::kBlockSize;
-constexpr std::uint64_t kNoZero = ~std::uint64_t{0};
-}  // namespace
 
-Result<bool> FileSystem::ensure_allocated(ExtentResolver& res, Inode& ino,
-                                          std::uint64_t ino_off,
-                                          std::uint64_t first_block,
-                                          std::uint64_t n_blocks,
-                                          std::uint64_t zero_a,
-                                          std::uint64_t zero_b) {
-  // Allocate every missing run before mapping any: a run mapped ahead of a
-  // later no_space would stay in the file unwritten, holding the bytes of
-  // whichever file freed it.  The usual one or two runs fit the stack
-  // buffer, so the write path allocates nothing on the heap.
-  struct Run {
-    std::uint64_t file_block, dev_off, n_blocks;
-  };
-  alignas(Run) std::byte stack_buf[2 * sizeof(Run)];
-  std::pmr::monotonic_buffer_resource mem(stack_buf, sizeof stack_buf);
-  std::pmr::vector<Run> fresh(&mem);
-  fresh.reserve(2);
-  auto give_back = [&](std::size_t from) {
-    for (std::size_t i = from; i < fresh.size(); ++i)
-      blocks().free(fresh[i].dev_off, fresh[i].n_blocks);
-  };
-  std::uint64_t b = first_block;
-  const std::uint64_t end = first_block + n_blocks;
-  while (b < end) {
-    const ExtentResolver::Run run = res.run_at(b, end - b);
+// One run of a write's (or fallocate's) block range: mapped before the op,
+// or freshly allocated for it and not yet in the extent map.  The usual one
+// or two runs fit the stack buffer, so the write path allocates nothing on
+// the heap.
+struct Run {
+  std::uint64_t file_block, dev_off, n_blocks;
+  bool fresh;
+};
+struct RunBuf {
+  alignas(Run) std::byte buf[4 * sizeof(Run)];
+  std::pmr::monotonic_buffer_resource mem{buf, sizeof buf};
+};
+
+void zero_durably(std::byte* p, std::uint64_t n) {
+  if (n == 0) return;
+  std::memset(p, 0, n);
+  nvmm::persist(p, n);
+}
+
+// Resolves file blocks [first, last) into runs, allocating every hole.  All
+// or nothing: a run mapped ahead of a later no_space would stay in the file
+// unwritten, holding the bytes of whichever file freed it.
+Status plan_runs(FileSystem& fs, ExtentResolver& res, std::uint64_t ino_off,
+                 std::uint64_t first, std::uint64_t last,
+                 std::pmr::vector<Run>& runs) {
+  std::uint64_t b = first;
+  while (b < last) {
+    const ExtentResolver::Run run = res.run_at(b, last - b);
     if (run.dev_off != 0) {
+      runs.push_back({b, run.dev_off, run.n_blocks, false});
       b += run.n_blocks;
       continue;
     }
@@ -60,117 +62,143 @@ Result<bool> FileSystem::ensure_allocated(ExtentResolver& res, Inode& ino,
     // longer than itself, so on no_space halve the request and fill the
     // hole piecewise; the loop re-probes the remainder.
     std::uint64_t take = run.n_blocks;
-    Result<std::uint64_t> got = blocks().alloc(take, ino_off);
+    Result<std::uint64_t> got = fs.blocks().alloc(take, ino_off);
     while (!got.is_ok() && got.code() == Errc::no_space && take > 1) {
       take /= 2;
-      got = blocks().alloc(take, ino_off);
+      got = fs.blocks().alloc(take, ino_off);
     }
     if (!got.is_ok()) {
-      give_back(0);
-      return got.code();
+      for (const Run& r : runs)
+        if (r.fresh) fs.blocks().free(r.dev_off, r.n_blocks);
+      return Status(got.code());
     }
-    fresh.push_back({b, *got, take});
+    runs.push_back({b, *got, take, true});
     b += take;
   }
-  if (fresh.empty()) return false;
-  // Mark the map epoch odd and stop trusting the snapshot we found the
-  // holes through (it predates our own appends).
+  return Status::ok();
+}
+
+// Records the fresh runs in the extent map, unfenced: the caller's next
+// fence orders them before its size commit.  If the extent pool runs dry
+// part-way, the runs not mapped go back, the mapped ones are zeroed so they
+// read as the holes they filled, and whatever lies past EOF is unmapped.
+Status map_fresh(FileSystem& fs, ExtentResolver& res, Inode& ino,
+                 const std::pmr::vector<Run>& runs) {
+  if (std::none_of(runs.begin(), runs.end(),
+                   [](const Run& r) { return r.fresh; }))
+    return Status::ok();
   ExtentEpochGuard guard(ino);
-  res.invalidate_snapshot();
-  for (std::size_t i = 0; i < fresh.size(); ++i) {
-    const Run& r = fresh[i];
-    // Reset the run's checksum entries: a recycled block's stale entry must
-    // not indict its new owner's bytes, and fallocate'd blocks stay
-    // "no checksum recorded" until actually written.
-    crc_.clear(r.dev_off, r.n_blocks);
-    // A fresh block the write only partially covers must read back zeros
-    // in its unwritten bytes; interior blocks are fully overwritten.  The
-    // zeros must be *durable* before the size stamp can commit: the block
-    // may be recycled and still hold a dead file's bytes, and the nt_copy
-    // covers only [off, off+n) — so flush the zeroed lines here (the data
-    // fence preceding the size stamp orders them with the commit).
-    for (const std::uint64_t zb : {zero_a, zero_b}) {
-      if (zb >= r.file_block && zb < r.file_block + r.n_blocks) {
-        std::byte* blk = dev().at(r.dev_off + (zb - r.file_block) * kBS);
-        std::memset(blk, 0, kBS);
-        nvmm::persist(blk, kBS);
-      }
-    }
+  for (std::size_t i = 0; i < runs.size(); ++i) {
+    const Run& r = runs[i];
+    if (!r.fresh) continue;
+    // A recycled block's stale entry must not indict its new owner's bytes,
+    // and fallocate'd blocks stay "no checksum recorded" until written.
+    fs.crc().clear(r.dev_off, r.n_blocks);
     if (Status st = res.map().append(r.file_block, r.dev_off, r.n_blocks);
         !st.is_ok()) {
-      // The extent pool ran dry part-way.  Give back the runs not mapped,
-      // zero the mapped ones so they read as the holes they filled, and
-      // trim any that lie past EOF.
-      give_back(i);
-      for (std::size_t j = 0; j < i; ++j) {
-        std::byte* p = dev().at(fresh[j].dev_off);
-        std::memset(p, 0, fresh[j].n_blocks * kBS);
-        nvmm::persist(p, fresh[j].n_blocks * kBS);
+      for (std::size_t j = 0; j < runs.size(); ++j) {
+        const Run& q = runs[j];
+        if (!q.fresh) continue;
+        if (j >= i)
+          fs.blocks().free(q.dev_off, q.n_blocks);
+        else
+          zero_durably(fs.dev().at(q.dev_off), q.n_blocks * kBS);
       }
       const std::uint64_t size = ino.size.load(std::memory_order_acquire);
       res.map().drop_from((size + kBS - 1) / kBS,
                           [&](std::uint64_t off, std::uint64_t n) {
-                            blocks().free(off, n);
+                            fs.blocks().free(off, n);
                           });
       nvmm::fence();
-      return st.code();
+      return st;
     }
   }
-  return true;
+  return Status::ok();
+}
+}  // namespace
+
+void FileSystem::zero_mapped(Inode& ino, std::uint64_t ino_off,
+                             std::uint64_t from, std::uint64_t to) {
+  if (from >= to) return;
+  const ExtentMap map(dev(), pool(kPoolExtent), ino, ino_off);
+  map.for_each([&](const Extent& e) {
+    const std::uint64_t base = e.file_block * kBS;
+    const std::uint64_t lo = std::max(from, base);
+    const std::uint64_t hi = std::min(to, base + e.n_blocks * kBS);
+    if (lo >= hi) return;
+    zero_durably(dev().at(e.dev_off) + (lo - base), hi - lo);
+    for (std::uint64_t b = lo / kBS; b * kBS < hi; ++b)
+      crc_.stamp(e.dev_off + (b - e.file_block) * kBS);
+  });
 }
 
-Status FileSystem::write_file_bytes(Inode& ino, std::uint64_t ino_off,
-                                    const void* buf, std::size_t n,
-                                    std::uint64_t off) {
-  if (n == 0) return Status::ok();
+Result<bool> FileSystem::write_file_bytes(Inode& ino, std::uint64_t ino_off,
+                                          const void* buf, std::size_t n,
+                                          std::uint64_t off,
+                                          std::uint64_t eof) {
+  if (n == 0) return false;
+  const std::uint64_t end = off + n;
   const std::uint64_t first = off / kBS;
-  const std::uint64_t last = (off + n + kBS - 1) / kBS;
-  const std::uint64_t zero_a = off % kBS != 0 ? first : kNoZero;
-  const std::uint64_t zero_b =
-      (off + n) % kBS != 0 ? (off + n) / kBS : kNoZero;
+  const std::uint64_t last = (end + kBS - 1) / kBS;
   ExtentResolver res(extent_cache_if_enabled(), dev(), pool(kPoolExtent),
                      ino, ino_off, /*build_views=*/false);
-  auto mutated = ensure_allocated(res, ino, ino_off, first, last - first,
-                                  zero_a, zero_b);
-  if (!mutated.is_ok()) return mutated.status();
-  // Our own appends invalidated the snapshot mid-allocation; re-probe at
-  // the new (even) epoch so the copy loop below — and the next writer —
-  // run off a fresh cached view.
-  if (*mutated) res.invalidate_snapshot();
-  std::size_t done = 0;
+  RunBuf rb;
+  std::pmr::vector<Run> runs(&rb.mem);
+  if (Status st = plan_runs(*this, res, ino_off, first, last, runs);
+      !st.is_ok())
+    return st.code();
+  // Bytes past EOF are undefined (DESIGN.md §13.4).  What this write grows
+  // the file over must read zero: [eof, off) in blocks mapped before it...
+  if (off > eof) zero_mapped(ino, ino_off, eof, off);
+  // ...and, in its fresh blocks, the head before `off` and, for a hole
+  // below EOF, the tail up to EOF.  Everything else past `end` stays as the
+  // block's last owner left it.
+  if (const Run& r = runs.front(); r.fresh)
+    zero_durably(dev().at(r.dev_off), off % kBS);
+  if (const Run& r = runs.back(); r.fresh && end < eof && end % kBS != 0)
+    zero_durably(dev().at(r.dev_off + (end / kBS - r.file_block) * kBS) +
+                     end % kBS,
+                 std::min(last * kBS, eof) - end);
+  // One streaming copy per run: adjacent blocks of one extent are
+  // device-contiguous, so a multi-block write needs one nt_copy per extent
+  // instead of one per 4 KB block.
   const auto* src = static_cast<const std::byte*>(buf);
-  while (done < n) {
-    const std::uint64_t pos = off + done;
-    const std::uint64_t in_block = pos % kBS;
-    const std::uint64_t fb = pos / kBS;
-    const ExtentResolver::Run run = res.run_at(fb, last - fb);
-    SIMURGH_CHECK(run.dev_off != 0);
-    // One streaming copy per extent run: adjacent blocks of one extent are
-    // device-contiguous, so a multi-block write needs one nt_copy per
-    // extent instead of one per 4 KB block.
-    const std::size_t chunk = static_cast<std::size_t>(
-        std::min<std::uint64_t>(n - done, run.n_blocks * kBS - in_block));
-    nvmm::nt_copy(dev().at(run.dev_off) + in_block, src + done, chunk);
-    done += chunk;
+  auto copy = [&](auto&& want) {
+    for (const Run& r : runs) {
+      if (!want(r)) continue;
+      const std::uint64_t base = r.file_block * kBS;
+      const std::uint64_t lo = std::max(off, base);
+      const std::uint64_t hi = std::min(end, base + r.n_blocks * kBS);
+      nvmm::nt_copy(dev().at(r.dev_off) + (lo - base), src + (lo - off),
+                    static_cast<std::size_t>(hi - lo));
+    }
+  };
+  // A fresh block below EOF becomes readable the moment its extent lands,
+  // so its bytes are copied, zeroed and fenced before it is mapped; the
+  // caller's commit fence then publishes the extent.  Fresh blocks past EOF
+  // are mapped first: the size commit, ordered after the data fence, is
+  // what publishes them.
+  const bool hole_fill =
+      std::any_of(runs.begin(), runs.end(), [&](const Run& r) {
+        return r.fresh && r.file_block * kBS < eof;
+      });
+  if (hole_fill) {
+    copy([](const Run& r) { return r.fresh; });
+    nvmm::fence();
   }
+  if (Status st = map_fresh(*this, res, ino, runs); !st.is_ok())
+    return st.code();
+  copy([&](const Run& r) { return !hole_fill || !r.fresh; });
   // Re-derive the checksum of every touched block (integrity.h).  Under the
   // caller's exclusive file lock entry and bytes move together; the entries
   // ride the caller's commit fence so data and checksum become durable as
   // one.  (Relaxed-writes mode waives the lock and with it checksum
   // coherence — documented as incompatible with verify_reads.)
-  if (crc_.attached()) {
-    std::uint64_t fb = first;
-    while (fb < last) {
-      const ExtentResolver::Run run = res.run_at(fb, last - fb);
-      SIMURGH_CHECK(run.dev_off != 0);
-      const std::uint64_t take =
-          std::min<std::uint64_t>(run.n_blocks, last - fb);
-      for (std::uint64_t i = 0; i < take; ++i)
-        crc_.stamp(run.dev_off + i * kBS);
-      fb += take;
-    }
-  }
-  return Status::ok();
+  if (crc_.attached())
+    for (const Run& r : runs)
+      for (std::uint64_t i = 0; i < r.n_blocks; ++i)
+        crc_.stamp(r.dev_off + i * kBS);
+  return hole_fill;
 }
 
 Result<std::size_t> Process::do_read(Inode& ino, std::uint64_t ino_off,
@@ -194,9 +222,10 @@ Result<std::size_t> Process::do_read(Inode& ino, std::uint64_t ino_off,
   while (done < n) {
     const std::uint64_t pos = off + done;
     if (pos >= size) {
-      // Between the persisted size and the staged size: blocks here may be
-      // unwritten fallocate garbage — zero-fill, then let the overlay put
-      // the staged bytes on top (gaps between staged ranges read as zeros).
+      // Between the persisted size and the staged size: bytes here are
+      // undefined until the drain's growth zeroes them (DESIGN.md §13.4) —
+      // zero-fill, then let the overlay put the staged bytes on top (gaps
+      // between staged ranges read as zeros).
       std::memset(out + done, 0, n - done);
       done = n;
       break;
@@ -241,25 +270,26 @@ Result<std::size_t> Process::do_write(Inode& ino, std::uint64_t ino_off,
   std::optional<ExclusiveFileLock> lock;
   if (!fs_.relaxed_writes())
     lock.emplace(fs_.file_locks(), fs_.file_locks().slot_for(ino_off));
-  if (append) {
-    // O_APPEND: the position is resolved *after* taking the write lock, so
-    // concurrent appenders see each other's size update and never overlap.
-    // Relaxed mode (no lock, Fig. 7k) reserves a disjoint range by bumping
-    // the size atomically up front — appends interleave without clobbering;
-    // the size-before-data crash-atomicity this gives up is part of what
-    // relaxed mode already waives.
-    off = lock ? ino.size.load(std::memory_order_acquire)
-               : ino.size.fetch_add(n, std::memory_order_acq_rel);
-  }
+  // O_APPEND: the position is resolved *after* taking the write lock, so
+  // concurrent appenders see each other's size update and never overlap.
+  // Relaxed mode (no lock, Fig. 7k) reserves a disjoint range by bumping
+  // the size atomically up front — appends interleave without clobbering;
+  // the size-before-data crash-atomicity this gives up is part of what
+  // relaxed mode already waives.
+  const std::uint64_t eof =
+      append && !lock ? ino.size.fetch_add(n, std::memory_order_acq_rel)
+                      : ino.size.load(std::memory_order_acquire);
+  if (append) off = eof;
   if (pos_out != nullptr) *pos_out = off;
   if (n == 0) return std::size_t{0};
 
-  if (Status st = fs_.write_file_bytes(ino, ino_off, buf, n, off);
-      !st.is_ok())
-    return st.code();
+  auto fenced = fs_.write_file_bytes(ino, ino_off, buf, n, off, eof);
+  if (!fenced.is_ok()) return fenced.code();
   // Order: data durable before the size/mtime update (paper: sfence between
-  // data persist and metadata update) — ONE fence for the whole write.
-  nvmm::fence();
+  // data persist and metadata update) — ONE fence for the whole write.  A
+  // hole fill fenced its bytes before mapping them; unless it also grows
+  // the file, its extents are the commit and ride the closing fence.
+  if (!*fenced || off + n > eof) nvmm::fence();
   SIMURGH_FAILPOINT("fs.write.data_persisted");
   inode_size_max(ino.size, off + n);
   ino.mtime_ns.store(wall_ns(), std::memory_order_relaxed);
@@ -393,34 +423,28 @@ Status Process::truncate_inode(std::uint64_t ino_off, std::uint64_t size) {
   if (!fs_.relaxed_writes())
     lock.emplace(fs_.file_locks(), fs_.file_locks().slot_for(ino_off));
   const std::uint64_t old = ino->size.load(std::memory_order_acquire);
-  // Commit point first: the persisted size store makes the truncate visible
+  // Bytes past EOF are undefined (DESIGN.md §13.4): growth zeroes what it
+  // exposes of the blocks already mapped there before the size moves.
+  if (size > old) {
+    fs_.zero_mapped(*ino, ino_off, old, size);
+    nvmm::fence();
+  }
+  // Commit point: the persisted size store makes the truncate visible
   // atomically; a crash before it leaves the old file intact, a crash after
   // it leaves the new size with every byte in range unchanged.  Storage
-  // release and tail zeroing follow the commit — they only touch bytes
-  // beyond the (new) size, so interrupted cleanup is invisible and recovery
-  // finishes it (it unmaps the blocks past EOF and re-zeroes the tail).
+  // release follows the commit — it only touches blocks beyond the (new)
+  // size, so interrupted cleanup is invisible and recovery finishes it (it
+  // unmaps the blocks past EOF).
   ino->size.store(size, std::memory_order_release);
   ino->mtime_ns.store(wall_ns(), std::memory_order_relaxed);
   nvmm::persist(&ino->size, kSizeStampBytes);
   nvmm::fence();
   SIMURGH_FAILPOINT("fs.truncate.size_persisted");
   if (size < old) {
-    const std::uint64_t keep_blocks = (size + kBS - 1) / kBS;
     ExtentMap map(fs_.dev(), fs_.pool(kPoolExtent), *ino, ino_off);
-    // Zero the tail of the final kept block so growth re-exposes zeros.
-    // If a crash lands before this, recovery re-zeroes beyond-EOF tails.
-    if (size % kBS != 0) {
-      const std::uint64_t dev_off = map.find(size / kBS);
-      if (dev_off != 0) {
-        std::memset(fs_.dev().at(dev_off) + size % kBS, 0, kBS - size % kBS);
-        nvmm::persist(fs_.dev().at(dev_off) + size % kBS, kBS - size % kBS);
-        // The kept block's bytes changed; its checksum entry follows.
-        fs_.crc().stamp(dev_off);
-      }
-    }
     {
       ExtentEpochGuard guard(*ino);
-      map.drop_from(keep_blocks,
+      map.drop_from((size + kBS - 1) / kBS,
                     [&](std::uint64_t dev_off, std::uint64_t n) {
                       fs_.blocks().free(dev_off, n);
                     });
@@ -460,17 +484,23 @@ Status Process::fallocate(int fd, std::uint64_t off, std::uint64_t len) {
   std::optional<ExclusiveFileLock> lock;
   if (!fs_.relaxed_writes())
     lock.emplace(fs_.file_locks(), fs_.file_locks().slot_for(ino_off));
-  const std::uint64_t first = off / kBS;
-  const std::uint64_t last = (off + len + kBS - 1) / kBS;
   // The evaluation configures file systems to *not* zero preallocated
-  // blocks (§5.2 fallocate); contents are undefined until written.
+  // blocks (§5.2 fallocate); contents are undefined until written.  Only
+  // the blocks mapped before it get their bytes past EOF zeroed, as on
+  // every growth path.
   ExtentResolver res(fs_.extent_cache_if_enabled(), fs_.dev(),
                      fs_.pool(kPoolExtent), *ino, ino_off,
                      /*build_views=*/false);
-  if (auto r = fs_.ensure_allocated(res, *ino, ino_off, first, last - first,
-                                    kNoZero, kNoZero);
-      !r.is_ok())
-    return r.status();
+  RunBuf rb;
+  std::pmr::vector<Run> runs(&rb.mem);
+  if (Status st = plan_runs(fs_, res, ino_off, off / kBS,
+                            (off + len + kBS - 1) / kBS, runs);
+      !st.is_ok())
+    return st;
+  fs_.zero_mapped(*ino, ino_off, ino->size.load(std::memory_order_acquire),
+                  off + len);
+  if (Status st = map_fresh(fs_, res, *ino, runs); !st.is_ok()) return st;
+  nvmm::fence();  // blocks and zeros before the size that exposes them
   inode_size_max(ino->size, off + len);
   nvmm::persist(&ino->size, kSizeStampBytes);
   nvmm::fence();

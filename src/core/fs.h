@@ -291,22 +291,21 @@ class FileSystem {
   [[nodiscard]] Scrubber& scrubber() noexcept { return *scrub_; }
 
   // ---- data-path plumbing shared with the write-behind drain ----
-  // Fills every hole in [first_block, +n_blocks); freshly allocated blocks
-  // numbered zero_a / zero_b (partial write edges; ~0 = none) are zeroed.
-  // Returns whether the extent map was mutated (the caller's resolver
-  // snapshot is then stale).
-  Result<bool> ensure_allocated(ExtentResolver& res, Inode& ino,
-                                std::uint64_t ino_off,
-                                std::uint64_t first_block,
-                                std::uint64_t n_blocks, std::uint64_t zero_a,
-                                std::uint64_t zero_b);
-  // Streams [off, off+n) into the file's blocks (extent allocation +
-  // nt_copy per run).  NO trailing fence and NO size/mtime stamp: the
-  // caller owns the commit (strict do_write fences + stamps per write; the
-  // epoch drain fences once per epoch and stamps through the journal).
-  // Caller holds the file's exclusive lock.
-  Status write_file_bytes(Inode& ino, std::uint64_t ino_off, const void* buf,
-                          std::size_t n, std::uint64_t off);
+  // Streams [off, off+n) into the file's blocks (extent allocation + one
+  // nt_copy per run) and zeroes what it grows the file over from `eof`
+  // (DESIGN.md §13.4).  NO size/mtime stamp: the caller owns the commit
+  // (strict do_write fences + stamps per write; the epoch drain fences once
+  // per epoch and stamps through the journal).  Fences only a hole fill's
+  // bytes before mapping them, and then returns true.  Caller holds the
+  // file's exclusive lock.
+  Result<bool> write_file_bytes(Inode& ino, std::uint64_t ino_off,
+                                const void* buf, std::size_t n,
+                                std::uint64_t off, std::uint64_t eof);
+  // Zeroes the bytes of [from, to) that lie in mapped blocks and re-stamps
+  // those blocks' checksums: what a growth from `from` to `to` exposes.
+  // Flushes, does not fence.  Caller holds the file's exclusive lock.
+  void zero_mapped(Inode& ino, std::uint64_t ino_off, std::uint64_t from,
+                   std::uint64_t to);
 
   // Path-lookup cache A/B switch (benches, tests); toggles both the
   // per-component cache and the whole-path fast layer.  On at format/mount.

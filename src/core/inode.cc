@@ -40,7 +40,6 @@ Status ExtentMap::append(std::uint64_t file_block, std::uint64_t dev_off,
       last->dev_off + last->n_blocks * alloc::kBlockSize == dev_off) {
     last->n_blocks += n_blocks;
     nvmm::persist_obj(*last);
-    nvmm::fence();
     return Status::ok();
   }
   // New extent: first free inline slot, then the spill chain.
@@ -48,7 +47,6 @@ Status ExtentMap::append(std::uint64_t file_block, std::uint64_t dev_off,
     if (ino_.extents[i].n_blocks == 0) {
       ino_.extents[i] = Extent{file_block, dev_off, n_blocks};
       nvmm::persist_obj(ino_.extents[i]);
-      nvmm::fence();
       return Status::ok();
     }
   }
@@ -59,7 +57,6 @@ Status ExtentMap::append(std::uint64_t file_block, std::uint64_t dev_off,
     // extents only).
     ++last_spill->n;
     nvmm::persist_obj(last_spill->n);
-    nvmm::fence();
     return Status::ok();
   }
   // Grow the spill chain.

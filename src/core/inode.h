@@ -139,7 +139,9 @@ class ExtentMap {
   [[nodiscard]] std::uint64_t find(std::uint64_t file_block) const;
 
   // Registers [file_block, +n) at dev_off, merging with the trailing extent
-  // when contiguous.  Persists the updated map.
+  // when contiguous.  Flushes the extent but fences only a new spill block's
+  // publication: the caller's next fence orders the extent before the size
+  // commit that makes its blocks readable.
   Status append(std::uint64_t file_block, std::uint64_t dev_off,
                 std::uint64_t n_blocks);
 

@@ -4,9 +4,9 @@
 // referenced by Superblock::crc_table_off/crc_table_blocks — holds one
 // 4-byte CRC32C per data-area 4 KB block.  Entry semantics:
 //
-//   0      no checksum recorded.  Fresh runs (ensure_allocated clears every
-//          block it hands to a file, covering fallocate's unwritten blocks
-//          and any stale value left by the block's previous owner) and
+//   0      no checksum recorded.  Fresh runs (data.cc clears every block it
+//          maps into a file, covering fallocate's unwritten blocks and any
+//          stale value left by the block's previous owner) and
 //          blocks owned by non-file structures (pool segments, directory
 //          blocks, long-symlink targets, the table itself).  Every verifier
 //          skips a 0 entry.
@@ -14,8 +14,9 @@
 //
 // Who maintains / who verifies (DESIGN.md §13):
 //   maintain   data.cc write_file_bytes (strict writes AND the write-behind
-//              drain — both produce bytes through it), truncate's tail
-//              re-zero, and recovery's post-crash re-derivation of every
+//              drain — both produce bytes through it), zero_mapped (the
+//              bytes a growth past EOF exposes, DESIGN.md §13.4), and
+//              recovery's post-crash re-derivation of every
 //              reachable file block (an in-place overwrite torn by a crash
 //              legitimately leaves data and entry out of step; recovery
 //              restores the invariant before verifiers run).  Stamps are

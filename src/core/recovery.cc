@@ -14,7 +14,6 @@
 //   4. The block allocator's bitmap is rewritten from the mark, and the
 //      volatile shared-DRAM lock table is reset.
 #include <algorithm>
-#include <cstring>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -68,9 +67,9 @@ RecoveryReport FileSystem::recover() {
   // loses — discard them with accounting (the relaxed-class contract).  An
   // epoch journal left ARMED is the opposite case: its data is provably
   // durable and only its size/mtime stamps were in flight — roll it forward
-  // BEFORE the mark phase so the sweep and the beyond-EOF tail re-zero see
-  // final sizes.  The roll-forward runs even when the tier is disabled on
-  // this mount: the crashed writer may have had it enabled.
+  // BEFORE the mark phase so the sweep sees final sizes.  The roll-forward
+  // runs even when the tier is disabled on this mount: the crashed writer
+  // may have had it enabled.
   if (wb_) report.wb_staged_discarded = wb_->discard_staged();
   // Under the journal's lease lock (with the dead-peer steal path): on a
   // shared device a live peer may be mid-drain, and an unlocked roll-forward
@@ -132,9 +131,9 @@ RecoveryReport FileSystem::recover() {
         const std::uint64_t fsize = ino->size.load(std::memory_order_relaxed);
         // Mark only blocks below EOF.  An append that died before its size
         // stamp, or a truncate that died between its size commit and
-        // drop_from, leaves blocks past it, and growth would expose their
-        // bytes where zeros are due: unmap them, and the rebuild below
-        // frees them.
+        // drop_from, leaves blocks past it: unmap them, and the rebuild
+        // below frees them.  Bytes past EOF inside the last block stay as
+        // they are; every growth path zeroes what it exposes (§13.4).
         const std::uint64_t keep =
             (fsize + alloc::kBlockSize - 1) / alloc::kBlockSize;
         bool past_eof = false;
@@ -157,34 +156,12 @@ RecoveryReport FileSystem::recover() {
         // Re-derive the file's block checksums (integrity.h): an in-place
         // overwrite torn by the crash legitimately leaves bytes and entry
         // out of step, and the invariant must hold before any verifier
-        // (verify_reads, scrubber, fsck) runs.  Done before the tail
-        // re-zero below so the re-zeroed block is stamped over its final
-        // bytes by the explicit stamp there.
+        // (verify_reads, scrubber, fsck) runs.
         if (crc_.attached()) {
           map.for_each([&](const Extent& e) {
             for (std::uint64_t b = 0; b < e.n_blocks; ++b)
               crc_.stamp(e.dev_off + b * alloc::kBlockSize);
           });
-        }
-        // A crash between a truncate's size commit and its tail zeroing can
-        // leave stale bytes beyond EOF in the final kept block; re-zero so
-        // later growth exposes zeros (the runtime guarantee).
-        const std::uint64_t tail = fsize % alloc::kBlockSize;
-        if (tail != 0) {
-          const std::uint64_t blk = map.find(fsize / alloc::kBlockSize);
-          if (blk != 0) {
-            std::byte* p = reinterpret_cast<std::byte*>(dev_->at(blk)) + tail;
-            const std::uint64_t n = alloc::kBlockSize - tail;
-            bool dirty = false;
-            for (std::uint64_t i = 0; i < n && !dirty; ++i)
-              dirty = p[i] != std::byte{0};
-            if (dirty) {
-              std::memset(p, 0, n);
-              nvmm::persist(p, n);
-              nvmm::fence();
-              crc_.stamp(blk);  // the kept block's bytes just changed
-            }
-          }
         }
         nvmm::pptr<ExtentBlock> eb = ino->ext_spill.load();
         while (eb) {

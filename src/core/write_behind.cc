@@ -399,6 +399,15 @@ void WriteBehind::drain_epoch(Epoch& e) {
     // hole reads back as zeros) — best-effort is the relaxed-class
     // contract, and partial application cannot tear: unreached ranges
     // simply stay holes.
+    //
+    // The size moves only at the journal commit, so each range grows the
+    // file (DESIGN.md §13.4) from the EOF the ranges before it left, and
+    // what the size stamp grows over that no range wrote is zeroed last.
+    std::uint64_t eof = ino->size.load(std::memory_order_acquire);
+    auto stream = [&](const void* buf, std::size_t n, std::uint64_t off) {
+      if (fs_.write_file_bytes(*ino, ino_off, buf, n, off, eof).is_ok())
+        eof = std::max(eof, off + n);
+    };
     std::size_t i = 0;
     while (i < sf.ranges.size()) {
       std::size_t j = i + 1;
@@ -411,20 +420,19 @@ void WriteBehind::drain_epoch(Epoch& e) {
         }
       }
       if (j == i + 1) {
-        (void)fs_.write_file_bytes(*ino, ino_off, sf.ranges[i].data.data(),
-                                   sf.ranges[i].data.size(),
-                                   sf.ranges[i].off);
+        stream(sf.ranges[i].data.data(), sf.ranges[i].data.size(),
+               sf.ranges[i].off);
       } else {
         run.clear();
         run.reserve(static_cast<std::size_t>(end - sf.ranges[i].off));
         for (std::size_t k = i; k < j; ++k)
           run.insert(run.end(), sf.ranges[k].data.begin(),
                      sf.ranges[k].data.end());
-        (void)fs_.write_file_bytes(*ino, ino_off, run.data(), run.size(),
-                                   sf.ranges[i].off);
+        stream(run.data(), run.size(), sf.ranges[i].off);
       }
       i = j;
     }
+    fs_.zero_mapped(*ino, ino_off, eof, sf.new_size);
   }
   nvmm::fence();
   // 2. Arm the intent record.

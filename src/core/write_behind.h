@@ -17,9 +17,10 @@
 // nt_copy per run), then makes the whole epoch visible atomically via the
 // NVMM epoch journal (layout.h WbJournal): data fence → arm intent record →
 // size/mtime stamps → commit record.  A crash recovers to an exact PREFIX
-// of committed epochs: un-armed epochs are invisible (no size moved; tail
-// bytes beyond EOF are re-zeroed by recovery), an armed epoch is rolled
-// forward (its data is provably durable).
+// of committed epochs: un-armed epochs are invisible (no size moved; bytes
+// past EOF are undefined until a growth zeroes them, DESIGN.md §13.4), an
+// armed epoch is rolled forward (its data, and the zeros of every byte its
+// size stamp grows over, are provably durable).
 //
 // Memory is bounded: once staged residency would exceed the cap, the write
 // path flushes that inode's own staged ranges (ordering) and falls back to

@@ -13,8 +13,10 @@
 // single iteration to replay it.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdlib>
 #include <iostream>
+#include <map>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -34,9 +36,12 @@ std::uint64_t env_u64(const char* name, std::uint64_t dflt) {
   return std::strtoull(v, nullptr, 0);
 }
 
-// One random mutation against the live fs.  Keeps a volatile model of the
-// existing file paths so operations mostly succeed; a failed pick (e.g.
-// rename onto itself) simply degrades to a no-op commit point.
+// One random mutation against the live fs.  Keeps a volatile model of every
+// file's expected bytes so operations mostly succeed (a failed pick, e.g.
+// rename onto itself, simply degrades to a no-op commit point) and so each
+// operation's result is checked on the live mount: every op writes a byte
+// value of its own, so a growth path that exposes another file's or an
+// earlier op's bytes fails at that op, not only across a crash.
 class OpMixer {
  public:
   OpMixer(core::Process& p, Rng& rng) : p_(p), rng_(rng) {
@@ -47,14 +52,19 @@ class OpMixer {
   }
 
   void step() {
-    switch (files_.empty() ? 0 : rng_.below(6)) {
+    ++ops_;
+    switch (files_.empty() ? 0 : rng_.below(7)) {
       case 0: do_create(); break;
       case 1: do_unlink(); break;
       case 2: do_rename(); break;
-      case 3: do_append(); break;
-      case 4: do_append_blocks(); break;
+      case 3: do_append(1 + rng_.below(3000)); break;
+      // 9-16 new blocks: over the reservation's 8-block limit, so the run
+      // is a direct allocation from a segment's bitmap.
+      case 4: do_append((9 + rng_.below(8)) * 4096); break;
+      case 5: do_sparse_write(); break;
       default: do_truncate(); break;
     }
+    if (!::testing::Test::HasFatalFailure()) check_model();
   }
 
  private:
@@ -62,54 +72,95 @@ class OpMixer {
     return dirs_[rng_.below(dirs_.size())] + "/f" + std::to_string(next_++);
   }
   std::string& pick_file() { return files_[rng_.below(files_.size())]; }
+  // This op's byte value: nonzero, and unique within a sequence.
+  [[nodiscard]] char fill() const { return static_cast<char>(1 + ops_ % 255); }
 
   void do_create() {
     // Create empty: create and write are *separate* §4.3 atomic operations,
     // and each fuzz step must be one atomic operation so the recorded
     // boundary snapshots form a complete oracle ("created but not yet
     // written" is a legal recovery state and must be its own boundary).
-    // Data coverage comes from the append and truncate steps.
+    // Data coverage comes from the write and truncate steps.
     std::string path = fresh_path();
     auto fd = p_.open(path, core::kOpenCreate | core::kOpenWrite);
     ASSERT_TRUE(fd.is_ok()) << path;
     ASSERT_TRUE(p_.close(*fd).is_ok());
+    model_[path].clear();
     files_.push_back(std::move(path));
   }
   void do_unlink() {
     const std::size_t i = rng_.below(files_.size());
     ASSERT_TRUE(p_.unlink(files_[i]).is_ok()) << files_[i];
+    model_.erase(files_[i]);
     files_.erase(files_.begin() + static_cast<std::ptrdiff_t>(i));
   }
   void do_rename() {
     std::string to = fresh_path();
     std::string& from = pick_file();
     ASSERT_TRUE(p_.rename(from, to).is_ok()) << from << " -> " << to;
+    std::string bytes = std::move(model_[from]);
+    model_.erase(from);
+    model_[to] = std::move(bytes);
     from = std::move(to);
   }
-  void do_append() {
-    auto fd = p_.open(pick_file(), core::kOpenWrite | core::kOpenAppend);
+  void do_append(std::size_t n) {
+    const std::string& path = pick_file();
+    auto fd = p_.open(path, core::kOpenWrite | core::kOpenAppend);
     ASSERT_TRUE(fd.is_ok());
-    const std::string data(1 + rng_.below(3000), 'z');
+    const std::string data(n, fill());
     ASSERT_TRUE(p_.write(*fd, data.data(), data.size()).is_ok());
     ASSERT_TRUE(p_.close(*fd).is_ok());
+    model_[path] += data;
   }
-  // 9-16 new blocks: over the reservation's 8-block limit, so the run is a
-  // direct allocation from a segment's bitmap.
-  void do_append_blocks() {
-    auto fd = p_.open(pick_file(), core::kOpenWrite | core::kOpenAppend);
+  // A write that starts past EOF, inside the last block or beyond it: the
+  // gap must read zero.
+  void do_sparse_write() {
+    const std::string& path = pick_file();
+    std::string& bytes = model_[path];
+    const std::uint64_t off = bytes.size() + 1 + rng_.below(3 * 4096);
+    auto fd = p_.open(path, core::kOpenWrite);
     ASSERT_TRUE(fd.is_ok());
-    const std::string data((9 + rng_.below(8)) * 4096, 'y');
-    ASSERT_TRUE(p_.write(*fd, data.data(), data.size()).is_ok());
+    const std::string data(1 + rng_.below(3000), fill());
+    ASSERT_TRUE(p_.pwrite(*fd, data.data(), data.size(), off).is_ok());
     ASSERT_TRUE(p_.close(*fd).is_ok());
+    bytes.resize(off, '\0');
+    bytes += data;
   }
+  // Shrinks or grows: a grown range must read zero.
   void do_truncate() {
-    ASSERT_TRUE(p_.truncate(pick_file(), rng_.below(8000)).is_ok());
+    const std::string& path = pick_file();
+    std::string& bytes = model_[path];
+    const std::uint64_t size = rng_.below(bytes.size() + 8000);
+    ASSERT_TRUE(p_.truncate(path, size).is_ok());
+    bytes.resize(size, '\0');
+  }
+
+  void check_model() {
+    for (const std::string& path : files_) {
+      const std::string& want = model_[path];
+      auto fd = p_.open(path, core::kOpenRead);
+      ASSERT_TRUE(fd.is_ok()) << path;
+      std::string got(want.size() + 1, '?');
+      auto n = p_.pread(*fd, got.data(), got.size(), 0);
+      ASSERT_TRUE(n.is_ok()) << path;
+      ASSERT_TRUE(p_.close(*fd).is_ok());
+      got.resize(*n);
+      ASSERT_EQ(got.size(), want.size()) << path << " after op " << ops_;
+      const auto diff = std::mismatch(got.begin(), got.end(), want.begin());
+      ASSERT_TRUE(diff.first == got.end())
+          << path << " after op " << ops_ << ": byte "
+          << (diff.first - got.begin()) << " reads "
+          << static_cast<int>(*diff.first) << ", expected "
+          << static_cast<int>(*diff.second);
+    }
   }
 
   core::Process& p_;
   Rng& rng_;
   std::vector<std::string> dirs_, files_;
+  std::map<std::string, std::string> model_;  // path -> expected bytes
   unsigned next_ = 0;
+  unsigned ops_ = 0;
 };
 
 constexpr std::size_t kOpsPerSequence = 12;

@@ -1,6 +1,7 @@
 // Crash-injection tests for the Fig. 5 protocols: a process dies at each
 // labeled step boundary; the paper's claimed outcome must hold after either
 // helper completion (a survivor touching the same line) or full recovery.
+#include <memory>
 #include <string>
 
 #include "common/failpoint.h"
@@ -22,6 +23,7 @@ class FsCrashTest : public FsTest {
   }
   void TearDown() override {
     FailPoint::disarm();
+    survivor_.reset();
     FsTest::TearDown();  // recover + fsck the surviving image
   }
 
@@ -32,6 +34,31 @@ class FsCrashTest : public FsTest {
     EXPECT_THROW(op(), CrashedException);
     ASSERT_GE(FailPoint::hits(), 1u) << "fail point never reached: " << point;
   }
+
+  // A dead writer streamed 20,000 bytes of 'y' at offset 1,000 of /grown
+  // into blocks 0-5; its size stamp never landed.  Leaves a survivor
+  // process on the same mount.
+  void crash_mid_write() {
+    auto fd = p().open("/grown", kOpenCreate | kOpenWrite);
+    ASSERT_TRUE(fd.is_ok());
+    const std::string head(1000, 'h');
+    ASSERT_TRUE(p().pwrite(*fd, head.data(), head.size(), 0).is_ok());
+    const std::string lost(20000, 'y');
+    crash_during("fs.write.data_persisted", [&] {
+      (void)p().pwrite(*fd, lost.data(), lost.size(), head.size());
+    });
+    survivor_ = fs_->open_process(1000, 1000);
+  }
+  // Bytes [1000, end) as the survivor reads them.
+  std::string read_from_head(std::uint64_t end) {
+    auto fd = survivor_->open("/grown", kOpenRead);
+    EXPECT_TRUE(fd.is_ok());
+    std::string back(end - 1000, '?');
+    EXPECT_EQ(*survivor_->pread(*fd, back.data(), back.size(), 1000),
+              back.size());
+    return back;
+  }
+  std::unique_ptr<core::Process> survivor_;
 };
 
 // ---- create (Fig. 5a) ----
@@ -294,6 +321,31 @@ TEST_F(FsCrashTest, TruncateCrashAfterSizeCommitLeavesNoBlocksPastEof) {
   std::string back(data.size() - 3000, '?');
   ASSERT_EQ(*p().pread(*rfd, back.data(), back.size(), 3000), back.size());
   EXPECT_EQ(back.find_first_not_of('\0'), std::string::npos);
+}
+
+// ---- a survivor grows over a dead writer's blocks past EOF ----
+//
+// Until the next recover() nothing unmaps them, so the growth itself must
+// zero what it exposes (DESIGN.md §13.4; crash_mid_write above).  Both
+// growths end inside block 5, so no block stays mapped past EOF.
+TEST_F(FsCrashTest, TruncateUpOverADeadWritersBlocksReadsZeros) {
+  crash_mid_write();
+  auto fd = survivor_->open("/grown", kOpenWrite);
+  ASSERT_TRUE(fd.is_ok());
+  ASSERT_TRUE(survivor_->ftruncate(*fd, 24000).is_ok());
+  EXPECT_EQ(read_from_head(24000).find_first_not_of('\0'),
+            std::string::npos);
+}
+
+TEST_F(FsCrashTest, WritePastEofOverADeadWritersBlocksReadsZeros) {
+  crash_mid_write();
+  auto fd = survivor_->open("/grown", kOpenWrite);
+  ASSERT_TRUE(fd.is_ok());
+  ASSERT_TRUE(survivor_->pwrite(*fd, "z", 1, 24000).is_ok());
+  const std::string back = read_from_head(24001);
+  EXPECT_EQ(back.substr(0, 23000).find_first_not_of('\0'),
+            std::string::npos);
+  EXPECT_EQ(back.back(), 'z');
 }
 
 TEST_F(FsCrashTest, SurvivorStealsAbandonedLineLock) {

@@ -6,6 +6,7 @@
 // every reachable block's checksum and would mask the injection.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <string>
@@ -146,13 +147,23 @@ TEST_F(IntegrityTest, OverwriteRestampsTheBlock) {
   EXPECT_TRUE(p().pread(fd, buf.data(), buf.size(), 0).is_ok());
 }
 
-TEST_F(IntegrityTest, TruncateTailRezeroKeepsChecksumCoherent) {
+// Truncate leaves the kept block's bytes past EOF as they are; its
+// checksum still covers the whole block, so every verifier agrees.  Growing
+// back zeroes those bytes and re-stamps the block.
+TEST_F(IntegrityTest, TruncateDownAndUpKeepChecksumsCoherent) {
   const int fd = make_file("/tr", std::string(2 * 4096, 't'));
   ASSERT_TRUE(p().ftruncate(fd, 4096 + 100).is_ok());
   fs_->set_verify_reads(true);
-  std::vector<char> buf(4096 + 100);
-  EXPECT_TRUE(p().pread(fd, buf.data(), buf.size(), 0).is_ok());
-  const core::CheckReport cr = core::check_fs(*fs_);
+  std::vector<char> buf(2 * 4096);
+  EXPECT_TRUE(p().pread(fd, buf.data(), 4096 + 100, 0).is_ok());
+  core::CheckReport cr = core::check_fs(*fs_);
+  EXPECT_TRUE(cr.ok()) << cr.summary();
+  ASSERT_TRUE(p().ftruncate(fd, 2 * 4096).is_ok());
+  ASSERT_EQ(*p().pread(fd, buf.data(), buf.size(), 0), buf.size());
+  EXPECT_EQ(std::count(buf.begin() + 4096 + 100, buf.end(), '\0'),
+            4096 - 100);
+  EXPECT_EQ(fs_->fsstat().crc_verify_failures, 0u);
+  cr = core::check_fs(*fs_);
   EXPECT_TRUE(cr.ok()) << cr.summary();
 }
 
@@ -258,7 +269,7 @@ TEST_F(IntegrityTest, FreeSpaceSurvivesACleanShutdown) {
 
 TEST_F(IntegrityTest, RecycledBlocksDoNotInheritStaleChecksums) {
   // Delete a stamped file, then create a new one.  Whether or not the
-  // allocator hands back the same run, ensure_allocated clears every entry
+  // allocator hands back the same run, the write path clears every entry
   // it grants, so a new owner's bytes are never checked against a stale
   // CRC left by the block's previous life.
   const int fd = make_file("/old", std::string(4096, 'o'));

@@ -18,6 +18,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <vector>
 
 #include "alloc/obj_alloc.h"
 #include "core/fs.h"
@@ -28,15 +29,19 @@ namespace simurgh::testing {
 namespace {
 
 // A partial-block write into a freshly allocated block zero-fills the bytes
-// the copy does not cover; those zeros must be durable by the time the size
-// stamp commits.  Blocks are recycled (unlink scrubs lazily, segments move
-// between pools), so "the device started zeroed" is not an excuse: in a
-// crash image every line of the fresh block that no flush covered holds the
-// previous owner's bytes, served back as file content.  The invariant is
-// therefore structural — after a partial write into a fresh block, *every*
-// cache line of that block must appear in the flush log, not just the lines
-// the payload touched.
+// below EOF the copy does not cover; those zeros must be durable by the time
+// the size stamp commits.  Blocks are recycled (unlink scrubs lazily,
+// segments move between pools), so "the device started zeroed" is not an
+// excuse: every block an allocation can hand out holds a dead owner's bytes
+// here, and the durable image must serve zeros below the write.  Bytes past
+// EOF are undefined (DESIGN.md §13.4) and are not zeroed.
 TEST_F(FsTest, FreshBlockZeroFillIsDurable) {
+  // Recycled-media model: free runs and the unused reservation remainders.
+  auto dirty = [&](std::uint64_t off, std::uint64_t n) {
+    std::memset(nvmm_->base() + off, 0xab, n * 4096);
+  };
+  fs_->blocks().for_each_free_range(dirty);
+  fs_->blocks().for_each_reservation(dirty);
   nvmm::ShadowLog log(*nvmm_);
   log.start();
   auto fd = p().open("/fresh", core::kOpenCreate | core::kOpenWrite);
@@ -46,37 +51,6 @@ TEST_F(FsTest, FreshBlockZeroFillIsDurable) {
   log.stop();
   log.seal();
 
-  // Locate the data block: the only 4 KB block whose bytes are the payload
-  // at offset 100 and zeros everywhere else (journal copies of the payload
-  // carry record framing around it, so they never match this shape).
-  constexpr std::uint64_t kBS = 4096;
-  std::uint64_t block = 0;
-  unsigned candidates = 0;
-  for (std::uint64_t off = 0; off + kBS <= nvmm_->size(); off += kBS) {
-    const auto* b = reinterpret_cast<const unsigned char*>(nvmm_->base() + off);
-    if (std::memcmp(b + 100, payload, sizeof payload - 1) != 0) continue;
-    bool clean = true;
-    for (std::uint64_t i = 0; i < kBS && clean; ++i)
-      if (i < 100 || i >= 100 + sizeof payload - 1) clean = b[i] == 0;
-    if (!clean) continue;
-    block = off;
-    ++candidates;
-  }
-  ASSERT_EQ(candidates, 1u) << "could not pin down the file's data block";
-
-  // Every line of the block must have been flushed while traced.  Without
-  // the persist after the zero-fill memset, only the payload's own line
-  // reaches the log and the other 63 stay at the previous owner's bytes in
-  // any crash image.
-  std::set<std::uint64_t> flushed;
-  for (std::size_t w = 0; w < log.n_windows(); ++w)
-    for (const auto& patch : log.window(w).patches)
-      if (patch.off >= block && patch.off < block + kBS)
-        flushed.insert(patch.off);
-  EXPECT_EQ(flushed.size(), kBS / nvmm::kCacheLine)
-      << "unflushed lines in a freshly allocated, partially written block";
-
-  // And the durable image serves zeros for the unwritten bytes.
   nvmm::Device img(nvmm_->size());
   log.materialize(log.n_windows(), {}, img);
   nvmm::Device shm2(kShmSize);
@@ -85,11 +59,12 @@ TEST_F(FsTest, FreshBlockZeroFillIsDurable) {
   auto rfd = proc2->open("/fresh", core::kOpenRead);
   ASSERT_TRUE(rfd.is_ok());
   char buf[128] = {};
-  auto r = proc2->pread(*rfd, buf, 100, 0);
+  auto r = proc2->pread(*rfd, buf, sizeof buf, 0);
   ASSERT_TRUE(r.is_ok());
-  ASSERT_EQ(*r, 100u);
+  ASSERT_EQ(*r, 100 + sizeof payload - 1);
   for (int i = 0; i < 100; ++i)
     ASSERT_EQ(buf[i], 0) << "stale byte resurfaced at offset " << i;
+  EXPECT_EQ(std::memcmp(buf + 100, payload, sizeof payload - 1), 0);
 }
 
 // A free's flushes are not fenced, so a crash can leave a free inode whose
@@ -233,6 +208,61 @@ TEST_F(PersistBudgetTest, NamespaceOpsStayWithinTheirFenceBudget) {
     ASSERT_TRUE(
         p().symlink("0123456789abcdef", name("/s", "l", i)).is_ok());
   });
+  const core::CheckReport cr = core::check_fs(*fs_);
+  EXPECT_TRUE(cr.ok()) << cr.summary();
+}
+
+// The write path's rows (DESIGN.md §14): a fresh block past EOF is mapped
+// unfenced before the data fence, its partial edges past EOF stay unzeroed,
+// and the size stamp commits — two fences, plus the allocator's own on a
+// direct run.  A hole fill fences its bytes before mapping them, and its
+// extent rides the commit fence.  The ~0.02 above a whole count is the one
+// reservation refill (a bitmap carve, one fence) per 64 blocks.
+TEST_F(PersistBudgetTest, WritesStayWithinTheirFenceBudget) {
+  ASSERT_TRUE(p().mkdir("/w").is_ok());
+  std::vector<int> fds;
+  for (int i = 0; i < kBudgetOps; ++i) {
+    make_file(name("/w", "a", i), 4096);
+    auto fd = p().open(name("/w", "a", i),
+                       core::kOpenWrite | core::kOpenAppend);
+    ASSERT_TRUE(fd.is_ok());
+    fds.push_back(*fd);
+  }
+  const std::string kib(1024, 'k'), block(4096, 'n'), big(64 * 1024, 'g');
+  expect_within({"4 KiB write into a new block", 2.02, 2.02}, [&](int i) {
+    ASSERT_TRUE(p().write(fds[i], block.data(), block.size()).is_ok());
+  });
+  auto& ps = nvmm::persist_stats();
+  const std::uint64_t nt0 = ps.nt_bytes.load();
+  expect_within({"1 KiB append into a fresh block", 2.02, 2.02}, [&](int i) {
+    ASSERT_TRUE(p().write(fds[i], kib.data(), kib.size()).is_ok());
+  });
+  EXPECT_EQ(ps.nt_bytes.load() - nt0, kBudgetOps * kib.size())
+      << "the append streams its own 16 lines and nothing else";
+  expect_within({"4 KiB overwrite", 2, 1}, [&](int i) {
+    ASSERT_TRUE(p().pwrite(fds[i], block.data(), block.size(), 0).is_ok());
+  });
+  for (const int fd : fds) ASSERT_TRUE(p().ftruncate(fd, 6 * 4096).is_ok());
+  expect_within({"4 KiB write into a hole below EOF", 2.02, 2.02},
+                [&](int i) {
+                  ASSERT_TRUE(p().pwrite(fds[i], block.data(), block.size(),
+                                         4 * 4096)
+                                  .is_ok());
+                });
+  for (const int fd : fds) ASSERT_TRUE(p().close(fd).is_ok());
+  // Files of one extent, so the new one lands in the second inline slot.
+  fds.clear();
+  for (int i = 0; i < kBudgetOps; ++i) {
+    make_file(name("/w", "b", i), 4096);
+    auto fd = p().open(name("/w", "b", i),
+                       core::kOpenWrite | core::kOpenAppend);
+    ASSERT_TRUE(fd.is_ok());
+    fds.push_back(*fd);
+  }
+  expect_within({"64 KiB append", 3, 3.05}, [&](int i) {
+    ASSERT_TRUE(p().write(fds[i], big.data(), big.size()).is_ok());
+  });
+  for (const int fd : fds) ASSERT_TRUE(p().close(fd).is_ok());
   const core::CheckReport cr = core::check_fs(*fs_);
   EXPECT_TRUE(cr.ok()) << cr.summary();
 }

@@ -194,6 +194,41 @@ TEST_F(WriteBehindTest, SparseStagedWriteReadsZerosBelow) {
   ASSERT_TRUE(p().close(fd).is_ok());
 }
 
+// The drain grows the file range by range before one size stamp: each range
+// must zero from the EOF the ranges before it left — not the persisted size,
+// which would wipe the first range, nor the staged size, which would leave
+// the bytes past the persisted EOF stale.  The block is recycled from a
+// freed file of 'z' bytes.
+TEST_F(WriteBehindTest, SparseStagedWritesOnARecycledBlockReadZerosBelow) {
+  // 64 blocks are a direct carve from the tail of the first fitting free
+  // run; freed, the run is whole again, and this thread's first reservation
+  // chunk is the same 64 blocks.
+  const int junk = open_rw("/junk");
+  const std::string z = pattern('z', 64 * 4096);
+  ASSERT_TRUE(p().write(junk, z.data(), z.size()).is_ok());
+  ASSERT_TRUE(p().close(junk).is_ok());
+  const std::uint64_t junk_off =
+      fs_->inode_at(p().stat("/junk")->inode)->extents[0].dev_off;
+  ASSERT_TRUE(p().unlink("/junk").is_ok());
+
+  const int fd = open_rw("/f");
+  const std::string strict = pattern('s', 50);
+  ASSERT_TRUE(p().write(fd, strict.data(), strict.size()).is_ok());
+  ASSERT_TRUE(p().set_durability("/f", Durability::group).is_ok());
+  ASSERT_TRUE(p().pwrite(fd, "head", 4, 100).is_ok());
+  ASSERT_TRUE(p().pwrite(fd, "tail", 4, 3000).is_ok());
+  const std::string want = strict + std::string(50, '\0') + "head" +
+                           std::string(3000 - 104, '\0') + "tail";
+  EXPECT_EQ(read_all("/f"), want);
+  wb_->commit_epoch_now();
+  const std::uint64_t blk = fs_->inode_at(p().stat("/f")->inode)->extents[0]
+                                .dev_off;
+  ASSERT_GE(blk, junk_off);
+  ASSERT_LT(blk, junk_off + 64 * 4096) << "the block is not recycled";
+  EXPECT_EQ(read_all("/f"), want);
+  ASSERT_TRUE(p().close(fd).is_ok());
+}
+
 TEST_F(WriteBehindTest, AppendResolvesAgainstStagedSize) {
   const int fd = open_rw("/f", kOpenAppend);
   ASSERT_TRUE(p().set_durability("/f", Durability::group).is_ok());
