@@ -28,8 +28,8 @@ std::uint64_t find_bit(const std::atomic<std::uint64_t>* words,
   return end;
 }
 
-// Sets (or clears) the bits of blocks [first, first+n) and flushes the
-// bitmap lines they sit in; the caller fences.
+// Sets (or clears) the bits of blocks [first, first+n).  Nothing is
+// flushed: the bitmap is derived state (block_alloc.h).
 void set_bits(std::atomic<std::uint64_t>* words, std::uint64_t first,
               std::uint64_t n, bool used) {
   const std::uint64_t last = first + n - 1;
@@ -42,8 +42,6 @@ void set_bits(std::atomic<std::uint64_t>* words, std::uint64_t first,
     else
       words[w].fetch_and(~mask);
   }
-  nvmm::persist(&words[first / 64],
-                (last / 64 - first / 64 + 1) * sizeof(std::uint64_t));
 }
 
 }  // namespace
@@ -391,7 +389,6 @@ Result<std::uint64_t> BlockAllocator::alloc_from(SegmentHeader& seg,
     if (r.end - r.first < n) continue;
     set_bits(bitmap(), r.end - n, n, true);
     SIMURGH_FAILPOINT("blockalloc.bits_set");
-    nvmm::fence();
     return header().data_off + (r.end - n) * kBlockSize;
   }
   return Errc::no_space;
@@ -403,7 +400,6 @@ void BlockAllocator::free(std::uint64_t block_off, std::uint64_t n_blocks) {
   lock_segment(seg);
   set_bits(bitmap(), (block_off - header().data_off) / kBlockSize, n_blocks,
            false);
-  nvmm::fence();
   unlock_segment(seg);
   stats_->frees.fetch_add(1, std::memory_order_relaxed);
 }
@@ -446,6 +442,12 @@ void BlockAllocator::for_each_reservation(
     if (len > 0) fn(slot.dev_off.load(std::memory_order_relaxed), len);
     unlock_reservation(slot, self);
   }
+}
+
+void BlockAllocator::persist_bitmap() const noexcept {
+  const std::uint64_t n_words = (header().n_blocks + 63) / 64;
+  nvmm::persist(bitmap(), n_words * sizeof(std::uint64_t));
+  nvmm::fence();
 }
 
 std::uint64_t BlockAllocator::free_blocks() const noexcept {

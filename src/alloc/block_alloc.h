@@ -11,14 +11,28 @@
 // use), laid out at the start of the range format() is given; the data
 // blocks follow it.  An allocation takes the first free run of the segment,
 // in address order, that fits and carves from the run's tail; it sets the
-// run's bits, a free clears them, and each flushes the bitmap lines it
-// touched and fences once.  The bits are updated with atomic word RMWs
-// because one word can hold the bits of two segments.  Nothing else is
-// stored: a segment's free count is a popcount of its bits, so no shutdown
-// can leave a stale counter behind.  Allocation picks the segment
-// `(hint / align) % n_segments` so blocks of one file cluster in one segment
-// and files spread across segments; a busy segment is skipped in favor of
-// the next (paper's contention-avoidance hop).
+// run's bits and a free clears them, with atomic word RMWs because one word
+// can hold the bits of two segments.  Neither flushes nor fences: the
+// bitmap is derived state.  Nothing else is stored: a segment's free count
+// is a popcount of its bits, so no shutdown can leave a stale counter
+// behind.  Allocation picks the segment `(hint / align) % n_segments` so
+// blocks of one file cluster in one segment and files spread across
+// segments; a busy segment is skipped in favor of the next (paper's
+// contention-avoidance hop).
+//
+// Derived NVMM state — recover() re-derives it after any unclean shutdown,
+// so no operation flushes or fences it, and a durable copy matters only to
+// a clean image, which mounts without recovery:
+//   - this allocation bitmap: rebuild_bitmap() rewrites it from the mark;
+//     format(), rebuild_bitmap() and the last clean unmount
+//     (persist_bitmap(), from FileSystem::unmount's last-out step) flush it;
+//   - the CRC32C table (core/integrity.h): recovery re-stamps every
+//     reachable file block; the last clean unmount flushes it
+//     (CrcTable::persist_all());
+//   - the directory and extent epochs and their generators (DirBlock::
+//     epoch, Inode::ext_epoch, Superblock::{dir,file}_epoch_gen): they
+//     validate DRAM caches only, which every mount and every recover()
+//     starts empty, so nothing persists them.
 #pragma once
 
 #include <algorithm>
@@ -165,7 +179,7 @@ class BlockAllocator {
   // crash rule, §4.2).  A slot whose lock nobody took for a whole lease
   // (its thread exited, or sat idle that long) is adopted, remainder
   // included, by the next thread that claims a slot.  Reservations are
-  // volatile: the carve durably sets the chunk's bits, but the remainder is
+  // volatile: the carve sets the chunk's bits, but the remainder is
   // referenced by no inode, so after a crash recovery's rebuild_bitmap
   // returns it.
   static constexpr std::uint64_t kReserveChunk = 64;  // 256 KB
@@ -208,6 +222,10 @@ class BlockAllocator {
   // fence.
   template <typename InUseFn>
   void rebuild_bitmap(InUseFn&& in_use);
+  // Flushes the whole bitmap and fences once (one line per 512 blocks).
+  // rebuild_bitmap ends with it, and the last clean unmount calls it: a
+  // clean image mounts without recovery and reads the bitmap as it is.
+  void persist_bitmap() const noexcept;
 
   // Read-only walk of every maximal free run within a segment, in address
   // order: fn(run_dev_off, n_blocks).  Quiescent-state inspection only
@@ -320,8 +338,7 @@ void BlockAllocator::rebuild_bitmap(InUseFn&& in_use) {
       if (in_use(h.data_off + b * kBlockSize)) bits |= 1ull << (b % 64);
     words[w].store(bits);
   }
-  nvmm::persist(words, n_words * sizeof(std::uint64_t));
-  nvmm::fence();
+  persist_bitmap();
 }
 
 }  // namespace simurgh::alloc

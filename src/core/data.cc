@@ -132,11 +132,10 @@ void FileSystem::zero_mapped(Inode& ino, std::uint64_t ino_off,
   });
 }
 
-Result<bool> FileSystem::write_file_bytes(Inode& ino, std::uint64_t ino_off,
-                                          const void* buf, std::size_t n,
-                                          std::uint64_t off,
-                                          std::uint64_t eof) {
-  if (n == 0) return false;
+Status FileSystem::write_file_bytes(Inode& ino, std::uint64_t ino_off,
+                                    const void* buf, std::size_t n,
+                                    std::uint64_t off, std::uint64_t eof) {
+  if (n == 0) return Status::ok();
   const std::uint64_t end = off + n;
   const std::uint64_t first = off / kBS;
   const std::uint64_t last = (end + kBS - 1) / kBS;
@@ -146,7 +145,7 @@ Result<bool> FileSystem::write_file_bytes(Inode& ino, std::uint64_t ino_off,
   std::pmr::vector<Run> runs(&rb.mem);
   if (Status st = plan_runs(*this, res, ino_off, first, last, runs);
       !st.is_ok())
-    return st.code();
+    return st;
   // Bytes past EOF are undefined (DESIGN.md §13.4).  What this write grows
   // the file over must read zero: [eof, off) in blocks mapped before it...
   if (off > eof) zero_mapped(ino, ino_off, eof, off);
@@ -187,7 +186,7 @@ Result<bool> FileSystem::write_file_bytes(Inode& ino, std::uint64_t ino_off,
     nvmm::fence();
   }
   if (Status st = map_fresh(*this, res, ino, runs); !st.is_ok())
-    return st.code();
+    return st;
   copy([&](const Run& r) { return !hole_fill || !r.fresh; });
   // Re-derive the checksum of every touched block (integrity.h).  Under the
   // caller's exclusive file lock entry and bytes move together; the entries
@@ -198,7 +197,7 @@ Result<bool> FileSystem::write_file_bytes(Inode& ino, std::uint64_t ino_off,
     for (const Run& r : runs)
       for (std::uint64_t i = 0; i < r.n_blocks; ++i)
         crc_.stamp(r.dev_off + i * kBS);
-  return hole_fill;
+  return Status::ok();
 }
 
 Result<std::size_t> Process::do_read(Inode& ino, std::uint64_t ino_off,
@@ -283,14 +282,19 @@ Result<std::size_t> Process::do_write(Inode& ino, std::uint64_t ino_off,
   if (pos_out != nullptr) *pos_out = off;
   if (n == 0) return std::size_t{0};
 
-  auto fenced = fs_.write_file_bytes(ino, ino_off, buf, n, off, eof);
-  if (!fenced.is_ok()) return fenced.code();
-  // Order: data durable before the size/mtime update (paper: sfence between
-  // data persist and metadata update) — ONE fence for the whole write.  A
-  // hole fill fenced its bytes before mapping them; unless it also grows
-  // the file, its extents are the commit and ride the closing fence.
-  if (!*fenced || off + n > eof) nvmm::fence();
-  SIMURGH_FAILPOINT("fs.write.data_persisted");
+  if (Status st = fs_.write_file_bytes(ino, ino_off, buf, n, off, eof);
+      !st.is_ok())
+    return st.code();
+  // Order: data durable before the size that exposes it (paper: sfence
+  // between data persist and metadata update).  Only a write that grows the
+  // file moves a size.  A hole fill fenced its bytes before mapping them,
+  // so its extents are the commit; an in-place overwrite has nothing to
+  // order after its data.  Either rides the closing fence with its
+  // size/mtime line.
+  if (off + n > eof) {
+    nvmm::fence();
+    SIMURGH_FAILPOINT("fs.write.data_persisted");
+  }
   inode_size_max(ino.size, off + n);
   ino.mtime_ns.store(wall_ns(), std::memory_order_relaxed);
   nvmm::persist(&ino.size, kSizeStampBytes);

@@ -16,34 +16,43 @@ ExtentCache::ExtentCache(std::size_t slots)
 
 ExtentCache::ViewPtr ExtentCache::get(std::uint64_t ino_off,
                                       std::uint64_t epoch) noexcept {
-  ViewPtr v = slot_for(ino_off).load(std::memory_order_acquire);
-  if (v && v->ino_off == ino_off && v->epoch == epoch) {
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return v;
+  Slot& s = slot_for(ino_off);
+  ViewPtr v;
+  {
+    common::MutexLock lk(s.mu);
+    if (s.view && s.view->ino_off == ino_off && s.view->epoch == epoch)
+      v = s.view;
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return nullptr;
+  (v ? hits_ : misses_).fetch_add(1, std::memory_order_relaxed);
+  return v;
 }
 
+// The displaced views are released after the slot lock drops: the last
+// reference frees the extent vector.
 void ExtentCache::put(ViewPtr v) noexcept {
   if (!v) return;
   Slot& s = slot_for(v->ino_off);
   fills_.fetch_add(1, std::memory_order_relaxed);
   // Unconditional overwrite: a racing stale put is harmless — its epoch no
   // longer matches the inode's, so the next get simply misses and refills.
-  s.store(std::move(v), std::memory_order_release);
+  common::MutexLock lk(s.mu);
+  v.swap(s.view);
 }
 
 void ExtentCache::invalidate(std::uint64_t ino_off) noexcept {
   Slot& s = slot_for(ino_off);
-  ViewPtr v = s.load(std::memory_order_acquire);
-  if (v && v->ino_off == ino_off)
-    s.store(nullptr, std::memory_order_release);
+  ViewPtr old;
+  common::MutexLock lk(s.mu);
+  if (s.view && s.view->ino_off == ino_off) old.swap(s.view);
 }
 
 void ExtentCache::clear() noexcept {
-  for (std::size_t i = 0; i < n_slots_; ++i)
-    slots_[i].store(nullptr, std::memory_order_release);
+  for (std::size_t i = 0; i < n_slots_; ++i) {
+    Slot& s = slots_[i];
+    ViewPtr old;
+    common::MutexLock lk(s.mu);
+    old.swap(s.view);
+  }
 }
 
 ExtentCacheStats ExtentCache::stats() const noexcept {

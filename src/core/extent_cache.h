@@ -4,9 +4,10 @@
 // spill chain per 4 KB block.
 //
 // Validation mirrors the decentralized lookup cache (lookup_cache.h): no
-// invalidation messages, no shared locks on the read path.  Every cached
-// view carries the even Inode::ext_epoch it was scanned at; a probe loads
-// the inode's current epoch and trusts the view only on an exact match.
+// invalidation messages, no cross-mount locks on the read path.  Every
+// cached view carries the even Inode::ext_epoch it was scanned at; a probe
+// loads the inode's current epoch and trusts the view only on an exact
+// match.
 // Mutators bracket map changes with ExtentEpochGuard (odd while inside,
 // next even value after), so a view can never validate across a mutation.
 // Recycled inode offsets cannot replay an old epoch because new files are
@@ -14,14 +15,12 @@
 // that counter past the dying file's final epoch (the same ABA closure as
 // dir_epoch_gen).
 //
-// Views are immutable heap snapshots behind std::atomic<std::shared_ptr>,
-// so a probe is one atomic load + two field compares and never observes a
-// torn extent list; a stale view is simply rejected by the epoch compare.
-//
-// Lock discipline: no capabilities declared here on purpose
-// (common/thread_annotations.h) — correctness rests on the epoch-validation
-// protocol over atomics, not on mutual exclusion, so there is nothing for
-// the thread-safety analysis to check; TSAN covers the protocol instead.
+// Views are immutable heap snapshots.  Each slot's pointer sits behind the
+// slot's own DRAM mutex, held only to compare, copy or swap the pointer, so
+// a probe never observes a torn extent list, and a stale view is simply
+// rejected by the epoch compare.  (A std::atomic<std::shared_ptr> slot does
+// the same with a lock bit inside libstdc++, which TSAN does not model: it
+// reported clear() against get() as a data race.)
 #pragma once
 
 #include <algorithm>
@@ -30,6 +29,7 @@
 #include <memory>
 #include <vector>
 
+#include "common/thread_annotations.h"
 #include "core/inode.h"
 
 namespace simurgh::core {
@@ -71,7 +71,10 @@ class ExtentCache {
   void reset_stats() noexcept;
 
  private:
-  using Slot = std::atomic<ViewPtr>;
+  struct Slot {
+    common::Mutex mu;
+    ViewPtr view GUARDED_BY(mu);
+  };
   [[nodiscard]] Slot& slot_for(std::uint64_t ino_off) noexcept {
     // Inode offsets are pool offsets with a 256-byte stride; spread them.
     return slots_[(ino_off * 0x9e3779b97f4a7c15ull >> 17) & (n_slots_ - 1)];

@@ -286,7 +286,9 @@ void FileSystem::unmount() {
         // swept here; with dirty deaths the blocks stay stranded for the
         // next recovery's rebuild instead.
         blocks_->drain_reservations(/*drain_all=*/true);
-        // Checksums must be durable before the image is marked clean.
+        // Derived state (block_alloc.h) must be durable before the image is
+        // marked clean: a clean mount runs no recovery to re-derive it.
+        blocks_->persist_bitmap();
         crc_.persist_all();
       },
       [&] {
@@ -707,9 +709,9 @@ Status Process::drop_inode(std::uint64_t inode_off) {
   // Last link: the class binding dies with the file (the inode offset will
   // be recycled), then release storage and the inode object itself.  The
   // caller fenced the store that unlinked the inode, so nothing below
-  // fences for the inode: its extent clears and frees ride the next fence
-  // (recovery reclaims an unreachable inode whatever landed).  Block frees
-  // fence their own bitmap updates.
+  // fences: its extent clears and frees ride the next fence (recovery
+  // reclaims an unreachable inode whatever landed), and block frees only
+  // clear bitmap bits, which recovery rebuilds.
   if (WriteBehind* wb = fs_.write_behind(); wb != nullptr)
     wb->forget(inode_off);
   if (ino->is_dir()) {

@@ -296,11 +296,9 @@ class FileSystem {
   // (DESIGN.md §13.4).  NO size/mtime stamp: the caller owns the commit
   // (strict do_write fences + stamps per write; the epoch drain fences once
   // per epoch and stamps through the journal).  Fences only a hole fill's
-  // bytes before mapping them, and then returns true.  Caller holds the
-  // file's exclusive lock.
-  Result<bool> write_file_bytes(Inode& ino, std::uint64_t ino_off,
-                                const void* buf, std::size_t n,
-                                std::uint64_t off, std::uint64_t eof);
+  // bytes before mapping them.  Caller holds the file's exclusive lock.
+  Status write_file_bytes(Inode& ino, std::uint64_t ino_off, const void* buf,
+                          std::size_t n, std::uint64_t off, std::uint64_t eof);
   // Zeroes the bytes of [from, to) that lie in mapped blocks and re-stamps
   // those blocks' checksums: what a growth from `from` to `to` exposes.
   // Flushes, does not fence.  Caller holds the file's exclusive lock.

@@ -25,6 +25,19 @@
 //   verify     data.cc do_read under verify_reads mode, the background
 //              scrubber (core/scrub.h), and fsck's CRC pass (check.cc).
 //
+// Derived NVMM state — recover() re-derives it after any unclean shutdown,
+// so no operation flushes or fences it, and a durable copy matters only to
+// a clean image, which mounts without recovery:
+//   - this CRC32C table: recovery re-stamps every reachable file block; the
+//     last clean unmount flushes it (persist_all());
+//   - the block allocation bitmap (alloc/block_alloc.h): recovery's
+//     rebuild_bitmap() rewrites it from the mark; format, rebuild_bitmap()
+//     and the last clean unmount (BlockAllocator::persist_bitmap()) flush
+//     it;
+//   - the directory and extent epochs and their generators: they validate
+//     DRAM caches only, which every mount and every recover() starts empty,
+//     so nothing persists them.
+//
 // Writers hold the file's exclusive lock while stamping, so an entry never
 // races its own block's bytes.  relaxed-writes mode waives that lock and
 // with it checksum coherence — documented as incompatible with verify_reads.

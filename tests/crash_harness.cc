@@ -186,13 +186,17 @@ int CrashHarness::check_image(
   return -1;
 }
 
-void CrashHarness::explore(const std::string& context) {
+void CrashHarness::explore(const std::string& context,
+                           const std::vector<NsSnapshot>& between) {
   ASSERT_NE(log_, nullptr) << "run_op() before explore()";
   const std::size_t nw = log_->n_windows();
-  const std::vector<const NsSnapshot*> oracle{&pre_, &post_};
+  std::vector<const NsSnapshot*> oracle{&pre_};
+  for (const NsSnapshot& s : between) oracle.push_back(&s);
+  oracle.push_back(&post_);
   auto tally = [&](int matched) {
     if (matched == 0) ++stats_.recovered_to_pre;
-    if (matched == 1) ++stats_.recovered_to_post;
+    if (matched == static_cast<int>(oracle.size()) - 1)
+      ++stats_.recovered_to_post;
   };
   for (std::size_t f = 0; f <= nw; ++f) {
     ++stats_.fences;

@@ -17,7 +17,8 @@
 // mounted — which runs full recovery, since the image necessarily carries
 // clean_shutdown == 0 — then audited with the fsck checker (core/check.h),
 // and finally compared against the atomicity oracle: the recovered
-// namespace must equal the pre-op or the post-op snapshot exactly
+// namespace must equal the pre-op or the post-op snapshot exactly, or a
+// state the op committed between its operations if it runs several
 // (timestamps excluded; §4.3 operations are all-or-nothing).
 //
 // Failures fire gtest assertions tagged with the context string, the fence
@@ -111,7 +112,10 @@ class CrashHarness {
   void run_op(const std::function<void(core::Process&)>& op);
 
   // Enumerates and verifies crash images; gtest failures carry `context`.
-  void explore(const std::string& context);
+  // An op of several operations passes the namespace states it commits
+  // between them in `between`: an image may recover to one of those too.
+  void explore(const std::string& context,
+               const std::vector<NsSnapshot>& between = {});
 
   // Verifies `n` seeded random images (for multi-op fuzz sequences where
   // exhaustive per-window enumeration would explode): each picks a random

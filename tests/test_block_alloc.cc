@@ -137,42 +137,44 @@ TEST_F(BlockAllocTest, FirstFitInAddressOrderCarvesTheRunsTail) {
   EXPECT_EQ(*alloc_.alloc(8, 0), blk(70));
 }
 
-// Persist budget of the allocator itself: a direct allocation and a free
-// each fence once and flush the bitmap lines the run's bits sit in (one
-// line of 512 blocks' bits, or two when the run straddles a line).
-TEST_F(BlockAllocTest, AllocAndFreeFlushOnlyTheRunsBitmapLines) {
+// Persist budget of the allocator itself: the bitmap is derived state
+// (block_alloc.h), so a direct allocation and a free change bits and
+// nothing else.  Only persist_bitmap() flushes them: every bitmap line (512
+// blocks' bits each), with one fence.
+TEST_F(BlockAllocTest, AllocAndFreeNeitherFlushNorFence) {
   constexpr std::uint64_t kRun = 16;  // over kReserveServeMax: direct path
   constexpr int kOps = 64;
   auto& ps = nvmm::persist_stats();
-  auto lines_of = [&](std::uint64_t off) -> std::uint64_t {
-    const std::uint64_t bit = (off - alloc_.data_off()) / kBlockSize;
-    return (bit + kRun - 1) / 512 - bit / 512 + 1;
-  };
   std::vector<std::uint64_t> runs;
-  double fences = 0, lines = 0;
+  std::uint64_t f0 = ps.fences.load(), l0 = ps.flushed_lines.load();
   for (int i = 0; i < kOps; ++i) {
-    const std::uint64_t f0 = ps.fences.load(), l0 = ps.flushed_lines.load();
     auto r = alloc_.alloc(kRun, 0);
     ASSERT_TRUE(r.is_ok());
-    EXPECT_EQ(ps.fences.load() - f0, 1u);
-    EXPECT_EQ(ps.flushed_lines.load() - l0, lines_of(*r)) << i;
-    fences += static_cast<double>(ps.fences.load() - f0);
-    lines += static_cast<double>(ps.flushed_lines.load() - l0);
     runs.push_back(*r);
   }
   std::cout << "[persist-budget] block alloc (16 blocks, direct): "
-            << fences / kOps << " fences, " << lines / kOps << " lines\n";
-  fences = lines = 0;
-  for (const std::uint64_t off : runs) {
-    const std::uint64_t f0 = ps.fences.load(), l0 = ps.flushed_lines.load();
-    alloc_.free(off, kRun);
-    EXPECT_EQ(ps.fences.load() - f0, 1u);
-    EXPECT_EQ(ps.flushed_lines.load() - l0, lines_of(off));
-    fences += static_cast<double>(ps.fences.load() - f0);
-    lines += static_cast<double>(ps.flushed_lines.load() - l0);
-  }
-  std::cout << "[persist-budget] block free (16 blocks): " << fences / kOps
-            << " fences, " << lines / kOps << " lines\n";
+            << static_cast<double>(ps.fences.load() - f0) / kOps
+            << " fences, "
+            << static_cast<double>(ps.flushed_lines.load() - l0) / kOps
+            << " lines\n";
+  EXPECT_EQ(ps.fences.load() - f0, 0u);
+  EXPECT_EQ(ps.flushed_lines.load() - l0, 0u);
+  f0 = ps.fences.load();
+  l0 = ps.flushed_lines.load();
+  for (const std::uint64_t off : runs) alloc_.free(off, kRun);
+  std::cout << "[persist-budget] block free (16 blocks): "
+            << static_cast<double>(ps.fences.load() - f0) / kOps
+            << " fences, "
+            << static_cast<double>(ps.flushed_lines.load() - l0) / kOps
+            << " lines\n";
+  EXPECT_EQ(ps.fences.load() - f0, 0u);
+  EXPECT_EQ(ps.flushed_lines.load() - l0, 0u);
+  f0 = ps.fences.load();
+  l0 = ps.flushed_lines.load();
+  alloc_.persist_bitmap();
+  EXPECT_EQ(ps.fences.load() - f0, 1u);
+  EXPECT_EQ(ps.flushed_lines.load() - l0,
+            (alloc_.n_blocks_total() + 511) / 512);
 }
 
 TEST_F(BlockAllocTest, ExhaustionReturnsNoSpace) {

@@ -86,7 +86,11 @@ TEST(CrashImages, RenameSameDirIsCrashAtomic) {
 }
 
 TEST(CrashImages, RenameSameDirOverExistingIsCrashAtomic) {
-  CrashHarness h;
+  // The displaced file's drop shares the window after the commit with the
+  // frees that follow it: 12 lines, all enumerated (4,096 images).
+  CrashHarness::Options opts;
+  opts.exhaustive_max_lines = 12;
+  CrashHarness h(opts);
   h.setup([](core::Process& p) {
     ASSERT_TRUE(p.mkdir("/d").is_ok());
     write_file(p, "/d/src", "the survivor");
@@ -97,6 +101,8 @@ TEST(CrashImages, RenameSameDirOverExistingIsCrashAtomic) {
   });
   h.explore("rename /d/src -> /d/dst (same dir, over existing)");
   expect_both_outcomes(h, "rename-local-replace");
+  EXPECT_EQ(h.stats().sampled_windows, 0u)
+      << "a window outgrew exhaustive coverage";
 }
 
 TEST(CrashImages, RenameCrossDirIsCrashAtomic) {
@@ -216,6 +222,53 @@ TEST(CrashImages, UnlinkMultiExtentFileIsCrashAtomic) {
   h.run_op([](core::Process& p) { ASSERT_TRUE(p.unlink("/d/f").is_ok()); });
   h.explore("unlink /d/f (3 extents, 18 blocks)");
   expect_both_outcomes(h, "unlink-multi-extent");
+}
+
+// A block free neither flushes nor fences its bitmap bits (derived state,
+// alloc/block_alloc.h), so freed blocks can be handed out again with no
+// fence in between.  The unlinked file's two extents are the 64 blocks the
+// next reservation chunk carves, and the new file's block comes from that
+// chunk.  Every image recovers to the state before the unlink, after it, or
+// after the write, with the bitmap rebuilt from the mark.
+TEST(CrashImages, FreeAndReuseWithoutAFenceIsCrashAtomic) {
+  CrashHarness h;
+  std::uint64_t freed_off = 0;
+  h.setup([&](core::Process& p) {
+    ASSERT_TRUE(p.mkdir("/d").is_ok());
+    // Two direct 32-block carves from the tail of the segment's first
+    // fitting free run: adjacent on the device, two extents in the file.
+    auto fd = p.open("/d/f", kOpenCreate | kOpenWrite);
+    ASSERT_TRUE(fd.is_ok());
+    const std::string run(32 * 4096, 'f');
+    ASSERT_TRUE(p.pwrite(*fd, run.data(), run.size(), 0).is_ok());
+    ASSERT_TRUE(p.pwrite(*fd, run.data(), run.size(), 40 * 4096).is_ok());
+    ASSERT_TRUE(p.close(*fd).is_ok());
+    auto st = p.stat("/d/f");
+    ASSERT_TRUE(st.is_ok());
+    const core::Inode* ino = h.fs().inode_at(st->inode);
+    freed_off = ino->extents[1].dev_off;
+    ASSERT_EQ(freed_off + 32 * 4096, ino->extents[0].dev_off);
+    write_file(p, "/d/g", "");
+  });
+  h.run_op([](core::Process& p) {
+    ASSERT_TRUE(p.unlink("/d/f").is_ok());
+    auto fd = p.open("/d/g", kOpenWrite);
+    ASSERT_TRUE(fd.is_ok());
+    const std::string one(4096, 'g');
+    ASSERT_TRUE(p.write(*fd, one.data(), one.size()).is_ok());
+    ASSERT_TRUE(p.close(*fd).is_ok());
+  });
+  EXPECT_GE(h.fs().blocks().stats().reserve_refills.load(), 1u)
+      << "the write did not carve a reservation chunk";
+  auto st = h.proc().stat("/d/g");
+  ASSERT_TRUE(st.is_ok());
+  const std::uint64_t blk = h.fs().inode_at(st->inode)->extents[0].dev_off;
+  ASSERT_GE(blk, freed_off);
+  ASSERT_LT(blk, freed_off + 64 * 4096) << "the new block is not recycled";
+  NsSnapshot unlinked = h.pre();
+  unlinked.erase("/d/f");
+  h.explore("unlink /d/f, then write /d/g into its freed blocks", {unlinked});
+  expect_both_outcomes(h, "free-and-reuse");
 }
 
 TEST(CrashImages, StrandedReservationLeaksNoBlocks) {

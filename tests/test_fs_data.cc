@@ -200,12 +200,13 @@ TEST_F(FsDataTest, OverwriteCommitsExactlyOneMetadataLine) {
   nvmm::FlushCounter fc;
   ASSERT_TRUE(p().pwrite(fd, blk.data(), blk.size(), 0).is_ok());
   // The commit flushes only the inode's size/mtime stamp — one cache line,
-  // one persist call — not the whole Inode (which spans four lines).  Two
-  // fences: data-before-metadata, then the commit itself.
+  // one persist call — not the whole Inode (which spans four lines).  One
+  // fence: no size moves, so nothing has to be ordered after the data and
+  // the mtime line rides the data's fence.
   EXPECT_EQ(fc.persist_calls(), 1u);
   EXPECT_EQ(fc.persist_lines(), 1u);
   EXPECT_EQ(fc.nt_lines(), 4096u / nvmm::kCacheLine);
-  EXPECT_EQ(fc.fences(), 2u);
+  EXPECT_EQ(fc.fences(), 1u);
 }
 
 TEST_F(FsDataTest, MultiBlockWriteStreamsOnce) {
@@ -222,12 +223,12 @@ TEST_F(FsDataTest, MultiBlockWriteStreamsOnce) {
   }
   {
     // Same shape on the overwrite: the extent is contiguous, one stream,
-    // one metadata line, two fences — for a 32 KB write.
+    // one metadata line, one fence — for a 32 KB write.
     nvmm::FlushCounter fc;
     ASSERT_TRUE(p().pwrite(fd, buf.data(), buf.size(), 0).is_ok());
     EXPECT_EQ(fc.nt_stores(), 1u);
     EXPECT_EQ(fc.persist_lines(), 1u);
-    EXPECT_EQ(fc.fences(), 2u);
+    EXPECT_EQ(fc.fences(), 1u);
   }
 }
 

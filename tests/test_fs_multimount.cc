@@ -361,8 +361,7 @@ TEST_F(MultiMountTest, KillOneMountStormSurvivorReclaimsAndImageChecksClean) {
 
   // Phase 2: one thread of mount A dies mid-allocation, holding its file's
   // exclusive lock and a block-allocator segment lock (the fail point sits
-  // between a carve's bit update and its fence, lease stamps still
-  // ticking).
+  // right after a carve sets its bits, lease stamps still ticking).
   std::atomic<bool> crashed{false};
   std::thread crasher([&] {
     auto p = fs_a_->open_process(1000, 1000);

@@ -49,6 +49,51 @@ class IntegrityTest : public FsTest {
     EXPECT_TRUE(p().pwrite(*fd, data.data(), data.size(), 0).is_ok());
     return *fd;
   }
+
+  // A clean mount runs no recovery and trusts the allocator state on the
+  // media, so a clean unmount must leave it exactly as the live mount saw
+  // it.  A 40-block write takes the direct path, the block after it a
+  // reservation carve.  The mount that frees and allocates unmounts first;
+  // with `peer`, a second mount is the last one out and persists the
+  // bitmap, its peer's bits included.
+  void free_space_survives_a_clean_shutdown(bool peer) {
+    make_file("/old", std::string(20 * 4096, 'o'));
+    proc_.reset();
+    fs_->unmount();
+    fs_.reset();
+
+    nvmm::ShadowLog log(*nvmm_);  // baseline: the first mount's image
+    log.start();
+    std::uint64_t live_free = 0;
+    {
+      std::unique_ptr<core::FileSystem> last;
+      if (peer) last = core::FileSystem::mount(*nvmm_, *shm_);
+      auto fs = core::FileSystem::mount(*nvmm_, *shm_);
+      auto proc = fs->open_process(1000, 1000);
+      ASSERT_TRUE(proc->unlink("/old").is_ok());
+      const auto fd = proc->open("/new", kOpenCreate | kOpenWrite);
+      ASSERT_TRUE(fd.is_ok());
+      const std::string bytes(41 * 4096, 'n');
+      ASSERT_TRUE(proc->write(*fd, bytes.data(), 40 * 4096).is_ok());
+      ASSERT_TRUE(proc->write(*fd, bytes.data(), 4096).is_ok());
+      ASSERT_TRUE(proc->close(*fd).is_ok());
+      proc.reset();
+      fs->unmount();
+      if (last) last->unmount();
+      live_free = (last ? *last : *fs).blocks().free_blocks();
+    }
+    log.stop();
+    log.seal();
+
+    nvmm::Device img(nvmm_->size());
+    log.materialize(log.n_windows(), {}, img);
+    nvmm::Device shm(kShmSize);
+    auto fs = core::FileSystem::mount(img, shm);
+    EXPECT_EQ(fs->last_recovery().directories, 0u) << "recovery ran";
+    const core::CheckReport cr = core::check_fs(*fs);
+    EXPECT_TRUE(cr.ok()) << cr.summary();
+    EXPECT_EQ(fs->blocks().free_blocks(), live_free);
+  }
 };
 
 TEST_F(IntegrityTest, FormatCarvesAndAttachesTheCrcTable) {
@@ -227,44 +272,14 @@ TEST_F(IntegrityTest, ChecksumsSurviveACleanShutdown) {
   EXPECT_EQ(buf, std::string(kBytes, 'b'));
 }
 
-// The same durable image for the block allocator: a clean mount runs no
-// recovery and trusts the allocator state on the media, so a clean
-// unmount must leave it exactly as the live mount saw it.  A 40-block
-// write takes the direct path, the block after it a reservation carve.
+// The same durable image for the block allocator, with one mount and with
+// two (free_space_survives_a_clean_shutdown).
 TEST_F(IntegrityTest, FreeSpaceSurvivesACleanShutdown) {
-  make_file("/old", std::string(20 * 4096, 'o'));
-  proc_.reset();
-  fs_->unmount();
-  fs_.reset();
+  free_space_survives_a_clean_shutdown(/*peer=*/false);
+}
 
-  nvmm::ShadowLog log(*nvmm_);  // baseline: the first mount's image
-  log.start();
-  std::uint64_t live_free = 0;
-  {
-    auto fs = core::FileSystem::mount(*nvmm_, *shm_);
-    auto proc = fs->open_process(1000, 1000);
-    ASSERT_TRUE(proc->unlink("/old").is_ok());
-    const auto fd = proc->open("/new", kOpenCreate | kOpenWrite);
-    ASSERT_TRUE(fd.is_ok());
-    const std::string bytes(41 * 4096, 'n');
-    ASSERT_TRUE(proc->write(*fd, bytes.data(), 40 * 4096).is_ok());
-    ASSERT_TRUE(proc->write(*fd, bytes.data(), 4096).is_ok());
-    ASSERT_TRUE(proc->close(*fd).is_ok());
-    proc.reset();
-    fs->unmount();
-    live_free = fs->blocks().free_blocks();
-  }
-  log.stop();
-  log.seal();
-
-  nvmm::Device img(nvmm_->size());
-  log.materialize(log.n_windows(), {}, img);
-  nvmm::Device shm(kShmSize);
-  auto fs = core::FileSystem::mount(img, shm);
-  EXPECT_EQ(fs->last_recovery().directories, 0u) << "recovery ran";
-  const core::CheckReport cr = core::check_fs(*fs);
-  EXPECT_TRUE(cr.ok()) << cr.summary();
-  EXPECT_EQ(fs->blocks().free_blocks(), live_free);
+TEST_F(IntegrityTest, FreeSpaceSurvivesACleanShutdownOfTwoMounts) {
+  free_space_survives_a_clean_shutdown(/*peer=*/true);
 }
 
 TEST_F(IntegrityTest, RecycledBlocksDoNotInheritStaleChecksums) {
