@@ -102,9 +102,9 @@ int main() {
   std::sort(ratios.begin(), ratios.end());
   const double median_ratio = ratios[ratios.size() / 2];
   const double best_ratio = ratios.back();
-  // Warm probes land on the whole-path layer first; anything it cannot
-  // serve falls through to the per-component cache.  The warm hit rate
-  // counts both layers.
+  // Each warm stat is one directory-path hit (the entry for /p1/.../p8,
+  // shared by all 64 files) plus one per-component probe for the leaf.
+  // The warm hit rate counts both layers.
   const core::LookupCacheStats wlc = fs->lookup_cache().stats();
   const core::LookupCacheStats wpc = fs->path_cache().stats();
   core::LookupCacheStats warm;
@@ -166,7 +166,7 @@ int main() {
               "(cold fill pass %.0f) -> %.2fx median-rep (best %.2fx)\n",
               ns_off, ns_on, ns_cold, speedup, best_ratio);
   std::printf("warm hit rate: %.2f%%  (hits %llu, misses %llu, conflicts "
-              "%llu, fills %llu; whole-path layer %.2f%%)\n",
+              "%llu, fills %llu; directory-path layer %.2f%%)\n",
               hit_rate * 100.0, (unsigned long long)warm.hits,
               (unsigned long long)warm.misses,
               (unsigned long long)warm.conflicts,
@@ -192,7 +192,7 @@ int main() {
         "  \"speedup_best_rep\": %.2f,\n"
         "  \"speedup_min_over_min\": %.2f,\n"
         "  \"warm_hit_rate\": %.4f,\n"
-        "  \"warm_hit_rate_wholepath\": %.4f,\n"
+        "  \"warm_hit_rate_pathcache\": %.4f,\n"
         "  \"warm_hits\": %llu,\n"
         "  \"warm_misses\": %llu,\n"
         "  \"warm_conflicts\": %llu,\n"

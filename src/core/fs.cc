@@ -219,8 +219,8 @@ void FileSystem::attach_components(bool formatted, const FormatOptions& opts) {
   }
   root_off_ = s.root.load().raw();
 
-  // DRAM caches: the per-component lookup cache and the whole-path table
-  // behind the walker, and the extent cache of the data path.
+  // DRAM caches: the per-component lookup cache and the directory-path
+  // table behind the walker, and the extent cache of the data path.
   lookup_cache_ = std::make_unique<LookupCache>();
   path_cache_ = std::make_unique<PathCache>();
   walker_ = std::make_unique<PathWalker>(*dev_, *dirops_, root_off_,

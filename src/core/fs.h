@@ -306,7 +306,7 @@ class FileSystem {
                    std::uint64_t to);
 
   // Path-lookup cache A/B switch (benches, tests); toggles both the
-  // per-component cache and the whole-path fast layer.  On at format/mount.
+  // per-component cache and the directory-path layer.  On at format/mount.
   void set_lookup_cache_enabled(bool enabled) noexcept {
     walker_->set_cache(enabled ? lookup_cache_.get() : nullptr);
     walker_->set_path_cache(enabled ? path_cache_.get() : nullptr);

@@ -11,7 +11,7 @@ namespace {
 // Seed differs from the directory-line hash so cache indices and hash-block
 // lines decorrelate (a line-crowding adversary does not also crowd slots).
 constexpr std::uint64_t kCacheSeed = 0x9ae16a3b2f90404full;
-// And the whole-path table uses its own seed so both caches never crowd the
+// And the directory-path table uses its own seed so both caches never crowd the
 // same way for the same workload.
 constexpr std::uint64_t kPathSeed = 0xc3a5c85c97cb3127ull;
 
@@ -54,9 +54,9 @@ bool words_equal(std::string_view s, const std::uint64_t* words) noexcept {
   return true;
 }
 
-// Word-at-a-time hash for whole paths: one multiply-mix per 8 bytes instead
-// of fnv's per-byte dependency chain — the path hash sits on the whole-path
-// hit path, where ~30-120 input bytes of byte-wise fnv would be a
+// Word-at-a-time hash for directory paths: one multiply-mix per 8 bytes
+// instead of fnv's per-byte dependency chain — the path hash sits on the
+// PathCache hit path, where ~30-120 input bytes of byte-wise fnv would be a
 // measurable fraction of the total.  Internal to this table, so the exact
 // function only needs to be deterministic within a process lifetime.
 std::uint64_t hash_path(std::string_view s, std::uint64_t seed) noexcept {
@@ -196,18 +196,18 @@ PathCache::PathCache(std::size_t slots)
       mask_(n_slots_ - 1) {}
 
 PathCache::Slot& PathCache::slot_for(std::uint64_t cred_key,
-                                     std::string_view path) noexcept {
-  const std::uint64_t h = hash_path(path, kPathSeed) ^ mix64(cred_key);
+                                     std::string_view dir) noexcept {
+  const std::uint64_t h = hash_path(dir, kPathSeed) ^ mix64(cred_key);
   return slots_[h & mask_];
 }
 
-bool PathCache::get(std::uint64_t cred_key, std::string_view path,
+bool PathCache::get(std::uint64_t cred_key, std::string_view dir,
                     Entry& out) noexcept {
-  if (!cacheable(path)) {
+  if (!cacheable(dir)) {
     bump(misses_);
     return false;
   }
-  Slot& s = slot_for(cred_key, path);
+  Slot& s = slot_for(cred_key, dir);
   const std::uint64_t seq1 = s.seq.load(std::memory_order_acquire);
   if ((seq1 & 1) != 0) {
     bump(misses_);
@@ -216,42 +216,39 @@ bool PathCache::get(std::uint64_t cred_key, std::string_view path,
   const std::uint64_t cred = s.cred.load(std::memory_order_relaxed);
   const std::uint64_t len = s.path_len.load(std::memory_order_relaxed);
   std::uint64_t words[kPathWords];
-  const std::size_t nw = (path.size() + 7) / 8;
+  const std::size_t nw = (dir.size() + 7) / 8;
   for (std::size_t i = 0; i < nw; ++i)
     words[i] = s.path[i].load(std::memory_order_relaxed);
-  out.parent_off = s.parent.load(std::memory_order_relaxed);
-  out.inode_off = s.inode.load(std::memory_order_relaxed);
-  const std::uint64_t leaf = s.leaf.load(std::memory_order_relaxed);
-  std::uint64_t nd = s.n_dirs.load(std::memory_order_relaxed);
-  if (nd > kMaxChain) nd = kMaxChain;  // torn slot; seq recheck catches it
-  for (std::uint64_t i = 0; i < nd; ++i) {
-    out.dirs[i] = s.dirs[i].load(std::memory_order_relaxed);
-    out.epochs[i] = s.epochs[i].load(std::memory_order_relaxed);
-    out.buckets[i] = static_cast<std::uint32_t>(
-        s.buckets[i].load(std::memory_order_relaxed));
+  out.dir_off = s.dir.load(std::memory_order_relaxed);
+  std::uint64_t n = s.n_links.load(std::memory_order_relaxed);
+  if (n > kMaxChain) n = kMaxChain;  // torn slot; seq recheck catches it
+  for (std::uint64_t i = 0; i < n; ++i) {
+    const SlotLink& l = s.links[i];
+    out.links[i].dir = l.dir.load(std::memory_order_relaxed);
+    out.links[i].epoch = l.epoch.load(std::memory_order_relaxed);
+    out.links[i].bucket =
+        static_cast<std::uint32_t>(l.bucket.load(std::memory_order_relaxed));
   }
   std::atomic_thread_fence(std::memory_order_acquire);
   if (s.seq.load(std::memory_order_relaxed) != seq1) {
     bump(misses_);
     return false;  // torn by a concurrent fill
   }
-  if (cred != cred_key || len != path.size() ||
-      !words_equal(path, words) || out.inode_off == 0 || nd == 0) {
+  if (cred != cred_key || len != dir.size() || !words_equal(dir, words) ||
+      out.dir_off == 0 || n == 0) {
     bump(misses_);
     return false;
   }
-  out.leaf_pos = static_cast<std::uint32_t>(leaf >> 32);
-  out.leaf_len = static_cast<std::uint32_t>(leaf & 0xffffffffu);
-  out.n_dirs = static_cast<std::uint32_t>(nd);
+  out.n_links = static_cast<std::uint32_t>(n);
   return true;  // caller validates the chain, then note_hit/note_conflict
 }
 
-void PathCache::put(std::uint64_t cred_key, std::string_view path,
+void PathCache::put(std::uint64_t cred_key, std::string_view dir,
                     const Entry& e) noexcept {
-  if (!cacheable(path) || e.inode_off == 0 || e.n_dirs == 0 ||
-      e.n_dirs > kMaxChain)
+  if (!cacheable(dir) || e.dir_off == 0 || e.n_links == 0 ||
+      e.n_links > kMaxChain)
     return;
-  Slot& s = slot_for(cred_key, path);
+  Slot& s = slot_for(cred_key, dir);
   std::uint64_t seq = s.seq.load(std::memory_order_relaxed);
   if ((seq & 1) != 0) return;  // another fill in flight; theirs wins
   if (!s.seq.compare_exchange_strong(seq, seq + 1,
@@ -259,20 +256,18 @@ void PathCache::put(std::uint64_t cred_key, std::string_view path,
                                      std::memory_order_relaxed))
     return;
   s.cred.store(cred_key, std::memory_order_relaxed);
-  s.path_len.store(path.size(), std::memory_order_relaxed);
+  s.path_len.store(dir.size(), std::memory_order_relaxed);
   std::uint64_t words[kPathWords];
-  pack_words(path, words, kPathWords);
+  pack_words(dir, words, kPathWords);
   for (std::size_t i = 0; i < kPathWords; ++i)
     s.path[i].store(words[i], std::memory_order_relaxed);
-  s.parent.store(e.parent_off, std::memory_order_relaxed);
-  s.inode.store(e.inode_off, std::memory_order_relaxed);
-  s.leaf.store((static_cast<std::uint64_t>(e.leaf_pos) << 32) | e.leaf_len,
-               std::memory_order_relaxed);
-  s.n_dirs.store(e.n_dirs, std::memory_order_relaxed);
-  for (std::uint32_t i = 0; i < e.n_dirs; ++i) {
-    s.dirs[i].store(e.dirs[i], std::memory_order_relaxed);
-    s.epochs[i].store(e.epochs[i], std::memory_order_relaxed);
-    s.buckets[i].store(e.buckets[i], std::memory_order_relaxed);
+  s.dir.store(e.dir_off, std::memory_order_relaxed);
+  s.n_links.store(e.n_links, std::memory_order_relaxed);
+  for (std::uint32_t i = 0; i < e.n_links; ++i) {
+    SlotLink& l = s.links[i];
+    l.dir.store(e.links[i].dir, std::memory_order_relaxed);
+    l.epoch.store(e.links[i].epoch, std::memory_order_relaxed);
+    l.bucket.store(e.links[i].bucket, std::memory_order_relaxed);
   }
   s.seq.store(seq + 2, std::memory_order_release);
   bump(fills_);
@@ -287,10 +282,10 @@ void PathCache::clear() noexcept {
                                        std::memory_order_acquire,
                                        std::memory_order_relaxed))
       continue;
-    s.inode.store(0, std::memory_order_relaxed);
+    s.dir.store(0, std::memory_order_relaxed);
     s.cred.store(0, std::memory_order_relaxed);
     s.path_len.store(0, std::memory_order_relaxed);
-    s.n_dirs.store(0, std::memory_order_relaxed);
+    s.n_links.store(0, std::memory_order_relaxed);
     s.seq.store(seq + 2, std::memory_order_release);
   }
 }

@@ -130,29 +130,37 @@ class LookupCache {
   mutable std::atomic<std::uint64_t> fills_{0};
 };
 
-// Whole-path fast layer on top of the component cache: maps
+// Directory-path layer on top of the component cache: maps
 //
-//     (credentials, full path string) -> final (parent, inode, leaf)
+//     (credentials, path of a directory) -> that directory's inode offset
 //
 // together with the *validation chain* — the (directory inode offset,
-// epoch) pair of every directory the filling walk traversed.  A hit is
+// epoch) pair of every directory the filling walk passed through on the
+// way there.  A path's entry is keyed by its directory part, everything
+// before the last '/', so "/a/b/f" and "/a/b/g" share the entry for
+// "/a/b", and resolve() and resolve_parent() share it too.  A hit is
 // honoured only after the walker re-checks that every chained directory
 // still carries its recorded epoch (one pass in reverse walk order: each
 // ancestor is read after all of its descendants, so a recycled directory
 // whose epoch matches by coincidence is always exposed by the ancestor
-// bump that its removal required).  Because chmod/chown of
-// a directory also bump its own epoch (traversal rights live in the dir's
-// inode), an unchanged chain proves the whole walk — bindings *and*
-// permission checks — would replay identically, so a hit skips every
-// per-component probe and access check.  Entries are keyed by credentials
-// so one process's traversal rights never leak to another.
+// bump that its removal required).  Because chmod/chown of a directory
+// also bump its own epoch (traversal rights live in the dir's inode), an
+// unchanged chain proves the walk to the directory — bindings *and*
+// permission checks — would replay identically.  The cached directory is
+// not in its own chain: each hit checks its exec right, loads the leaf's
+// epoch and looks the leaf up with one ordinary walk step (component cache
+// first), so a create, unlink or rename inside the directory invalidates
+// nothing here.  Entries are keyed by credentials so one process's
+// traversal rights never leak to another.
 //
-// Same lock-free slot protocol as LookupCache.  Walks that traverse a
-// symlink, "." or "..", or more than kMaxChain directories bypass this
-// layer (the component cache still serves them).
+// Same lock-free slot protocol as LookupCache.  Paths whose leaf sits
+// directly under the root, or that end in '/', "." or "..", never use this
+// layer (dir_of() is empty for them); walks to a directory through a
+// symlink, "." or "..", or through more than kMaxChain directories never
+// fill it.  The component cache still serves all of these.
 class PathCache {
  public:
-  static constexpr std::size_t kPathMax = 120;  // longest path stored
+  static constexpr std::size_t kPathMax = 120;  // longest key stored
   static constexpr std::size_t kMaxChain = 12;  // dirs a cached walk spans
   static constexpr std::size_t kDefaultSlots = 4096;
 
@@ -160,32 +168,46 @@ class PathCache {
   PathCache(const PathCache&) = delete;
   PathCache& operator=(const PathCache&) = delete;
 
-  [[nodiscard]] static bool cacheable(std::string_view path) noexcept {
-    return !path.empty() && path.size() <= kPathMax;
+  [[nodiscard]] static bool cacheable(std::string_view key) noexcept {
+    return !key.empty() && key.size() <= kPathMax;
   }
 
+  // The key `path`'s entry lives under: the path's directory part, or empty
+  // when the path bypasses this layer (see the class comment).
+  [[nodiscard]] static std::string_view dir_of(std::string_view path) noexcept {
+    const std::size_t slash = path.rfind('/');
+    if (slash == std::string_view::npos) return {};
+    const std::string_view leaf = path.substr(slash + 1);
+    if (leaf.empty() || leaf == "." || leaf == "..") return {};
+    const std::string_view dir = path.substr(0, slash);
+    if (!cacheable(dir) || dir.find_first_not_of('/') == std::string_view::npos)
+      return {};
+    return dir;
+  }
+
+  // One chain link: a directory the walk passed through and the epoch that
+  // governed the next component's name in it.  `bucket` is the bucket that
+  // name hashed to (0 while the directory was unsplit): once a directory
+  // fans out, the epoch is validated against that bucket head's epoch, not
+  // the whole directory's.
+  struct Link {
+    std::uint64_t dir = 0;
+    std::uint64_t epoch = 0;
+    std::uint32_t bucket = 0;
+  };
+
   struct Entry {
-    std::uint64_t parent_off = 0;
-    std::uint64_t inode_off = 0;
-    std::uint32_t leaf_pos = 0;  // leaf component's position in the path
-    std::uint32_t leaf_len = 0;
-    std::uint32_t n_dirs = 0;
-    std::uint64_t dirs[kMaxChain] = {};
-    std::uint64_t epochs[kMaxChain] = {};
-    // Which bucket the component looked up in dirs[i] hashed to when the
-    // epoch was recorded (0 while that directory was unsplit): once a
-    // directory fans out, epochs[i] must be validated against that bucket
-    // head's epoch, not the whole directory's.
-    std::uint32_t buckets[kMaxChain] = {};
+    std::uint64_t dir_off = 0;  // the directory the key names
+    std::uint32_t n_links = 0;
+    Link links[kMaxChain];
   };
 
   // Snapshot lookup: returns true when a consistent entry for
-  // (cred_key, path) exists.  The caller still has to validate the chain;
+  // (cred_key, dir) exists.  The caller still has to validate the chain;
   // it reports the outcome back via note_hit()/note_conflict().
-  bool get(std::uint64_t cred_key, std::string_view path,
-           Entry& out) noexcept;
+  bool get(std::uint64_t cred_key, std::string_view dir, Entry& out) noexcept;
 
-  void put(std::uint64_t cred_key, std::string_view path,
+  void put(std::uint64_t cred_key, std::string_view dir,
            const Entry& e) noexcept;
 
   void clear() noexcept;
@@ -201,22 +223,24 @@ class PathCache {
  private:
   static constexpr std::size_t kPathWords = kPathMax / 8;  // 15 u64s
 
+  struct SlotLink {
+    std::atomic<std::uint64_t> dir;
+    std::atomic<std::uint64_t> epoch;
+    std::atomic<std::uint64_t> bucket;
+  };
+
   struct Slot {
     std::atomic<std::uint64_t> seq{0};
     std::atomic<std::uint64_t> cred{0};
     std::atomic<std::uint64_t> path_len{0};
     std::atomic<std::uint64_t> path[kPathWords];
-    std::atomic<std::uint64_t> parent{0};
-    std::atomic<std::uint64_t> inode{0};
-    std::atomic<std::uint64_t> leaf{0};    // pos << 32 | len
-    std::atomic<std::uint64_t> n_dirs{0};
-    std::atomic<std::uint64_t> dirs[kMaxChain];
-    std::atomic<std::uint64_t> epochs[kMaxChain];
-    std::atomic<std::uint64_t> buckets[kMaxChain];
+    std::atomic<std::uint64_t> dir{0};
+    std::atomic<std::uint64_t> n_links{0};
+    SlotLink links[kMaxChain];
   };
 
   [[nodiscard]] Slot& slot_for(std::uint64_t cred_key,
-                               std::string_view path) noexcept;
+                               std::string_view dir) noexcept;
 
   std::unique_ptr<Slot[]> slots_;
   std::size_t n_slots_;

@@ -26,36 +26,48 @@ namespace {
 constexpr int kMaxSymlinkDepth = 8;
 }  // namespace
 
-Result<PathWalker::ChildRef> PathWalker::lookup_child(
-    std::uint64_t dir_off, Inode& dir, std::string_view name) const {
-  LookupCache* cache = cache_;
-  std::uint64_t epoch = 0;
-  if (cache != nullptr && LookupCache::cacheable(name)) {
-    // The epoch is loaded (acquire) before the probe; a hit is only valid
-    // against this snapshot, and a fill only happens when the epoch did not
-    // move across the slow probe.  name_epoch routes to the bucket head
-    // governing `name` once the directory is split, so mutations in other
-    // buckets neither invalidate this binding nor block its fill.
-    epoch = dirops_.name_epoch(dir, name).epoch;
-    if (epoch != ~0ull) {
-      LookupCache::Binding b;
-      if (cache->get(dir_off, name, epoch, b))
-        return ChildRef{b.fentry_off, b.inode_off};
+Result<std::uint64_t> PathWalker::descend(const Credentials& cred,
+                                          std::uint64_t dir_off,
+                                          std::string_view name,
+                                          WalkTrace* trace) const {
+  Inode& dir = *inode_at(dir_off);
+  if (!dir.is_dir()) return Errc::not_dir;
+  LookupCache* cache = LookupCache::cacheable(name) ? cache_ : nullptr;
+  const bool record = trace != nullptr && trace->ok;
+  // The epoch is loaded (acquire) before the exec check and the probe: a
+  // cache hit is only valid against this snapshot, a fill only happens
+  // when the epoch did not move across the slow probe, and a chmod or
+  // mutation racing the walk leaves a recorded link behind the directory's
+  // final epoch, so the fill-side re-check refuses it.  name_epoch routes
+  // to the bucket head governing `name` once the directory is split, so
+  // mutations in other buckets neither invalidate this binding nor block
+  // its fill.
+  DirOps::NameEpoch ne;
+  if (cache != nullptr || record) ne = dirops_.name_epoch(dir, name);
+  if (record) {
+    PathCache::Entry& c = trace->chain;
+    if (ne.epoch == ~0ull || c.n_links == PathCache::kMaxChain) {
+      trace->ok = false;
     } else {
-      cache = nullptr;  // directory being torn down: never cache
+      c.links[c.n_links++] = {dir_off, ne.epoch, ne.bucket};
     }
-  } else {
-    cache = nullptr;
   }
+  // Traversal needs execute permission on each directory.
+  if (!may_access(dir, cred, kMayExec)) return Errc::permission;
+  if (ne.epoch == ~0ull) cache = nullptr;  // being torn down: never cache
 
+  if (cache != nullptr) {
+    LookupCache::Binding b;
+    if (cache->get(dir_off, name, ne.epoch, b)) return b.inode_off;
+  }
   SIMURGH_ASSIGN_OR_RETURN(const std::uint64_t fe_off,
                            dirops_.lookup(dir, name));
   const auto* fe = reinterpret_cast<const FileEntry*>(dev_.at(fe_off));
   const std::uint64_t child_off = fe->inode.load().raw();
   if (child_off == 0) return Errc::not_found;  // racing delete
-  if (cache != nullptr && dirops_.name_epoch(dir, name).epoch == epoch)
-    cache->put(dir_off, name, epoch, fe_off, child_off);
-  return ChildRef{fe_off, child_off};
+  if (cache != nullptr && dirops_.name_epoch(dir, name).epoch == ne.epoch)
+    cache->put(dir_off, name, ne.epoch, fe_off, child_off);
+  return child_off;
 }
 
 bool PathWalker::dir_epoch_now(std::uint64_t ino_off, std::uint32_t bucket,
@@ -91,22 +103,19 @@ bool PathWalker::dir_epoch_now(std::uint64_t ino_off, std::uint32_t bucket,
   return true;
 }
 
-bool PathWalker::chain_matches(const std::uint64_t* dirs,
-                               const std::uint64_t* epochs,
-                               const std::uint32_t* buckets,
-                               std::uint32_t n) const noexcept {
+bool PathWalker::chain_matches(const PathCache::Entry& e) const noexcept {
   // Reverse order (leaf-most first, root last) makes one pass sound
-  // against recycled directories: removing or moving dirs[i] out of
-  // dirs[i-1] bumps dirs[i-1]'s epoch *before* dirs[i] can be freed, and
-  // reading the parent after the child means that bump — which postdates
-  // the recorded epoch, taken while the chain was intact — is visible by
-  // the time dirs[i-1] is checked.  A freed dirs[i] can therefore match
-  // only if its parent then mismatches; induction anchors at the
-  // never-recycled root.
-  for (std::uint32_t i = n; i-- > 0;) {
-    std::uint64_t e;
-    if (!dir_epoch_now(dirs[i], buckets[i], e) || e != epochs[i])
-      return false;
+  // against recycled directories: removing or moving links[i].dir out of
+  // links[i-1].dir bumps the latter's epoch *before* the former can be
+  // freed, and reading the parent after the child means that bump — which
+  // postdates the recorded epoch, taken while the chain was intact — is
+  // visible by the time links[i-1] is checked.  A freed links[i].dir can
+  // therefore match only if its parent then mismatches; induction anchors
+  // at the never-recycled root.
+  for (std::uint32_t i = e.n_links; i-- > 0;) {
+    const PathCache::Link& l = e.links[i];
+    std::uint64_t now = 0;
+    if (!dir_epoch_now(l.dir, l.bucket, now) || now != l.epoch) return false;
   }
   return true;
 }
@@ -144,55 +153,23 @@ Result<ResolveResult> PathWalker::walk(const Credentials& cred,
     i = j;
 
     const std::uint64_t cur_off = stack[sp - 1];
-    Inode* cur = inode_at(cur_off);
-    if (trace != nullptr && trace->ok) {
-      // The epoch is recorded *before* this directory's permission check
-      // and probe, so a chmod/mutation racing the walk leaves the recorded
-      // value behind the final epoch and the fill-side re-check refuses it.
-      std::uint64_t e = ~0ull;
-      std::uint32_t bkt = 0;
-      if (cur->is_dir()) {
-        // The epoch governing *this component* in cur: the bucket head's
-        // once cur is split, so only mutations of that bucket invalidate
-        // the chain link.
-        const DirOps::NameEpoch ne = dirops_.name_epoch(*cur, comp);
-        e = ne.epoch;
-        bkt = ne.bucket;
-      }
-      if (e == ~0ull || trace->n == PathCache::kMaxChain) {
-        trace->ok = false;
-      } else {
-        trace->dirs[trace->n] = cur_off;
-        trace->epochs[trace->n] = e;
-        trace->buckets[trace->n] = bkt;
-        ++trace->n;
-      }
-    }
-    if (!cur->is_dir()) return Errc::not_dir;
-    // Traversal needs execute permission on each directory.
-    if (!may_access(*cur, cred, kMayExec)) return Errc::permission;
-
-    if (comp == ".") {
+    if (comp == "." || comp == "..") {
       if (trace != nullptr) trace->ok = false;  // not a plain descent
-      if (last) {
-        res.parent_off = sp > 1 ? stack[sp - 2] : root_off_;
-        res.inode_off = cur_off;
-        res.set_leaf(".");
-      }
-      continue;
-    }
-    if (comp == "..") {
-      if (trace != nullptr) trace->ok = false;  // not a plain descent
-      if (sp > 1) --sp;  // "/.." clamps at the root (POSIX)
+      const Inode* cur = inode_at(cur_off);
+      if (!cur->is_dir()) return Errc::not_dir;
+      if (!may_access(*cur, cred, kMayExec)) return Errc::permission;
+      if (comp == ".." && sp > 1) --sp;  // "/.." clamps at the root (POSIX)
       if (last) {
         res.inode_off = stack[sp - 1];
         res.parent_off = sp > 1 ? stack[sp - 2] : root_off_;
-        res.set_leaf("..");
+        res.set_leaf(comp);
       }
       continue;
     }
 
-    auto child = lookup_child(cur_off, *cur, comp);
+    // The trace chains only the directories walked through: the leaf's
+    // directory is the entry itself, and each hit re-checks it.
+    auto child = descend(cred, cur_off, comp, last ? nullptr : trace);
     if (!child.is_ok()) {
       if (child.code() == Errc::not_found && last && want_parent) {
         res.parent_off = cur_off;
@@ -202,15 +179,12 @@ Result<ResolveResult> PathWalker::walk(const Credentials& cred,
       }
       return child.status();
     }
-    const std::uint64_t child_off = child->inode_off;
+    const std::uint64_t child_off = *child;
     Inode* child_ino = inode_at(child_off);
 
-    // Symlinks poison the trace whether followed (the restart walks a
-    // different string) or returned (the same path means two different
-    // things depending on follow_symlink).
-    if (child_ino->is_symlink() && trace != nullptr) trace->ok = false;
-
     if (child_ino->is_symlink() && (follow_symlink || !last)) {
+      // The restart walks a different string: the chain cannot follow it.
+      if (trace != nullptr) trace->ok = false;
       // Restart against the link target.  One pre-sized buffer holds
       // target + the unconsumed remainder of the path; recursion is capped
       // by an explicit depth test (self-loops terminate with EMLINK-style
@@ -245,11 +219,6 @@ Result<ResolveResult> PathWalker::walk(const Credentials& cred,
       res.parent_off = cur_off;
       res.inode_off = child_off;
       res.set_leaf(comp);
-      if (trace != nullptr && trace->ok) {
-        trace->leaf_pos =
-            static_cast<std::uint32_t>(comp.data() - path.data());
-        trace->leaf_len = static_cast<std::uint32_t>(comp.size());
-      }
       return res;
     }
     if (sp == kMaxWalkDepth) return Errc::name_too_long;
@@ -260,59 +229,69 @@ Result<ResolveResult> PathWalker::walk(const Credentials& cred,
   return res;
 }
 
-Result<ResolveResult> PathWalker::resolve(const Credentials& cred,
-                                          std::string_view path,
-                                          bool follow_symlink) const {
+Result<ResolveResult> PathWalker::cached_walk(const Credentials& cred,
+                                              std::string_view path,
+                                              bool follow_symlink,
+                                              bool want_parent) const {
   PathCache* pc = pcache_;
-  if (pc == nullptr || !PathCache::cacheable(path))
-    return walk(cred, path, follow_symlink, /*want_parent=*/false, 0);
+  const std::string_view dir = PathCache::dir_of(path);
+  if (pc == nullptr || dir.empty())
+    return walk(cred, path, follow_symlink, want_parent, 0);
 
   const std::uint64_t cred_key =
       (static_cast<std::uint64_t>(cred.euid) << 32) | cred.egid;
   PathCache::Entry e;
-  if (pc->get(cred_key, path, e)) {
+  if (pc->get(cred_key, dir, e)) {
     // One child-before-parent pass (see chain_matches) revalidates the
-    // whole traversal: bindings and permission outcomes replay identically
-    // while every chained epoch stands.
-    if (static_cast<std::size_t>(e.leaf_pos) + e.leaf_len <= path.size() &&
-        e.leaf_len <= kMaxName &&
-        chain_matches(e.dirs, e.epochs, e.buckets, e.n_dirs)) {
-      ResolveResult res;
-      res.parent_off = e.parent_off;
-      res.inode_off = e.inode_off;
-      res.set_leaf(path.substr(e.leaf_pos, e.leaf_len));
+    // walk to the directory: bindings and permission outcomes replay
+    // identically while every chained epoch stands.  The directory itself
+    // is not in its chain, so the leaf step checks its exec right and
+    // loads the leaf's epoch afresh.
+    if (chain_matches(e)) {
       pc->note_hit();
+      const std::string_view leaf = path.substr(dir.size() + 1);
+      if (leaf.size() > kMaxName) return Errc::invalid;
+      ResolveResult res;
+      res.parent_off = e.dir_off;
+      res.set_leaf(leaf);
+      auto child = descend(cred, e.dir_off, leaf, nullptr);
+      if (!child.is_ok()) {
+        if (child.code() == Errc::not_found && want_parent) return res;
+        return child.status();
+      }
+      // A symlink to follow restarts the walk elsewhere: take the plain
+      // walk, exactly as a miss would.
+      if (follow_symlink && inode_at(*child)->is_symlink())
+        return walk(cred, path, follow_symlink, want_parent, 0);
+      res.inode_off = *child;
       return res;
     }
     pc->note_conflict();
   }
 
   WalkTrace tr;
-  auto r = walk(cred, path, follow_symlink, /*want_parent=*/false, 0, &tr);
-  if (r.is_ok() && r->inode_off != 0 && tr.ok && tr.n > 0 &&
-      // Fill only when every traversed directory still carries the epoch
-      // recorded before it was checked: then bindings *and* permission
-      // outcomes replay identically until some chained epoch moves.
-      chain_matches(tr.dirs, tr.epochs, tr.buckets, tr.n)) {
-    PathCache::Entry fill;
-    fill.parent_off = r->parent_off;
-    fill.inode_off = r->inode_off;
-    fill.leaf_pos = tr.leaf_pos;
-    fill.leaf_len = tr.leaf_len;
-    fill.n_dirs = tr.n;
-    for (std::uint32_t i = 0; i < tr.n; ++i) {
-      fill.dirs[i] = tr.dirs[i];
-      fill.epochs[i] = tr.epochs[i];
-      fill.buckets[i] = tr.buckets[i];
-    }
-    pc->put(cred_key, path, fill);
+  auto r = walk(cred, path, follow_symlink, want_parent, 0, &tr);
+  // Fill only when every directory walked through still carries the epoch
+  // recorded before it was checked: then bindings *and* permission outcomes
+  // replay identically until some chained epoch moves.  An unpoisoned walk
+  // that succeeded ended in the leaf's directory, r->parent_off.
+  if (r.is_ok() && tr.ok && chain_matches(tr.chain)) {
+    tr.chain.dir_off = r->parent_off;
+    pc->put(cred_key, dir, tr.chain);
   }
   return r;
 }
 
+Result<ResolveResult> PathWalker::resolve(const Credentials& cred,
+                                          std::string_view path,
+                                          bool follow_symlink) const {
+  return cached_walk(cred, path, follow_symlink, /*want_parent=*/false);
+}
+
 Result<ResolveResult> PathWalker::resolve_parent(
     const Credentials& cred, std::string_view path) const {
-  auto r = walk(cred, path, /*follow_symlink=*/false, /*want_parent=*/true, 0);
+  auto r = cached_walk(cred, path, /*follow_symlink=*/false,
+                       /*want_parent=*/true);
   if (r.is_ok() && r->leaf() == "/")
     return Errc::invalid;  // cannot re-create root
   return r;

@@ -4,8 +4,9 @@
 // inode-number indirection — each component lookup hashes the name, probes
 // the directory's line, and lands directly on the persistent inode (§3.2,
 // §4.3).  On top of that, the walker consults a shared DRAM lookup cache
-// (lookup_cache.h) validated by per-directory epoch counters, so warm walks
-// skip the hash-block probes entirely while staying fully decentralized.
+// (lookup_cache.h) validated by per-directory epoch counters: a warm walk
+// replays the path's directory part from one PathCache entry and looks the
+// leaf up in one step, staying fully decentralized.
 // Permission bits are checked during the walk against the credentials the
 // bootstrap pinned for the process.
 //
@@ -60,23 +61,17 @@ struct ResolveResult {
   char leaf_buf_[kMaxName + 1] = {};
 };
 
-// Validation chain recorded while a walk runs: the (inode offset, epoch)
-// of every directory traversed, each epoch loaded *before* that directory
-// was probed or permission-checked.  A PathCache entry built from a trace
-// replays identically as long as every chained epoch is unchanged.  Walks
-// that the chain cannot represent — symlinks (followed or returned), "."
-// or "..", more than PathCache::kMaxChain directories, a directory being
-// torn down — poison the trace instead.
+// Validation chain recorded while a walk runs: one PathCache link per
+// directory the walk passes *through* (every component but the last), each
+// epoch loaded *before* that directory was probed or permission-checked.
+// The PathCache entry filled from a trace — the leaf's directory plus this
+// chain — replays identically as long as every chained epoch is unchanged.
+// Walks that the chain cannot represent — a symlink restart, "." or "..",
+// more than PathCache::kMaxChain directories, a directory being torn
+// down — poison the trace instead.
 struct WalkTrace {
   bool ok = true;
-  std::uint32_t n = 0;
-  std::uint32_t leaf_pos = 0;  // leaf component's span in the walked path
-  std::uint32_t leaf_len = 0;
-  std::uint64_t dirs[PathCache::kMaxChain] = {};
-  std::uint64_t epochs[PathCache::kMaxChain] = {};
-  // Bucket (of the component looked up in dirs[i]) the epoch was read
-  // from: the governing bucket head once dirs[i] is split, 0 before.
-  std::uint32_t buckets[PathCache::kMaxChain] = {};
+  PathCache::Entry chain;  // chain.dir_off is set from the walk's result
 };
 
 class PathWalker {
@@ -108,25 +103,34 @@ class PathWalker {
   void set_cache(LookupCache* cache) noexcept { cache_ = cache; }
   [[nodiscard]] LookupCache* cache() const noexcept { return cache_; }
 
-  // The whole-path fast layer consulted by resolve(); null disables it.
+  // The directory-path layer consulted by resolve() and resolve_parent();
+  // null disables it.
   void set_path_cache(PathCache* pcache) noexcept { pcache_ = pcache; }
   [[nodiscard]] PathCache* path_cache() const noexcept { return pcache_; }
 
  private:
-  struct ChildRef {
-    std::uint64_t fentry_off = 0;
-    std::uint64_t inode_off = 0;
-  };
-
-  // One component lookup in `dir` (inode at dir_off): cache probe with
-  // epoch validation, falling back to the hash-block probe on miss or
-  // conflict, refilling when the epoch held still.
-  Result<ChildRef> lookup_child(std::uint64_t dir_off, Inode& dir,
-                                std::string_view name) const;
+  // One plain descent step: looks `name` (neither "." nor "..") up in the
+  // directory at `dir_off` after checking that it is a directory the caller
+  // may traverse, and returns the child's inode offset.  The name's epoch
+  // is loaded once, before the exec check, when the component cache or a
+  // live `trace` needs it; the trace records it as the next chain link.  A
+  // cache hit is valid against that epoch; on a miss or conflict the
+  // hash-block probe runs and refills when the epoch held still.
+  Result<std::uint64_t> descend(const Credentials& cred, std::uint64_t dir_off,
+                                std::string_view name,
+                                WalkTrace* trace) const;
 
   Result<ResolveResult> walk(const Credentials& cred, std::string_view path,
                              bool follow_symlink, bool want_parent, int depth,
                              WalkTrace* trace = nullptr) const;
+
+  // resolve() and resolve_parent(): the PathCache entry for the path's
+  // directory part plus one descent for the leaf, or a traced walk that
+  // fills the entry.
+  Result<ResolveResult> cached_walk(const Credentials& cred,
+                                    std::string_view path,
+                                    bool follow_symlink,
+                                    bool want_parent) const;
 
   // Loads the current epoch governing `bucket` of the directory inode at
   // `ino_off` (the bucket head's epoch once the directory is split, the
@@ -137,11 +141,9 @@ class PathWalker {
   bool dir_epoch_now(std::uint64_t ino_off, std::uint32_t bucket,
                      std::uint64_t& out) const noexcept;
 
-  // One forward pass: every chained directory still carries its recorded
-  // epoch.  Hits require two passes (see lookup_cache.h); fills one.
-  bool chain_matches(const std::uint64_t* dirs, const std::uint64_t* epochs,
-                     const std::uint32_t* buckets,
-                     std::uint32_t n) const noexcept;
+  // One reverse pass: every chained directory still carries its recorded
+  // epoch.  Hits and fills each take one pass (see lookup_cache.h).
+  bool chain_matches(const PathCache::Entry& e) const noexcept;
 
   nvmm::Device& dev_;
   DirOps& dirops_;

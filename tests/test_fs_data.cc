@@ -423,9 +423,12 @@ TEST_F(FsExtentPoolDryTest, FailedAppendUnmapsWhatItMappedPastEof) {
 // space grows a shorter segment instead of failing.
 TEST_F(FsDataTest, PoolsGrowIntoAFragmentedDevice) {
   constexpr std::uint64_t kBlock = 4096;
+  // The fixture's mount and its heartbeat thread read the old devices until
+  // it is gone: unmount before replacing them.
+  proc_.reset();
+  fs_.reset();
   nvmm_ = std::make_unique<nvmm::Device>(16ull << 20);
   shm_ = std::make_unique<nvmm::Device>(kShmSize);
-  proc_.reset();
   fs_ = core::FileSystem::format(*nvmm_, *shm_);
   proc_ = fs_->open_process(1000, 1000);
   const std::vector<char> z(8 * kBlock, 'z');

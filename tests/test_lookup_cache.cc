@@ -78,7 +78,7 @@ TEST(LookupCacheUnit, ClearDropsEverything) {
   EXPECT_FALSE(c.get(1, "a", 0, b));
 }
 
-// ---- PathCache (whole-path layer) unit tests ----
+// ---- PathCache (directory-path layer) unit tests ----
 
 TEST(PathCacheUnit, CacheableBounds) {
   EXPECT_FALSE(PathCache::cacheable(""));
@@ -87,29 +87,40 @@ TEST(PathCacheUnit, CacheableBounds) {
   EXPECT_FALSE(PathCache::cacheable(std::string(121, 'p')));
 }
 
+TEST(PathCacheUnit, PathsAreKeyedByTheirDirectoryPart) {
+  EXPECT_EQ(PathCache::dir_of("/a/b/f"), "/a/b");
+  EXPECT_EQ(PathCache::dir_of("/a/f"), "/a");
+  EXPECT_EQ(PathCache::dir_of("a/f"), "a");
+  EXPECT_EQ(PathCache::dir_of("/a//f"), "/a/");
+  EXPECT_EQ(PathCache::dir_of("/a/./f"), "/a/.");  // walked, never filled
+  // Leaves directly under the root, and paths ending in '/', "." or "..",
+  // bypass the layer.
+  for (const char* p : {"", "f", "/", "/f", "//f", "/a/", "/a/b/", "/a/.",
+                        "/a/..", "/a/b/."})
+    EXPECT_EQ(PathCache::dir_of(p), "") << p;
+  const std::string dir(120, 'd');
+  EXPECT_EQ(PathCache::dir_of("/" + dir.substr(1) + "/f"),
+            "/" + dir.substr(1));
+  EXPECT_EQ(PathCache::dir_of("/" + dir + "/f"), "");  // key too long
+}
+
 TEST(PathCacheUnit, PutGetRoundTripAndCredentialIsolation) {
   PathCache c(64);
   EXPECT_EQ(c.capacity(), 64u);
   PathCache::Entry e;
-  e.parent_off = 0x100;
-  e.inode_off = 0x200;
-  e.leaf_pos = 3;
-  e.leaf_len = 1;
-  e.n_dirs = 2;
-  e.dirs[0] = 8;
-  e.epochs[0] = 4;
-  e.dirs[1] = 16;
-  e.epochs[1] = 6;
+  e.dir_off = 0x200;
+  e.n_links = 2;
+  e.links[0] = {8, 4, 0};
+  e.links[1] = {16, 6, 3};
   c.put(7, "/a/b", e);
   PathCache::Entry g;
   ASSERT_TRUE(c.get(7, "/a/b", g));
-  EXPECT_EQ(g.parent_off, 0x100u);
-  EXPECT_EQ(g.inode_off, 0x200u);
-  EXPECT_EQ(g.leaf_pos, 3u);
-  EXPECT_EQ(g.leaf_len, 1u);
-  ASSERT_EQ(g.n_dirs, 2u);
-  EXPECT_EQ(g.dirs[1], 16u);
-  EXPECT_EQ(g.epochs[1], 6u);
+  EXPECT_EQ(g.dir_off, 0x200u);
+  ASSERT_EQ(g.n_links, 2u);
+  EXPECT_EQ(g.links[0].dir, 8u);
+  EXPECT_EQ(g.links[1].dir, 16u);
+  EXPECT_EQ(g.links[1].epoch, 6u);
+  EXPECT_EQ(g.links[1].bucket, 3u);
   // Entries never cross credentials or alias another path.
   EXPECT_FALSE(c.get(8, "/a/b", g));
   EXPECT_FALSE(c.get(7, "/a/c", g));
@@ -125,14 +136,14 @@ TEST(PathCacheUnit, PutGetRoundTripAndCredentialIsolation) {
 TEST(PathCacheUnit, RefusesEntriesItCouldNotValidate) {
   PathCache c(64);
   PathCache::Entry e;
-  e.inode_off = 0x200;
-  e.n_dirs = 0;  // no chain -> nothing to validate against
+  e.dir_off = 0x200;
+  e.n_links = 0;  // no chain -> nothing to validate against
   c.put(1, "/x", e);
   PathCache::Entry g;
   EXPECT_FALSE(c.get(1, "/x", g));
-  e.n_dirs = 1;
-  e.dirs[0] = 8;
-  e.inode_off = 0;  // unresolved leaf
+  e.n_links = 1;
+  e.links[0] = {8, 2, 0};
+  e.dir_off = 0;  // no directory
   c.put(1, "/x", e);
   EXPECT_FALSE(c.get(1, "/x", g));
   EXPECT_EQ(c.stats().fills, 0u);
@@ -141,9 +152,9 @@ TEST(PathCacheUnit, RefusesEntriesItCouldNotValidate) {
 TEST(PathCacheUnit, ClearDropsEverything) {
   PathCache c(64);
   PathCache::Entry e;
-  e.inode_off = 0x200;
-  e.n_dirs = 1;
-  e.dirs[0] = 8;
+  e.dir_off = 0x200;
+  e.n_links = 1;
+  e.links[0] = {8, 2, 0};
   c.put(1, "/x", e);
   PathCache::Entry g;
   ASSERT_TRUE(c.get(1, "/x", g));
@@ -213,7 +224,7 @@ TEST_F(LookupCacheFsTest, CrossDirRenameBumpsBothDirectories) {
 
 TEST_F(LookupCacheFsTest, WarmWalkServesFromTheCache) {
   // Pin walks to the per-component layer so its hit accounting is exact
-  // (the whole-path layer would otherwise short-circuit the warm walks).
+  // (the directory-path layer would otherwise short-circuit "a" and "b").
   fs_->walker().set_path_cache(nullptr);
   ASSERT_TRUE(p().mkdir("/a").is_ok());
   ASSERT_TRUE(p().mkdir("/a/b").is_ok());
@@ -235,7 +246,7 @@ TEST_F(LookupCacheFsTest, WarmWalkServesFromTheCache) {
   EXPECT_GT(fs_->fsstat().lookup_hits, 0u);
 }
 
-TEST_F(LookupCacheFsTest, WholePathLayerShortCircuitsWarmWalks) {
+TEST_F(LookupCacheFsTest, WarmWalkIsOneDirectoryHitAndOneLeafProbe) {
   ASSERT_TRUE(p().mkdir("/a").is_ok());
   ASSERT_TRUE(p().mkdir("/a/b").is_ok());
   auto fd = p().open("/a/b/f", core::kOpenCreate | core::kOpenWrite);
@@ -248,9 +259,108 @@ TEST_F(LookupCacheFsTest, WholePathLayerShortCircuitsWarmWalks) {
   const auto pcs = delta_path_stats();
   EXPECT_EQ(pcs.hits, 1u);
   EXPECT_EQ(pcs.misses + pcs.conflicts, 0u);
-  // The warm stat never reached the per-component layer at all.
+  // The directory-path hit skipped "a" and "b": the per-component layer
+  // saw exactly one probe, the leaf's, and served it.
   const auto lcs = delta_stats();
-  EXPECT_EQ(lcs.hits + lcs.misses, 0u);
+  EXPECT_EQ(lcs.hits, 1u);
+  EXPECT_EQ(lcs.misses + lcs.conflicts, 0u);
+}
+
+class DirEntryTest : public LookupCacheFsTest {
+ protected:
+  // /a/b holding f and g, with the entry for "/a/b" warm.
+  void SetUp() override {
+    LookupCacheFsTest::SetUp();
+    ASSERT_TRUE(p().mkdir("/a").is_ok());
+    ASSERT_TRUE(p().mkdir("/a/b").is_ok());
+    for (const char* f : {"/a/b/f", "/a/b/g"}) {
+      auto fd = p().open(f, core::kOpenCreate | core::kOpenWrite);
+      ASSERT_TRUE(fd.is_ok());
+      ASSERT_TRUE(p().close(*fd).is_ok());
+    }
+    ASSERT_TRUE(p().stat("/a/b/f").is_ok());
+    (void)delta_path_stats();
+  }
+};
+
+TEST_F(DirEntryTest, ParentChmodRevokesWarmLeaves) {
+  // /a/b is not in its own chain, so its entry still hits after the chmod;
+  // the exec check every hit makes on the directory refuses the leaf.
+  ASSERT_TRUE(p().chmod("/a/b", 0600).is_ok());
+  (void)delta_path_stats();
+  EXPECT_EQ(p().stat("/a/b/f").code(), Errc::permission);
+  EXPECT_EQ(delta_path_stats().hits, 1u);
+  ASSERT_TRUE(p().chmod("/a/b", 0700).is_ok());
+  EXPECT_TRUE(p().stat("/a/b/f").is_ok());
+}
+
+TEST_F(DirEntryTest, SiblingsShareTheDirectoryEntry) {
+  ASSERT_TRUE(p().stat("/a/b/g").is_ok());  // g's first stat
+  const auto pcs = delta_path_stats();
+  EXPECT_EQ(pcs.hits, 1u);
+  EXPECT_EQ(pcs.misses + pcs.conflicts + pcs.fills, 0u);
+}
+
+TEST_F(DirEntryTest, MutationsInsideTheDirectoryKeepItsEntry) {
+  auto fd = p().open("/a/b/h", core::kOpenCreate | core::kOpenWrite);
+  ASSERT_TRUE(fd.is_ok());
+  ASSERT_TRUE(p().close(*fd).is_ok());
+  (void)delta_path_stats();
+  ASSERT_TRUE(p().stat("/a/b/f").is_ok());
+  EXPECT_EQ(delta_path_stats().hits, 1u);  // after a create
+  ASSERT_TRUE(p().unlink("/a/b/g").is_ok());
+  (void)delta_path_stats();
+  ASSERT_TRUE(p().stat("/a/b/f").is_ok());
+  EXPECT_EQ(delta_path_stats().hits, 1u);  // after an unlink
+  EXPECT_EQ(p().stat("/a/b/g").code(), Errc::not_found);
+}
+
+TEST_F(DirEntryTest, ResolveParentOfANewNameHits) {
+  const std::uint64_t b = p().stat("/a/b")->inode;
+  (void)delta_path_stats();
+  auto r = fs_->walker().resolve_parent({1000, 1000}, "/a/b/new");
+  ASSERT_TRUE(r.is_ok());
+  EXPECT_EQ(r->parent_off, b);
+  EXPECT_EQ(r->inode_off, 0u);  // absent leaf
+  EXPECT_EQ(r->leaf(), "new");
+  const auto pcs = delta_path_stats();
+  EXPECT_EQ(pcs.hits, 1u);
+  EXPECT_EQ(pcs.misses + pcs.conflicts, 0u);
+}
+
+TEST_F(DirEntryTest, RenamedDirectoryNeverHitsStale) {
+  const std::uint64_t f = p().stat("/a/b/f")->inode;
+  ASSERT_TRUE(p().rename("/a/b", "/a/c").is_ok());
+  (void)delta_path_stats();
+  EXPECT_EQ(p().stat("/a/b/f").code(), Errc::not_found);
+  EXPECT_EQ(delta_path_stats().hits, 0u);  // /a's epoch moved
+  auto st = p().stat("/a/c/f");
+  ASSERT_TRUE(st.is_ok());
+  EXPECT_EQ(st->inode, f);
+}
+
+TEST_F(DirEntryTest, LeafSymlinksResolveOnAHit) {
+  ASSERT_TRUE(p().symlink("f", "/a/b/ln").is_ok());
+  const std::uint64_t f = p().stat("/a/b/f")->inode;
+  (void)delta_path_stats();
+  auto st = p().stat("/a/b/ln");  // followed: the hit falls back to a walk
+  ASSERT_TRUE(st.is_ok());
+  EXPECT_EQ(st->inode, f);
+  auto lst = p().lstat("/a/b/ln");  // returned itself from the hit
+  ASSERT_TRUE(lst.is_ok());
+  EXPECT_NE(lst->inode, f);
+  EXPECT_EQ(delta_path_stats().hits, 2u);
+}
+
+TEST_F(LookupCacheFsTest, RootLeavesAndDotLeavesBypassTheLayer) {
+  ASSERT_TRUE(p().mkdir("/a").is_ok());
+  ASSERT_TRUE(p().mkdir("/a/b").is_ok());
+  (void)delta_path_stats();
+  for (const char* path : {"/a", "/a", "/a/b/", "/a/b/", "/a/b/.", "/a/b/.",
+                           "/a/b/..", "/a/b/.."})
+    ASSERT_TRUE(p().stat(path).is_ok()) << path;
+  const auto pcs = delta_path_stats();
+  EXPECT_EQ(pcs.hits + pcs.misses + pcs.conflicts + pcs.fills, 0u);
 }
 
 TEST_F(LookupCacheFsTest, DirectoryChmodBumpsItsOwnEpoch) {
@@ -267,7 +377,7 @@ TEST_F(LookupCacheFsTest, AncestorChmodRevokesWarmPaths) {
   ASSERT_TRUE(fd.is_ok());
   ASSERT_TRUE(p().close(*fd).is_ok());
   ASSERT_TRUE(p().stat("/a/b/f").is_ok());
-  ASSERT_TRUE(p().stat("/a/b/f").is_ok());  // warm whole-path hit
+  ASSERT_TRUE(p().stat("/a/b/f").is_ok());  // warm directory-path hit
   // Removing x from /a must make the *warm* walk fail closed: the cached
   // entry stops validating because chmod bumped /a's epoch.
   ASSERT_TRUE(p().chmod("/a", 0600).is_ok());
@@ -438,15 +548,18 @@ TEST_F(LookupCacheFsTest, RecycledDirectoryNeverServesStaleBindings) {
 
 TEST_F(LookupCacheFsTest, RecoveryDropsCachedBindings) {
   ASSERT_TRUE(p().mkdir("/d").is_ok());
-  ASSERT_TRUE(p().stat("/d").is_ok());
-  ASSERT_TRUE(p().stat("/d").is_ok());  // warm whole-path entry
-  (void)delta_stats();
+  ASSERT_TRUE(p().mkdir("/d/e").is_ok());
+  ASSERT_TRUE(p().stat("/d/e").is_ok());
   (void)delta_path_stats();
+  ASSERT_TRUE(p().stat("/d/e").is_ok());  // warm entry for "/d"
+  ASSERT_EQ(delta_path_stats().hits, 1u);
+  (void)delta_stats();
   // Recovery may recycle directory blocks without per-directory retire
   // bookkeeping, so it drops all cached bindings wholesale.
   (void)fs_->recover();
-  ASSERT_TRUE(p().stat("/d").is_ok());
+  ASSERT_TRUE(p().stat("/d/e").is_ok());
   EXPECT_EQ(delta_path_stats().hits, 0u);  // cold again
+  EXPECT_EQ(delta_stats().hits, 0u);
 }
 
 TEST_F(LookupCacheFsTest, OverlongNamesBypassTheCacheButResolve) {
